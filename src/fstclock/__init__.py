@@ -37,7 +37,7 @@ from .clock import (
     calibrate_interval,
 )
 from .errors import ClassSpecError, DataError, FstError, MapRangeError, ParseError
-from .ks import EmpiricalCdf, KsResult, ecdf, ks_distance, rescaled_ks
+from .ks import KsResult, ks_distance, rescaled_ks
 from .momentclock import (
     ClockComparison,
     ComparisonRow,

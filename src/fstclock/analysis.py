@@ -24,6 +24,7 @@ from .series import (
     PriceSeries,
     ReturnSample,
     class_sample,
+    dropped_between,
 )
 
 MIN_PAIRS = 30
@@ -48,21 +49,19 @@ def _complete_matrix(series: PriceSeries, what: str) -> np.ndarray:
 def pooled_bar_sample(
     series: PriceSeries,
     k_bars: int,
-    aligned: bool = True,
     label: str | None = None,
 ) -> ReturnSample:
     """Pool k-bar returns over days and start positions, detrended per position.
 
-    Aligned mode starts at multiples of k from the open (disjoint windows);
-    otherwise every bar is a start.  Each start position is its own ensemble
-    for mean removal, then positions are pooled into one sample.
+    Windows start at multiples of k from the open, so they are disjoint.
+    Each start position is its own ensemble for mean removal, then positions
+    are pooled into one sample.
     """
     z = _complete_matrix(series, "pooled sampling")
     n_bars = series.grid.n_bars
     if not 1 <= k_bars <= n_bars:
         raise ClassSpecError(f"k_bars={k_bars} outside 1..{n_bars}")
-    step = k_bars if aligned else 1
-    starts = np.arange(0, n_bars - k_bars + 1, step)
+    starts = np.arange(0, n_bars - k_bars + 1, k_bars)
     diffs = z[:, starts + k_bars] - z[:, starts]
     pooled = _demean_columns(diffs).ravel()
     name = label or f"pooled[{k_bars * series.grid.bar_minutes}min]"
@@ -463,16 +462,12 @@ def _magnitude_matrix(
     edge_prices = _interp_day_edges(z, grid, offsets)
     intraday = _demean_columns(np.diff(edge_prices, axis=1))
 
+    starts = np.flatnonzero(dropped_between(series) == 0)
+    kept = z[starts + 1, 0] - z[starts, grid.close_index]
+    kept = kept - kept.mean()
+    kept = kept - kept.mean()
     nights = np.full(series.n_days, np.nan)
-    close = grid.close_index
-    for i in range(series.n_days - 1):
-        d1, d2 = series.dates[i], series.dates[i + 1]
-        if any(d1 < d < d2 for d in series.dropped_dates):
-            continue
-        nights[i] = z[i + 1, 0] - z[i, close]
-    ok = ~np.isnan(nights)
-    nights[ok] = nights[ok] - nights[ok].mean()
-    nights[ok] = nights[ok] - nights[ok].mean()
+    nights[starts] = kept
     nights *= math.sqrt(delta / cal.overnight_duration)
 
     out = np.empty((series.n_days, n_bins + 1))

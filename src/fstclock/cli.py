@@ -157,7 +157,8 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("min_interval_minutes", float, 20.0, "partition cutoff scale"),
         Opt("max_missing", int, 0, "missing bars tolerated before a day is dropped"),
         Opt("reference", str, "1-day", "reference class spec"),
-        Opt("threads", int, 0, "calibration workers (0 means all cores)"),
+        Opt("threads", int, 0,
+            "calibration workers (0 means the thread pool default, min(32, cores + 4))"),
         Opt("cutoff_threshold", float, 0.05, "contiguous-correlation gate"),
         Opt("skip_additivity", bool, False, "skip the additivity report"),
     ],
@@ -318,60 +319,86 @@ def _num_list(text: str, typ=float) -> list:
     return [typ(v) for v in text.split(",")]
 
 
-def parse_class_spec(spec: str, partition: PartitionSpec, grid: DayGrid):
-    """One class DSL token -> (label, sample builder).
+def parse_class_spec(spec: str, partition: PartitionSpec, grid: DayGrid) -> list[IntervalClass]:
+    """One class DSL token -> the interval classes it names.
 
     Tokens: ``intervals`` (every partition interval), ``intraday:a:b``,
     ``bars:i:j``, ``overnight[:nights]``, ``multiday:N`` or ``N-day``,
     ``morning``, ``afternoon``, ``trading-day``, ``first-interval``,
-    ``Kmin`` (day-pooled K-minute returns).
+    ``Kmin`` (day-pooled K-minute returns).  ``Kmin`` is the one token that
+    ``class_sample`` cannot build: it comes back as a ``sample`` class whose
+    bars ``0..K`` give the pooled window, and ``_class_sample`` pools it.
     """
     spec = spec.strip()
     m_max = partition.m_max
-
-    def of_class(c: IntervalClass):
-        return c.label, lambda series: class_sample(series, c)
-
     if spec == "intervals":
-        return [
-            of_class(IntervalClass.intraday(m - 1, m, partition)) for m in range(1, m_max + 1)
-        ]
+        return [IntervalClass.intraday(m - 1, m, partition) for m in range(1, m_max + 1)]
     if m := re.fullmatch(r"intraday:(\d+):(\d+)", spec):
-        return [of_class(IntervalClass.intraday(int(m.group(1)), int(m.group(2)), partition))]
+        return [IntervalClass.intraday(int(m.group(1)), int(m.group(2)), partition)]
     if m := re.fullmatch(r"bars:(\d+):(\d+)", spec):
-        i, j = int(m.group(1)), int(m.group(2))
-        return [of_class(IntervalClass.bars(i, j, label=f"bars[{i}..{j}]"))]
+        return [IntervalClass.bars(int(m.group(1)), int(m.group(2)))]
     if spec == "overnight":
-        return [of_class(IntervalClass.overnight())]
+        return [IntervalClass.overnight()]
     if m := re.fullmatch(r"overnight:(\d+)", spec):
-        return [of_class(IntervalClass.overnight(nights=int(m.group(1))))]
+        return [IntervalClass.overnight(nights=int(m.group(1)))]
     if m := re.fullmatch(r"multiday:(\d+)", spec) or re.fullmatch(r"(\d+)-day", spec):
-        return [of_class(IntervalClass.multiday(int(m.group(1))))]
+        return [IntervalClass.multiday(int(m.group(1)))]
     if spec == "morning":
-        return [of_class(IntervalClass.intraday(0, (m_max + 1) // 2, partition, label="morning"))]
+        return [IntervalClass.intraday(0, (m_max + 1) // 2, partition, label="morning")]
     if spec == "afternoon":
-        return [
-            of_class(IntervalClass.intraday((m_max + 1) // 2, m_max, partition, label="afternoon"))
-        ]
+        return [IntervalClass.intraday((m_max + 1) // 2, m_max, partition, label="afternoon")]
     if spec == "trading-day":
-        return [of_class(IntervalClass.intraday(0, m_max, partition, label="trading-day"))]
+        return [IntervalClass.intraday(0, m_max, partition, label="trading-day")]
     if spec == "first-interval":
-        return [of_class(IntervalClass.intraday(0, 1, partition))]
+        return [IntervalClass.intraday(0, 1, partition)]
     if m := re.fullmatch(r"(\d+(?:\.\d+)?)min", spec):
         minutes = float(m.group(1))
         k = minutes / grid.bar_minutes
         if k != int(k) or k < 1:
             raise ClassSpecError(f"{spec!r} is not a whole number of bars")
-        label = f"{minutes:g}min"
-        return [(label, lambda series, k=int(k), lab=label: pooled_bar_sample(series, k, label=lab))]
+        return [IntervalClass(kind="sample", label=f"{minutes:g}min", bar_start=0, bar_end=int(k))]
     raise ClassSpecError(f"cannot parse class spec {spec!r}")
 
 
-def parse_class_specs(text: str, partition: PartitionSpec, grid: DayGrid):
+def parse_class_specs(text: str, partition: PartitionSpec, grid: DayGrid) -> list[IntervalClass]:
     out = []
     for token in text.split(","):
         out.extend(parse_class_spec(token, partition, grid))
     return out
+
+
+def _class_sample(series, c: IntervalClass):
+    if c.kind == "sample":
+        return pooled_bar_sample(series, c.bar_end, label=c.label)
+    return class_sample(series, c)
+
+
+def _reference(spec: str, partition: PartitionSpec, grid: DayGrid) -> IntervalClass:
+    """The calibration reference: exactly one class that class_sample builds."""
+    classes = parse_class_spec(spec, partition, grid)
+    if len(classes) != 1 or classes[0].kind == "sample":
+        raise ClassSpecError(f"cannot use {spec!r} as the calibration reference")
+    return classes[0]
+
+
+def _write_gate(path: str, series, partition: PartitionSpec, threshold: float) -> list[str]:
+    """Run the contiguous-correlation gate, write it to ``path``, return its warning."""
+    gate = cutoff_check(series, partition, threshold=threshold)
+    _write_json(
+        path,
+        {
+            "dt_minutes": gate.dt_minutes,
+            "value": gate.value,
+            "threshold": gate.threshold,
+            "violated": gate.violated,
+        },
+    )
+    if not gate.violated:
+        return []
+    return [
+        f"contiguous correlation {gate.value:.4f} exceeds {gate.threshold:g} "
+        f"at {gate.dt_minutes:g} min"
+    ]
 
 
 def _load_calibration(path: str) -> ClockCalibration:
@@ -451,7 +478,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
     grid = series.grid
     partition = _partition_from(cfg, grid)
     search = _search_from(cfg)
-    ref_class = _reference_class(cfg["reference"], partition)
+    ref_class = _reference(cfg["reference"], partition, grid)
     threads = cfg["threads"] or None
     cal = calibrate_clock(series, partition, cfg=search, reference=ref_class, threads=threads)
 
@@ -459,7 +486,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
     cal_path = os.path.join(out, "calibration.json")
     _write_json(cal_path, cal.to_json_dict())
 
-    tmap = assemble_time_map(cal, partition, grid, dates=series.dates)
+    tmap = assemble_time_map(cal, partition, grid, dates=series)
     map_path = os.path.join(out, "timemap.csv")
     _write_csv(
         map_path,
@@ -467,17 +494,8 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
         ((l, m, t.isoformat(), tau) for l, m, t, tau in tmap.to_rows()),
     )
 
-    gate = cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
     cut_path = os.path.join(out, "cutoff.json")
-    _write_json(
-        cut_path,
-        {
-            "dt_minutes": gate.dt_minutes,
-            "value": gate.value,
-            "threshold": gate.threshold,
-            "violated": gate.violated,
-        },
-    )
+    gate_warns = _write_gate(cut_path, series, partition, cfg["cutoff_threshold"])
 
     files = [cal_path, map_path, cut_path]
     if not cfg["skip_additivity"]:
@@ -491,26 +509,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
         files.append(add_path)
 
     warns = [f"search hit the window edge for {label}" for label in cal.boundary_warnings]
-    if gate.violated:
-        warns.append(
-            f"contiguous correlation {gate.value:.4f} exceeds {gate.threshold:g} "
-            f"at {gate.dt_minutes:g} min"
-        )
-    return files, warns
-
-
-def _reference_class(spec: str, partition: PartitionSpec) -> IntervalClass:
-    """The reference as an IntervalClass (calibration needs the class itself)."""
-    spec = spec.strip()
-    if m := re.fullmatch(r"multiday:(\d+)", spec) or re.fullmatch(r"(\d+)-day", spec):
-        return IntervalClass.multiday(int(m.group(1)))
-    if spec == "overnight":
-        return IntervalClass.overnight()
-    if m := re.fullmatch(r"intraday:(\d+):(\d+)", spec):
-        return IntervalClass.intraday(int(m.group(1)), int(m.group(2)), partition)
-    if spec == "trading-day":
-        return IntervalClass.intraday(0, partition.m_max, partition, label="trading-day")
-    raise ClassSpecError(f"cannot use {spec!r} as the calibration reference")
+    return files, warns + gate_warns
 
 
 def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
@@ -526,7 +525,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
                 "the fst clock needs --calibration pointing at a calibration.json"
             )
         cal = _load_calibration(cfg["calibration"])
-        tmap = assemble_time_map(cal, partition, grid, dates=series.dates)
+        tmap = assemble_time_map(cal, partition, grid, dates=series)
         if not cfg["delta"]:
             cfg["delta"] = cal.trading_total / partition.m_max
     elif not cfg["delta"]:
@@ -534,7 +533,6 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
     if not cfg["profile_bins"]:
         cfg["profile_bins"] = partition.m_max
 
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
 
@@ -622,25 +620,11 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
             ),
         )
 
-        gate = cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
         gate_path = os.path.join(out, "contiguous.json")
-        _write_json(
-            gate_path,
-            {
-                "dt_minutes": gate.dt_minutes,
-                "value": gate.value,
-                "threshold": gate.threshold,
-                "violated": gate.violated,
-            },
-        )
+        gate_warns = _write_gate(gate_path, series, partition, cfg["cutoff_threshold"])
         caught = [str(w.message) for w in rec]
 
-    warns = list(caught)
-    if gate.violated:
-        warns.append(
-            f"contiguous correlation {gate.value:.4f} exceeds {gate.threshold:g} "
-            f"at {gate.dt_minutes:g} min"
-        )
+    warns = caught + gate_warns
     return [moments_path, hurst_path, collapse_path, profile_path, autocorr_path, gate_path], warns
 
 
@@ -649,11 +633,12 @@ def cmd_compare_clocks(cfg: dict) -> tuple[list[str], list[str]]:
     grid = series.grid
     partition = _partition_from(cfg, grid)
     search = _search_from(cfg)
-    ref_class = _reference_class(cfg["reference"], partition)
-    x_ref = class_sample(series, ref_class)
+    x_ref = class_sample(series, _reference(cfg["reference"], partition, grid))
     orders = _num_list(cfg["orders"])
-    builders = parse_class_specs(cfg["classes"], partition, grid)
-    classes = [(label, build(series)) for label, build in builders]
+    classes = [
+        (c.label, _class_sample(series, c))
+        for c in parse_class_specs(cfg["classes"], partition, grid)
+    ]
 
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -680,10 +665,10 @@ def cmd_pairwise_d(cfg: dict) -> tuple[list[str], list[str]]:
     series = _load_filtered(cfg)
     grid = series.grid
     partition = _partition_from(cfg, grid)
-    builders = parse_class_specs(cfg["classes"], partition, grid)
-    if len(builders) < 2:
+    specs = parse_class_specs(cfg["classes"], partition, grid)
+    if len(specs) < 2:
         raise ClassSpecError("pairwise distances need at least two classes")
-    labeled = [(label, build(series)) for label, build in builders]
+    labeled = [(c.label, _class_sample(series, c)) for c in specs]
     n = len(labeled)
     matrix = np.zeros((n, n))
     for i in range(n):

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClassSpecError, DataError, MapRangeError
-from .ks import KsResult, _ks_sorted
+from .ks import KsResult, _ks_sorted, ks_distance
 from .series import (
     DayGrid,
     IntervalClass,
@@ -27,6 +27,7 @@ from .series import (
     PriceSeries,
     ReturnSample,
     class_sample,
+    dropped_between,
     next_weekday,
     synthetic_dates,
 )
@@ -116,8 +117,7 @@ def calibrate_interval(
 
     def objective(dt: float) -> float:
         if dt not in evals:
-            raw, _ = _ks_sorted(xs, ys / math.sqrt(dt), signed=False)
-            evals[dt] = raw
+            evals[dt] = _ks_sorted(xs, ys / math.sqrt(dt))[0]
         return evals[dt]
 
     grid = cfg.grid()
@@ -159,18 +159,9 @@ def calibrate_interval(
 
     best_raw = min(evals.values())
     best_dt = min(dt for dt, raw in evals.items() if raw == best_raw)
-    scale = math.sqrt(xs.size * ys.size / (xs.size + ys.size))
-    raw, loc = _ks_sorted(xs, ys / math.sqrt(best_dt), signed=False)
-    ks = KsResult(
-        d=scale * raw,
-        raw_sup=raw,
-        sup_location=loc,
-        n_x=int(xs.size),
-        n_y=int(ys.size),
-    )
     return CalibrationResult(
         delta_tau=best_dt,
-        ks=ks,
+        ks=ks_distance(xs, ys / math.sqrt(best_dt)),
         boundary_warning=boundary,
         n_evaluations=len(evals),
     )
@@ -301,7 +292,8 @@ class TimeMap:
     map interpolates linearly in physical time, overnight closures included
     (a closure spans exactly the calibrated overnight duration regardless of
     its wall-clock length, so weekends compress onto the same span as plain
-    nights).  Strictly increasing in both directions by construction.
+    nights; each filter-dropped session inside a closure adds one full day).
+    Strictly increasing in both directions by construction.
     """
 
     grid: DayGrid
@@ -330,7 +322,8 @@ class TimeMap:
         return _from_seconds(s)
 
     def day_open_tau(self, l: int) -> float:
-        return float(l * self.calibration.day_total)
+        """Clock value at the open of retained day l (l = n_days: terminal)."""
+        return float(self.anchor_tau[l * (self.partition.m_max + 1)])
 
     def intraday_offset_minutes(self, tau_in_day: float) -> float:
         """Minutes after the open at which ``tau_in_day`` falls on any day.
@@ -362,14 +355,18 @@ def assemble_time_map(
     partition: PartitionSpec,
     grid: DayGrid,
     n_days: int | None = None,
-    dates: Sequence[date] | None = None,
+    dates: Sequence[date] | PriceSeries | None = None,
 ) -> TimeMap:
     """Lay calibrated durations end to end over a span of trading days.
 
     Within day l, boundary m sits at the running sum of interval durations;
-    each new day adds one full day (trading plus closure).  A terminal
-    anchor at the open of the day after the last one closes the final
-    overnight, so the map covers ``n_days`` complete days of clock time.
+    each new day adds one full day (trading plus closure), and each session
+    that ``filter_complete_days`` dropped between two retained days adds one
+    more.  ``dates`` holds the retained days, or is the filtered series
+    itself, which also brings its dropped sessions.  A terminal anchor at
+    the open of the day after the last one closes the final overnight, so
+    the map covers ``n_days`` complete days of clock time plus the dropped
+    sessions inside them.
     """
     if calibration.m_max != partition.m_max:
         raise ClassSpecError(
@@ -379,7 +376,12 @@ def assemble_time_map(
         if n_days is None:
             raise ValueError("need n_days or dates")
         dates = synthetic_dates(n_days)
-    dates = tuple(dates)
+    if isinstance(dates, PriceSeries):
+        skipped = dropped_between(dates)
+        dates = dates.dates
+    else:
+        dates = tuple(dates)
+        skipped = np.zeros(max(len(dates) - 1, 0), dtype=int)
     if n_days is None:
         n_days = len(dates)
     if len(dates) != n_days:
@@ -387,18 +389,21 @@ def assemble_time_map(
     if n_days < 1:
         raise DataError("time map needs at least one day")
     all_dates = dates + (next_weekday(dates[-1]),)
+    # whole clock days elapsed before each retained open
+    day_index = np.arange(n_days) + np.concatenate([[0], np.cumsum(skipped)])
 
     bounds_tau = np.concatenate([[0.0], np.cumsum(calibration.intraday_durations)])
     seconds = []
     taus = []
     for l in range(n_days):
         day_start = _to_seconds(datetime.combine(all_dates[l], grid.open_time))
+        day_tau = day_index[l] * calibration.day_total
         for m, b in enumerate(partition.boundaries):
             seconds.append(day_start + b * grid.bar_minutes * 60.0)
-            taus.append(l * calibration.day_total + bounds_tau[m])
+            taus.append(day_tau + bounds_tau[m])
     terminal = _to_seconds(datetime.combine(all_dates[-1], grid.open_time))
     seconds.append(terminal)
-    taus.append(n_days * calibration.day_total)
+    taus.append((day_index[-1] + 1) * calibration.day_total)
 
     anchor_seconds = np.asarray(seconds)
     anchor_tau = np.asarray(taus)

@@ -1,13 +1,16 @@
-"""Empirical CDFs and the size-rescaled two-sample Kolmogorov-Smirnov statistic.
+"""The size-rescaled two-sample Kolmogorov-Smirnov statistic.
 
 The distance between two return ensembles is
 
     d = sqrt(n_x * n_y / (n_x + n_y)) * sup_z |F_x(z) - F_y(z)|
 
-with the supremum taken over the whole real line.  Both one-sided limits are
-evaluated at every jump of the merged support, so ties within and across the
-samples are handled exactly; between jumps both CDFs are constant and at
-infinity the difference vanishes, hence nothing else can carry the sup.
+with the supremum taken over the whole real line.  Between jumps of the
+merged support both CDFs are constant and at infinity the difference
+vanishes, so only the one-sided limits at the merged points can carry the
+sup.  The left limit at a merged point equals the right limit at the
+previous one (or 0 at the first), so the right limits alone give both the
+sup and the smallest point attaining it, ties within and across the samples
+included.
 """
 from __future__ import annotations
 
@@ -21,33 +24,6 @@ from .series import ReturnSample
 
 
 @dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous step CDF of a finite sample."""
-
-    sorted_values: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        v = np.asarray(self.sorted_values, dtype=float)
-        if v.size == 0:
-            raise DataError("cannot build an empirical CDF from an empty sample")
-        v = np.sort(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "sorted_values", v)
-        object.__setattr__(self, "n", int(v.size))
-
-    def __call__(self, z) -> np.ndarray | float:
-        """Fraction of the sample at or below z (vectorised)."""
-        out = np.searchsorted(self.sorted_values, z, side="right") / self.n
-        return float(out) if np.isscalar(z) else out
-
-    def left_limit(self, z) -> np.ndarray | float:
-        """Fraction strictly below z."""
-        out = np.searchsorted(self.sorted_values, z, side="left") / self.n
-        return float(out) if np.isscalar(z) else out
-
-
-@dataclass(frozen=True)
 class KsResult:
     """Rescaled KS statistic together with where and how the sup was attained."""
 
@@ -56,12 +32,11 @@ class KsResult:
     sup_location: float
     n_x: int
     n_y: int
-    signed: bool = False
 
     def __post_init__(self):
         if self.n_x <= 0 or self.n_y <= 0:
             raise DataError("KS statistic needs non-empty samples on both sides")
-        if not self.signed and not 0.0 <= self.raw_sup <= 1.0:
+        if not 0.0 <= self.raw_sup <= 1.0:
             raise DataError(f"raw sup {self.raw_sup} outside [0, 1]")
         expected = self.scale * self.raw_sup
         if not math.isclose(self.d, expected, rel_tol=1e-12, abs_tol=1e-300):
@@ -78,42 +53,29 @@ def _values(sample) -> np.ndarray:
     return np.asarray(sample, dtype=float).ravel()
 
 
-def _ks_sorted(xs: np.ndarray, ys: np.ndarray, signed: bool) -> tuple[float, float]:
-    """Sup over the merged support, both one-sided limits at every jump.
+def _ks_sorted(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Sup of |F_x - F_y| and the smallest merged point attaining it.
 
     xs and ys must be sorted.  O((n_x + n_y) log(n_x + n_y)).
     """
     zs = np.concatenate([xs, ys])
     zs.sort(kind="mergesort")
-    n_x, n_y = xs.size, ys.size
-    diff_right = (
-        np.searchsorted(xs, zs, side="right") / n_x
-        - np.searchsorted(ys, zs, side="right") / n_y
+    diff = np.abs(
+        np.searchsorted(xs, zs, side="right") / xs.size
+        - np.searchsorted(ys, zs, side="right") / ys.size
     )
-    diff_left = (
-        np.searchsorted(xs, zs, side="left") / n_x
-        - np.searchsorted(ys, zs, side="left") / n_y
-    )
-    if not signed:
-        diff_right = np.abs(diff_right)
-        diff_left = np.abs(diff_left)
-    sup = max(float(diff_right.max()), float(diff_left.max()))
-    hit = (diff_right == sup) | (diff_left == sup)
-    location = float(zs[int(np.argmax(hit))])
+    sup = float(diff.max())
+    location = float(zs[int(np.argmax(diff == sup))])
     return sup, location
 
 
-def ks_distance(x, y, signed: bool = False) -> KsResult:
-    """Rescaled KS statistic between two samples.
-
-    ``signed=True`` keeps the one-sided sup of F_x - F_y instead of the
-    absolute two-sided sup (the default).
-    """
+def ks_distance(x, y) -> KsResult:
+    """Rescaled KS statistic between two samples."""
     xs = np.sort(_values(x))
     ys = np.sort(_values(y))
     if xs.size == 0 or ys.size == 0:
         raise DataError("KS statistic needs non-empty samples on both sides")
-    raw, loc = _ks_sorted(xs, ys, signed)
+    raw, loc = _ks_sorted(xs, ys)
     scale = math.sqrt(xs.size * ys.size / (xs.size + ys.size))
     return KsResult(
         d=scale * raw,
@@ -121,16 +83,10 @@ def ks_distance(x, y, signed: bool = False) -> KsResult:
         sup_location=loc,
         n_x=int(xs.size),
         n_y=int(ys.size),
-        signed=signed,
     )
 
 
-def ecdf(sample) -> EmpiricalCdf:
-    v = _values(sample)
-    return EmpiricalCdf(sorted_values=v, n=v.size)
-
-
-def rescaled_ks(x_ref, y, delta_tau: float, signed: bool = False) -> KsResult:
+def rescaled_ks(x_ref, y, delta_tau: float) -> KsResult:
     """KS distance after rescaling the candidate by sqrt(delta_tau).
 
     The candidate sample y is compared as y / sqrt(delta_tau) against the
@@ -140,4 +96,4 @@ def rescaled_ks(x_ref, y, delta_tau: float, signed: bool = False) -> KsResult:
     if not (delta_tau > 0) or not math.isfinite(delta_tau):
         raise ValueError(f"delta_tau must be positive and finite, got {delta_tau}")
     ys = _values(y) / math.sqrt(delta_tau)
-    return ks_distance(_values(x_ref), ys, signed=signed)
+    return ks_distance(_values(x_ref), ys)

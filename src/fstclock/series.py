@@ -83,9 +83,6 @@ class DayGrid:
             raise DataError(f"time {t.isoformat()} is outside the trading session")
         return index
 
-    def minutes_from_open(self, index: int) -> float:
-        return float(index * self.bar_minutes)
-
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -119,9 +116,6 @@ class PriceSeries:
     @property
     def complete_mask(self) -> np.ndarray:
         return ~np.isnan(self.log_prices).any(axis=1)
-
-    def is_complete(self) -> bool:
-        return bool(self.complete_mask.all())
 
 
 @dataclass(frozen=True)
@@ -212,8 +206,9 @@ class IntervalClass:
         partition boundary indices or directly from bars),
       * ``overnight``: close to next retained open, optionally restricted to a
         fixed number of calendar nights,
-      * ``multiday``: same anchor, ``n_days`` days apart,
-      * ``sample``: label-only tag for pooled or generated ensembles.
+      * ``multiday``: open to open, ``n_days`` retained days apart,
+      * ``sample``: tag for pooled or generated ensembles; a pooled class
+        carries its window as bars ``bar_start..bar_end``.
     """
 
     kind: str
@@ -224,7 +219,6 @@ class IntervalClass:
     m_end: int | None = None
     nights: int | None = None
     n_days: int | None = None
-    anchor: str = "open"
 
     @classmethod
     def intraday(
@@ -264,17 +258,10 @@ class IntervalClass:
         return cls(kind="overnight", label=label, nights=nights)
 
     @classmethod
-    def multiday(cls, n_days: int, anchor: str = "open", label: str | None = None) -> "IntervalClass":
+    def multiday(cls, n_days: int, label: str | None = None) -> "IntervalClass":
         if n_days < 1:
             raise ClassSpecError("multiday span must be >= 1 day")
-        if anchor not in ("open", "close"):
-            raise ClassSpecError(f"unknown anchor {anchor!r}")
-        return cls(
-            kind="multiday",
-            label=label or f"{n_days}-day",
-            n_days=n_days,
-            anchor=anchor,
-        )
+        return cls(kind="multiday", label=label or f"{n_days}-day", n_days=n_days)
 
     @classmethod
     def sample(cls, label: str) -> "IntervalClass":
@@ -401,8 +388,20 @@ def filter_complete_days(series: PriceSeries, max_missing_bars: int = 0) -> Pric
     )
 
 
-def _has_dropped_between(series: PriceSeries, d1: date, d2: date) -> bool:
-    return any(d1 < d < d2 for d in series.dropped_dates)
+def dropped_between(series: PriceSeries, span: int = 1) -> np.ndarray:
+    """Dropped sessions strictly between retained days i and i + span, per i.
+
+    Entry i counts the ``dropped_dates`` d with dates[i] < d < dates[i + span];
+    a window with a nonzero count would silently absorb part of a trading
+    day.  Calendar gaps that were never in the feed (weekends, holidays)
+    count zero.  Repeated filter passes append dropped dates out of order,
+    so they are sorted here.
+    """
+    days = np.array(series.dates, dtype="datetime64[D]")
+    dropped = np.unique(np.array(series.dropped_dates, dtype="datetime64[D]"))
+    return np.searchsorted(dropped, days[span:], side="left") - np.searchsorted(
+        dropped, days[:-span], side="right"
+    )
 
 
 def _column(series: PriceSeries, bar: int, rows: np.ndarray | slice, label: str) -> np.ndarray:
@@ -416,58 +415,36 @@ def _column(series: PriceSeries, bar: int, rows: np.ndarray | slice, label: str)
     return col
 
 
-def raw_returns(
-    series: PriceSeries,
-    iclass: IntervalClass,
-    overlapping: bool = False,
-) -> ReturnSample:
+def raw_returns(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
     """Collect the raw (non-detrended) log-returns of one interval class.
 
     Overnight and multi-day windows skip any pair of retained days with a
-    filter-dropped day strictly between their dates: such a window would
-    silently absorb part of a trading day.  Calendar gaps that were never in
-    the feed (weekends, holidays) merge into the adjacent closure as usual.
-    Multi-day windows are non-overlapping unless ``overlapping`` is set.
+    filter-dropped day strictly between their dates (``dropped_between``).
+    Multi-day windows run open to open and do not overlap.
     """
+    label = iclass.label
     if iclass.kind == "intraday":
         rows = slice(None)
-        a = _column(series, iclass.bar_start, rows, iclass.label)
-        b = _column(series, iclass.bar_end, rows, iclass.label)
+        a = _column(series, iclass.bar_start, rows, label)
+        b = _column(series, iclass.bar_end, rows, label)
         return ReturnSample(values=b - a, interval=iclass)
 
     if iclass.kind == "overnight":
-        close = series.grid.close_index
-        vals = []
-        for i in range(series.n_days - 1):
-            d1, d2 = series.dates[i], series.dates[i + 1]
-            if iclass.nights is not None and (d2 - d1).days != iclass.nights:
-                continue
-            if _has_dropped_between(series, d1, d2):
-                continue
-            vals.append(series.log_prices[i + 1, 0] - series.log_prices[i, close])
-        sample = ReturnSample(values=np.asarray(vals), interval=iclass)
-        if np.isnan(sample.values).any():  # pragma: no cover - caught in ReturnSample
-            raise DataError("overnight ensemble touches missing bars")
-        return sample
+        keep = dropped_between(series) == 0
+        if iclass.nights is not None:
+            nights = np.diff(np.array(series.dates, dtype="datetime64[D]")).astype(int)
+            keep &= nights == iclass.nights
+        starts = np.flatnonzero(keep)
+        opens = _column(series, 0, starts + 1, label)
+        closes = _column(series, series.grid.close_index, starts, label)
+        return ReturnSample(values=opens - closes, interval=iclass)
 
     if iclass.kind == "multiday":
-        bar = 0 if iclass.anchor == "open" else series.grid.close_index
         span = iclass.n_days
-        step = 1 if overlapping else span
-        vals = []
-        for i in range(0, series.n_days - span, step):
-            d1, d2 = series.dates[i], series.dates[i + span]
-            if _has_dropped_between(series, d1, d2):
-                continue
-            vals.append(series.log_prices[i + span, bar] - series.log_prices[i, bar])
-        if not vals:
-            raise DataError(f"class {iclass.label!r} produced no returns")
-        arr = np.asarray(vals)
-        if np.isnan(arr).any():
-            raise DataError(
-                f"class {iclass.label!r} touches missing bars; run filter_complete_days first"
-            )
-        return ReturnSample(values=arr, interval=iclass)
+        starts = np.arange(0, series.n_days - span, span)
+        starts = starts[dropped_between(series, span)[starts] == 0]
+        values = _column(series, 0, starts + span, label) - _column(series, 0, starts, label)
+        return ReturnSample(values=values, interval=iclass)
 
     raise ClassSpecError(f"cannot build returns for class kind {iclass.kind!r}")
 
@@ -486,9 +463,9 @@ def detrend(sample: ReturnSample) -> ReturnSample:
     return ReturnSample(values=v, interval=sample.interval, detrended=True)
 
 
-def class_sample(series: PriceSeries, iclass: IntervalClass, overlapping: bool = False) -> ReturnSample:
+def class_sample(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
     """Raw returns followed by detrending; the standard ensemble builder."""
-    return detrend(raw_returns(series, iclass, overlapping=overlapping))
+    return detrend(raw_returns(series, iclass))
 
 
 def next_weekday(d: date) -> date:

@@ -38,12 +38,10 @@ PART60 = PartitionSpec.equal_spacing(GRID18, interval_minutes=60)
 
 def test_pooled_bar_sample_counts_and_label(default_grid):
     s = brownian_series(n_days=10, n_bars=19, seed=40)
-    aligned = pooled_bar_sample(s, 2)
-    assert aligned.interval.label == "pooled[40min]"
-    assert aligned.n == 10 * 9  # starts 0,2,...,16
-    assert aligned.detrended
-    dense = pooled_bar_sample(s, 2, aligned=False)
-    assert dense.n == 10 * 18
+    pooled = pooled_bar_sample(s, 2)
+    assert pooled.interval.label == "pooled[40min]"
+    assert pooled.n == 10 * 9  # starts 0,2,...,16
+    assert pooled.detrended
     with pytest.raises(ClassSpecError):
         pooled_bar_sample(s, 0)
     with pytest.raises(ClassSpecError):

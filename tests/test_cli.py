@@ -8,7 +8,14 @@ import json
 
 import pytest
 
-from fstclock.cli import main, parse_class_spec, parse_class_specs, resolve_config, build_parser
+from fstclock.cli import (
+    _reference,
+    build_parser,
+    main,
+    parse_class_spec,
+    parse_class_specs,
+    resolve_config,
+)
 from fstclock.errors import ClassSpecError
 from fstclock.series import DayGrid, PartitionSpec
 
@@ -193,15 +200,15 @@ PARTITION = PartitionSpec.equal_spacing(GRID, 20.0)
     ],
 )
 def test_class_dsl_labels(spec, label):
-    (got, _builder), = parse_class_spec(spec, PARTITION, GRID)
-    assert got == label
+    (got,) = parse_class_spec(spec, PARTITION, GRID)
+    assert got.label == label
 
 
 def test_class_dsl_intervals_expands_to_every_interval():
     out = parse_class_spec("intervals", PARTITION, GRID)
     assert len(out) == PARTITION.m_max
-    assert out[0][0] == "intraday[0..1]"
-    assert out[-1][0] == f"intraday[{PARTITION.m_max - 1}..{PARTITION.m_max}]"
+    assert out[0].label == "intraday[0..1]"
+    assert out[-1].label == f"intraday[{PARTITION.m_max - 1}..{PARTITION.m_max}]"
 
 
 @pytest.mark.parametrize("bad", ["nonsense", "intraday:2", "7min", "0-day"])
@@ -212,7 +219,24 @@ def test_class_dsl_rejects_malformed_specs(bad):
 
 def test_class_dsl_comma_list():
     out = parse_class_specs("first-interval,overnight,2-day", PARTITION, GRID)
-    assert [label for label, _ in out] == ["intraday[0..1]", "overnight", "2-day"]
+    assert [c.label for c in out] == ["intraday[0..1]", "overnight", "2-day"]
+
+
+def test_class_dsl_pooled_token_carries_its_window():
+    (c,) = parse_class_spec("60min", PARTITION, GRID)
+    assert (c.kind, c.bar_start, c.bar_end) == ("sample", 0, 3)
+
+
+@pytest.mark.parametrize("spec", ["1-day", "overnight", "intraday:0:2", "trading-day"])
+def test_reference_is_one_parsed_class(spec):
+    (want,) = parse_class_spec(spec, PARTITION, GRID)
+    assert _reference(spec, PARTITION, GRID) == want
+
+
+@pytest.mark.parametrize("bad", ["intervals", "60min", "nonsense"])
+def test_reference_rejects_lists_and_pooled_tokens(bad):
+    with pytest.raises(ClassSpecError):
+        _reference(bad, PARTITION, GRID)
 
 
 def test_resolve_config_requires_input():

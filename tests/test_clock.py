@@ -15,11 +15,13 @@ from fstclock import (
     IntervalClass,
     MapRangeError,
     PartitionSpec,
+    PriceSeries,
     SearchConfig,
     additivity_report,
     assemble_time_map,
     calibrate_clock,
     calibrate_interval,
+    filter_complete_days,
 )
 
 from conftest import brownian_series, make_sample
@@ -203,6 +205,24 @@ def test_map_weekend_compresses_to_one_night():
     assert tm.map_time(datetime.combine(dates[1], time(9, 40))) == 1.0
     saturday_noon = datetime(2020, 1, 4, 12, 0)
     assert 0.625 < tm.map_time(saturday_noon) < 1.0
+
+
+def test_map_dropped_session_keeps_its_full_day():
+    # Thu, Fri, Mon (one missing bar, dropped), Tue
+    dates = (date(2020, 1, 2), date(2020, 1, 3), date(2020, 1, 6), date(2020, 1, 7))
+    prices = np.zeros((4, MAP_GRID.n_points))
+    prices[2, 3] = np.nan
+    series = filter_complete_days(PriceSeries(grid=MAP_GRID, dates=dates, log_prices=prices))
+    cal = unit_day_calibration()
+    tm = assemble_time_map(cal, MAP_PARTITION, MAP_GRID, dates=series)
+    assert len(list(tm.to_rows())) == series.n_days * (MAP_PARTITION.m_max + 1) + 1
+    friday_close = tm.map_time(datetime(2020, 1, 3, 11, 40))
+    tuesday_open = tm.map_time(datetime(2020, 1, 7, 9, 40))
+    assert tuesday_open - friday_close == cal.overnight_duration + cal.day_total
+    assert [tm.day_open_tau(l) for l in range(4)] == [0.0, 1.0, 3.0, 4.0]
+    # the plain date list knows nothing of the dropped Monday
+    plain = assemble_time_map(cal, MAP_PARTITION, MAP_GRID, dates=series.dates)
+    assert plain.map_time(datetime(2020, 1, 7, 9, 40)) == 2.0
 
 
 def test_map_range_errors():

@@ -8,29 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fstclock import DataError, EmpiricalCdf, KsResult, ecdf, ks_distance, rescaled_ks
+from fstclock import DataError, KsResult, ks_distance, rescaled_ks
 
 from conftest import make_sample
 
 
 # --- independent oracle ----------------------------------------------------
 
-def brute_force_ks(x, y):
-    """Sup of |F_x - F_y| over both one-sided limits at every merged point.
+def brute_force_sup_and_location(x, y):
+    """Sup of |F_x - F_y| over both one-sided limits at every merged point,
+    and the smallest merged point at which either limit reaches it.
 
     Written against the definition only: boolean comparisons and means, no
     sorting, no searchsorted.  Deliberately the dumbest correct thing.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sup = 0.0
-    for z in np.concatenate([x, y]):
-        fx_at = (x <= z).mean()
-        fy_at = (y <= z).mean()
-        fx_below = (x < z).mean()
-        fy_below = (y < z).mean()
-        sup = max(sup, abs(fx_at - fy_at), abs(fx_below - fy_below))
-    return sup
+    points = np.concatenate([x, y])
+    limits = []
+    for z in points:
+        at = abs((x <= z).mean() - (y <= z).mean())
+        below = abs((x < z).mean() - (y < z).mean())
+        limits.append(max(at, below))
+    sup = max(limits)
+    return sup, min(z for z, lim in zip(points, limits) if lim == sup)
+
+
+def brute_force_ks(x, y):
+    return brute_force_sup_and_location(x, y)[0]
 
 
 finite_floats = st.floats(
@@ -85,6 +90,19 @@ def test_merge_matches_brute_force(xs, ys):
     assert got == pytest.approx(want, abs=1e-15)
 
 
+# few distinct values, zero weighted double: tick-quantised returns pile up there
+tied_samples = st.lists(
+    st.sampled_from([-2.0, -0.5, 0.0, 0.0, 0.25, 1.0, 3.0]), min_size=1, max_size=40
+)
+
+
+@given(tied_samples, tied_samples)
+@settings(max_examples=300, deadline=None)
+def test_sup_location_matches_brute_force_with_heavy_ties(xs, ys):
+    r = ks_distance(xs, ys)
+    assert (r.raw_sup, r.sup_location) == brute_force_sup_and_location(xs, ys)
+
+
 def test_merge_matches_brute_force_with_heavy_ties():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -130,38 +148,6 @@ def test_scale_equivariance_general_scale_close():
     base = rescaled_ks(x, y, 1.3)
     r = rescaled_ks(x, 0.3 * y, 0.09 * 1.3)
     assert r.raw_sup == pytest.approx(base.raw_sup, abs=1e-9)
-
-
-def test_signed_sup_never_exceeds_absolute():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        x = rng.standard_normal(rng.integers(2, 40))
-        y = rng.standard_normal(rng.integers(2, 40))
-        assert ks_distance(x, y, signed=True).raw_sup <= ks_distance(x, y).raw_sup + 1e-15
-
-
-def test_signed_sup_positive_shift():
-    x = np.arange(10.0)
-    r = ks_distance(x, x + 100.0, signed=True)
-    assert r.raw_sup == ks_distance(x, x + 100.0).raw_sup == pytest.approx(1.0)
-
-
-# --- ECDF ------------------------------------------------------------------
-
-def test_ecdf_values_and_limits():
-    f = ecdf([1.0, 1.0, 2.0, 5.0])
-    assert f(0.0) == 0.0
-    assert f(1.0) == 0.5
-    assert f.left_limit(1.0) == 0.0
-    assert f(2.0) == 0.75
-    assert f(5.0) == 1.0
-    assert f(1e12) == 1.0
-    np.testing.assert_allclose(f(np.array([1.0, 3.0])), [0.5, 0.75])
-
-
-def test_ecdf_empty_rejected():
-    with pytest.raises(DataError):
-        ecdf([])
 
 
 # --- result validation and domain errors -----------------------------------

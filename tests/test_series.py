@@ -10,6 +10,7 @@ import pytest
 
 from fstclock import (
     ClassSpecError,
+    ClockCalibration,
     DataError,
     DayGrid,
     GeneratorConfig,
@@ -18,6 +19,8 @@ from fstclock import (
     PartitionSpec,
     PriceSeries,
     ReturnSample,
+    SearchConfig,
+    assemble_time_map,
     class_sample,
     detrend,
     filter_complete_days,
@@ -27,6 +30,8 @@ from fstclock import (
     raw_returns,
     save_cache,
 )
+from fstclock.analysis import _magnitude_matrix
+from fstclock.series import dropped_between, synthetic_dates
 from fstclock.synthetic import ActivityProfile, generate_seasonal, write_prices_csv
 
 from conftest import series_from_matrix
@@ -85,7 +90,7 @@ def test_ingest_missing_bar_kept_as_nan():
     text = csv_of("2020-01-02T09:40:00,100\n2020-01-02T10:20:00,101\n")
     s = ingest_csv(text, GRID3)
     assert np.isnan(s.log_prices[0, 1])
-    assert not s.is_complete()
+    assert not s.complete_mask.all()
 
 
 @pytest.mark.parametrize(
@@ -201,8 +206,6 @@ def test_multiday_nonoverlapping_default(default_grid):
     s = series_from_matrix(m, grid=default_grid)
     r = raw_returns(s, IntervalClass.multiday(2))
     np.testing.assert_allclose(r.values, [2.0, 2.0, 2.0])
-    r_overlap = raw_returns(s, IntervalClass.multiday(2), overlapping=True)
-    assert r_overlap.n == 5
 
 
 def test_multiday_skips_windows_spanning_dropped(default_grid):
@@ -212,6 +215,86 @@ def test_multiday_skips_windows_spanning_dropped(default_grid):
     r = raw_returns(s, IntervalClass.multiday(1))
     # retained days 0,1,3,4: pairs (0,1),(1,3)x,(3,4)
     assert r.n == 2
+
+
+# Reference for the gap rule: the pairwise scan over retained days that
+# raw_returns and the autocorrelation night slot used before it was vectorised.
+def scan_windows(series, span, step, nights=None):
+    out = []
+    for i in range(0, series.n_days - span, step):
+        d1, d2 = series.dates[i], series.dates[i + span]
+        if nights is not None and (d2 - d1).days != nights:
+            continue
+        if any(d1 < d < d2 for d in series.dropped_dates):
+            continue
+        out.append(i)
+    return out
+
+
+def gappy_series(grid, seed):
+    """Weekdays with random holidays, filtered twice with decreasing tolerance.
+
+    Days missing three bars (second half) go in the first pass, days missing
+    one bar (first half) in the second, so ``dropped_dates`` ends up out of
+    order; a run of adjacent drops puts two sessions inside one closure.
+    """
+    rng = np.random.default_rng(seed)
+    calendar = [d for d in synthetic_dates(80) if rng.random() > 0.1]
+    m = rng.standard_normal((len(calendar), grid.n_points)).cumsum(axis=1)
+    n = len(calendar)
+    heavy = rng.choice(np.arange(n // 2, n - 1), size=4, replace=False)
+    light = rng.choice(np.arange(1, n // 2 - 2), size=3, replace=False)
+    for i in heavy:
+        m[i, [2, 5, 7]] = np.nan
+    for i in list(light) + [light[0] + 1]:
+        m[i, 4] = np.nan
+    raw = PriceSeries(grid=grid, dates=tuple(calendar), log_prices=m)
+    filtered = filter_complete_days(filter_complete_days(raw, max_missing_bars=2))
+    assert list(filtered.dropped_dates) != sorted(filtered.dropped_dates)
+    return filtered
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gap_rule_matches_pairwise_scan(default_grid, default_partition, seed):
+    s = gappy_series(default_grid, seed)
+    lp, close = s.log_prices, default_grid.close_index
+    for span in (1, 2, 3):
+        want = [
+            sum(s.dates[i] < d < s.dates[i + span] for d in s.dropped_dates)
+            for i in range(s.n_days - span)
+        ]
+        assert dropped_between(s, span).tolist() == want
+        assert span > 1 or max(want) >= 2  # the adjacent light drops
+
+    cases = [(IntervalClass.overnight(nights=n), 1, 1, n) for n in (None, 1, 3, 4)]
+    cases += [(IntervalClass.multiday(n), n, n, None) for n in (1, 2, 3)]
+    for iclass, span, step, nights in cases:
+        starts = scan_windows(s, span, step, nights)
+        bar = 0 if iclass.kind == "multiday" else close
+        want = [lp[i + span, 0] - lp[i, bar] for i in starts]
+        if want:
+            assert raw_returns(s, iclass).values.tolist() == want, iclass.label
+        else:
+            with pytest.raises(DataError):
+                raw_returns(s, iclass)
+
+    cal = ClockCalibration(
+        intraday_durations=np.full(default_partition.m_max, 0.03125),
+        overnight_duration=0.40625,
+        intraday_d=np.zeros(default_partition.m_max),
+        overnight_d=0.0,
+        reference_label="1-day",
+        search=SearchConfig(),
+    )
+    tmap = assemble_time_map(cal, default_partition, default_grid, dates=s)
+    night = _magnitude_matrix(s, 0.0625, tmap)[:, -1]
+    starts = scan_windows(s, 1, 1)
+    assert np.flatnonzero(~np.isnan(night)).tolist() == starts
+    kept = np.asarray([lp[i + 1, 0] - lp[i, close] for i in starts])
+    kept -= kept.mean()
+    np.testing.assert_allclose(
+        night[starts], np.abs(kept) * math.sqrt(0.0625 / 0.40625), rtol=1e-12
+    )
 
 
 def test_class_validation(default_partition):
@@ -231,6 +314,12 @@ def test_returns_require_complete_days(default_grid, default_partition):
     s = series_from_matrix(m, grid=default_grid)
     with pytest.raises(DataError, match="filter_complete_days"):
         raw_returns(s, IntervalClass.intraday(0, 1, default_partition))
+    m[0, 1] = 0.0
+    m[1, 0] = np.nan  # the open that the overnight and 1-day windows read
+    s = series_from_matrix(m, grid=default_grid)
+    for c in (IntervalClass.overnight(), IntervalClass.multiday(1)):
+        with pytest.raises(DataError, match="filter_complete_days"):
+            raw_returns(s, c)
 
 
 # --- detrending ------------------------------------------------------------
