@@ -571,9 +571,14 @@ def linear_correlation_contiguous(series: PriceSeries, dt_minutes: float) -> flo
     n = series.grid.n_bars
     if 2 * k > n:
         raise ClassSpecError(f"{dt_minutes} min is more than half the session")
-    centers = np.arange(k, n - k + 1)
-    before = _demean_columns(z[:, centers] - z[:, centers - k])
-    after = _demean_columns(z[:, centers + k] - z[:, centers])
+    # Column-major differences, demeaned in place: the layout the column
+    # means are summed in is part of the result's last bits.
+    centers = z[:, k : n - k + 1]
+    before = np.subtract(centers, z[:, : n - 2 * k + 1], order="F")
+    after = np.subtract(z[:, 2 * k :], centers, order="F")
+    for diff in (before, after):
+        diff -= diff.mean(axis=0)
+        diff -= diff.mean(axis=0)
     num = (before * after).mean(axis=0)
     den = np.sqrt((before**2).mean(axis=0)) * np.sqrt((after**2).mean(axis=0))
     good = den > 0

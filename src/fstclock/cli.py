@@ -33,6 +33,7 @@ from .analysis import (
 from .clock import (
     ClockCalibration,
     SearchConfig,
+    TimeMap,
     additivity_report,
     assemble_time_map,
     calibrate_clock,
@@ -58,6 +59,8 @@ from .synthetic import (
 )
 
 STRICT_EXIT = 3
+# Days of time-map rows formatted per write to ``timemap.csv``.
+TIMEMAP_BLOCK_DAYS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,23 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_timemap(path: str, tmap: TimeMap) -> None:
+    """``l,m,t_iso,tau_fst`` per anchor, formatted ``TIMEMAP_BLOCK_DAYS`` days at a time."""
+    l, m, instants = tmap.anchor_columns()
+    tau = tmap.anchor_tau
+    block = TIMEMAP_BLOCK_DAYS * (tmap.partition.m_max + 1)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("l,m,t_iso,tau_fst\n")
+        for lo in range(0, tau.size, block):
+            cols = (
+                l[lo : lo + block].tolist(),
+                m[lo : lo + block].tolist(),
+                np.datetime_as_string(instants[lo : lo + block], unit="s").tolist(),
+                tau[lo : lo + block].tolist(),
+            )
+            f.write("".join(f"{a},{b},{t},{x!r}\n" for a, b, t, x in zip(*cols)))
 
 
 def _sha256(path: str) -> str:
@@ -488,11 +508,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
 
     tmap = assemble_time_map(cal, partition, grid, dates=series)
     map_path = os.path.join(out, "timemap.csv")
-    _write_csv(
-        map_path,
-        ["l", "m", "t_iso", "tau_fst"],
-        ((l, m, t.isoformat(), tau) for l, m, t, tau in tmap.to_rows()),
-    )
+    _write_timemap(map_path, tmap)
 
     cut_path = os.path.join(out, "cutoff.json")
     gate_warns = _write_gate(cut_path, series, partition, cfg["cutoff_threshold"])

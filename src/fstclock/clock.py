@@ -293,7 +293,9 @@ class TimeMap:
     (a closure spans exactly the calibrated overnight duration regardless of
     its wall-clock length, so weekends compress onto the same span as plain
     nights; each filter-dropped session inside a closure adds one full day).
-    Strictly increasing in both directions by construction.
+    Strictly increasing in both directions by construction.  The trading
+    hours of a dropped session have no clock value of their own: instants
+    inside them raise ``MapRangeError`` either way.
     """
 
     grid: DayGrid
@@ -302,24 +304,33 @@ class TimeMap:
     dates: tuple[date, ...]
     anchor_seconds: np.ndarray
     anchor_tau: np.ndarray
+    dropped_dates: frozenset[date] = frozenset()
 
     @property
     def n_days(self) -> int:
         return len(self.dates) - 1  # final date only carries the terminal anchor
+
+    def _check_not_dropped(self, t: datetime) -> None:
+        if t.date() in self.dropped_dates and (
+            self.grid.open_time <= t.time() <= self.grid.close_time
+        ):
+            raise MapRangeError(f"{t.isoformat()} falls inside a dropped session")
 
     def map_time(self, t: datetime) -> float:
         """Clock value of a physical instant inside the mapped span."""
         s = _to_seconds(t)
         if s < self.anchor_seconds[0] or s > self.anchor_seconds[-1]:
             raise MapRangeError(f"{t.isoformat()} outside the mapped span")
+        self._check_not_dropped(t)
         return float(np.interp(s, self.anchor_seconds, self.anchor_tau))
 
     def map_tau(self, tau: float) -> datetime:
         """Physical instant of a clock value; inverse of ``map_time``."""
         if tau < self.anchor_tau[0] or tau > self.anchor_tau[-1]:
             raise MapRangeError(f"tau={tau} outside the mapped span")
-        s = float(np.interp(tau, self.anchor_tau, self.anchor_seconds))
-        return _from_seconds(s)
+        t = _from_seconds(float(np.interp(tau, self.anchor_tau, self.anchor_seconds)))
+        self._check_not_dropped(t)
+        return t
 
     def day_open_tau(self, l: int) -> float:
         """Clock value at the open of retained day l (l = n_days: terminal)."""
@@ -339,15 +350,14 @@ class TimeMap:
         )
         return float(np.interp(tau_in_day, bounds_tau, bounds_min))
 
-    def to_rows(self):
-        """(l, m, physical datetime, tau) for every anchor, in order."""
-        m_count = self.partition.m_max + 1
-        for k, (s, tau) in enumerate(zip(self.anchor_seconds, self.anchor_tau)):
-            l, m = divmod(k, m_count) if k < (len(self.dates) - 1) * m_count else (
-                len(self.dates) - 1,
-                0,
-            )
-            yield l, m, _from_seconds(float(s)), float(tau)
+    def anchor_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Day index l, boundary index m and instant of every anchor, in order.
+
+        Instants are ``datetime64[s]`` (anchors sit on whole minutes); the
+        clock values are ``anchor_tau``.  The terminal anchor is (n_days, 0).
+        """
+        l, m = np.divmod(np.arange(self.anchor_tau.size), self.partition.m_max + 1)
+        return l, m, self.anchor_seconds.astype(np.int64).astype("datetime64[s]")
 
 
 def assemble_time_map(
@@ -363,10 +373,10 @@ def assemble_time_map(
     each new day adds one full day (trading plus closure), and each session
     that ``filter_complete_days`` dropped between two retained days adds one
     more.  ``dates`` holds the retained days, or is the filtered series
-    itself, which also brings its dropped sessions.  A terminal anchor at
-    the open of the day after the last one closes the final overnight, so
-    the map covers ``n_days`` complete days of clock time plus the dropped
-    sessions inside them.
+    itself, which also brings its dropped sessions (whose trading hours the
+    map then refuses).  A terminal anchor at the open of the day after the
+    last one closes the final overnight, so the map covers ``n_days``
+    complete days of clock time plus the dropped sessions inside them.
     """
     if calibration.m_max != partition.m_max:
         raise ClassSpecError(
@@ -376,8 +386,10 @@ def assemble_time_map(
         if n_days is None:
             raise ValueError("need n_days or dates")
         dates = synthetic_dates(n_days)
+    dropped: frozenset[date] = frozenset()
     if isinstance(dates, PriceSeries):
         skipped = dropped_between(dates)
+        dropped = frozenset(dates.dropped_dates)
         dates = dates.dates
     else:
         dates = tuple(dates)
@@ -416,6 +428,7 @@ def assemble_time_map(
         dates=all_dates,
         anchor_seconds=anchor_seconds,
         anchor_tau=anchor_tau,
+        dropped_dates=dropped,
     )
 
 

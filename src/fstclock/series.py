@@ -8,10 +8,14 @@ windows that would silently span a partially traded day.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import io
+import itertools
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -298,6 +302,17 @@ class ReturnSample:
         return int(self.values.size)
 
 
+# Data rows parsed per batch by ``ingest_csv``: enough that the per-row work
+# runs in C, few enough that a long history never sits in memory as Python
+# objects.
+INGEST_CHUNK_ROWS = 8192
+
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_US = timedelta(microseconds=1)
+_US_PER_DAY = 86_400_000_000
+
+
 def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> PriceSeries:
     """Parse a ``timestamp,price`` CSV into a grid-aligned series.
 
@@ -305,7 +320,8 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     Rows are grouped by calendar date and placed on the grid; a day missing
     bars is retained with NaN holes for ``filter_complete_days`` to judge.
     Malformed rows, off-grid timestamps, non-positive prices, and within-day
-    timestamp disorder all raise with the offending line number.
+    timestamp disorder all raise for the first offending row, with its line
+    number (blank rows are skipped but counted).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -323,45 +339,133 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     if [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
         raise ParseError(f"expected header 'timestamp,price', got {','.join(header)!r}", line=1)
 
-    days: dict[date, np.ndarray] = {}
-    last_ts: dict[date, datetime] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) < 2:
-            raise ParseError("expected two columns", line=lineno)
-        try:
-            ts = datetime.fromisoformat(row[0].strip())
-        except ValueError as exc:
-            raise ParseError(f"bad timestamp {row[0]!r}: {exc}", line=lineno) from None
-        if ts.tzinfo is not None:
-            raise ParseError("timestamps must be naive exchange-local", line=lineno)
-        try:
-            price = float(row[1])
-        except ValueError:
-            raise ParseError(f"bad price {row[1]!r}", line=lineno) from None
-        if not np.isfinite(price) or price <= 0:
-            raise DataError(f"line {lineno}: non-positive price {row[1]!r}")
-        d = ts.date()
-        prev = last_ts.get(d)
-        if prev is not None and ts <= prev:
-            raise DataError(f"line {lineno}: timestamps within {d.isoformat()} not increasing")
-        last_ts[d] = ts
-        try:
-            idx = grid.bar_index(ts.time())
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        if d not in days:
-            days[d] = np.full(grid.n_points, np.nan)
-        if not np.isnan(days[d][idx]):
-            raise DataError(f"line {lineno}: duplicate bar {ts.isoformat()}")
-        days[d][idx] = np.log(price)
+    days: dict[int, np.ndarray] = {}
+    last_us: dict[int, int] = {}
+    line = 2
+    while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
+        _place_chunk(chunk, line, grid, days, last_us)
+        line += len(chunk)
 
     if not days:
         raise DataError("input holds no data rows")
     order = sorted(days)
     matrix = np.vstack([days[d] for d in order])
-    return PriceSeries(grid=grid, dates=tuple(order), log_prices=matrix)
+    dates = tuple(date.fromordinal(_EPOCH_ORDINAL + d) for d in order)
+    return PriceSeries(grid=grid, dates=dates, log_prices=matrix)
+
+
+def _parse_prefix(parse, texts: list[str]) -> tuple[list, ValueError | None]:
+    """``parse`` over ``texts`` up to the first ValueError, returned alongside."""
+    try:
+        return list(map(parse, texts)), None
+    except ValueError:
+        pass
+    out = []
+    for text in texts:
+        try:
+            out.append(parse(text))
+        except ValueError as exc:
+            return out, exc
+    return out, None
+
+
+def _place_chunk(
+    rows: list[list[str]],
+    line: int,
+    grid: DayGrid,
+    days: dict[int, np.ndarray],
+    last_us: dict[int, int],
+) -> None:
+    """Validate one batch of CSV rows and write its log-prices into ``days``.
+
+    ``line`` is the line number of ``rows[0]``.  Days are keyed by their
+    offset from 1970-01-01; ``last_us`` carries each day's latest timestamp,
+    in microseconds since then, across batches.  Each check runs column-wise
+    on the rows before the first one an earlier-listed check rejected, so
+    the row that raises, and its message, are those of a row-by-row parse.
+    """
+    error: ParseError | None = None
+    lines = range(line, line + len(rows))
+    if min(map(len, rows)) < 2:
+        kept = []
+        for i, row in enumerate(rows):
+            if len(row) >= 2:
+                kept.append(i)
+            elif row and row[0].strip():
+                error = ParseError("expected two columns", line=line + i)
+                break
+        rows = [rows[i] for i in kept]
+        lines = [line + i for i in kept]
+
+    ts, exc = _parse_prefix(datetime.fromisoformat, [r[0].strip() for r in rows])
+    if exc is not None:
+        i = len(ts)
+        error = ParseError(f"bad timestamp {rows[i][0]!r}: {exc}", line=lines[i])
+    tz = list(map(operator.attrgetter("tzinfo"), ts))
+    if tz.count(None) < len(tz):
+        i = next(i for i, z in enumerate(tz) if z is not None)
+        error = ParseError("timestamps must be naive exchange-local", line=lines[i])
+        ts = ts[:i]
+    raw = [r[1] for r in rows[: len(ts)]]
+    prices, exc = _parse_prefix(float, raw)
+    if exc is not None:
+        i = len(prices)
+        error = ParseError(f"bad price {raw[i]!r}", line=lines[i])
+        ts = ts[:i]
+    n = len(ts)
+    if n == 0:
+        if error is not None:
+            raise error
+        return
+
+    price = np.array(prices, dtype=float)
+    us = np.fromiter(
+        map(operator.floordiv, map(operator.sub, ts, itertools.repeat(_EPOCH)), itertools.repeat(_US)),
+        dtype=np.int64,
+        count=n,
+    )
+    day, tod = np.divmod(us, _US_PER_DAY)
+    open_us = (grid.open_time.hour * 60 + grid.open_time.minute) * 60_000_000
+    idx, off_grid = np.divmod(tod - open_us, grid.bar_minutes * 60_000_000)
+
+    # within-day order: each row against the previous row of its day, the
+    # first row of a day against that day's last row from earlier batches
+    by_day = np.argsort(day, kind="stable")
+    day_s, us_s = day[by_day], us[by_day]
+    starts = np.flatnonzero(np.concatenate(([True], day_s[1:] != day_s[:-1])))
+    first_days = day_s[starts].tolist()
+    prev = np.empty_like(us_s)
+    prev[1:] = us_s[:-1]
+    prev[starts] = [last_us.get(d, np.iinfo(np.int64).min) for d in first_days]
+    bad_order = np.empty(n, dtype=bool)
+    bad_order[by_day] = us_s <= prev
+
+    bad_price = ~(np.isfinite(price) & (price > 0))
+    bad_grid = (off_grid != 0) | (idx < 0) | (idx >= grid.n_points)
+    bad = bad_price | bad_order | bad_grid
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_price[i]:
+            raise DataError(f"line {lines[i]}: non-positive price {raw[i]!r}")
+        if bad_order[i]:
+            raise DataError(
+                f"line {lines[i]}: timestamps within {ts[i].date().isoformat()} not increasing"
+            )
+        try:
+            grid.bar_index(ts[i].time())
+        except DataError as exc:
+            raise DataError(f"line {lines[i]}: {exc}") from None
+    if error is not None:
+        raise error
+
+    log_price = np.log(price)
+    ends = np.append(starts[1:], n)
+    for d, lo, hi in zip(first_days, starts.tolist(), ends.tolist()):
+        if d not in days:
+            days[d] = np.full(grid.n_points, np.nan)
+        rows_of_day = by_day[lo:hi]
+        days[d][idx[rows_of_day]] = log_price[rows_of_day]
+        last_us[d] = int(us_s[hi - 1])
 
 
 def filter_complete_days(series: PriceSeries, max_missing_bars: int = 0) -> PriceSeries:
@@ -486,40 +590,69 @@ def synthetic_dates(n_days: int, start: date = date(1990, 1, 2)) -> tuple[date, 
 # ---------------------------------------------------------------------------
 # Lossless cache
 
+# Matrix rows per base64 block written by ``save_cache``.  A multiple of 3,
+# so each block is a whole number of 3-byte base64 groups and the encoded
+# blocks concatenate into one unpadded string.
+CACHE_BLOCK_ROWS = 3 * 256
+_CACHE_DTYPE = "<f8"
+
+
 def save_cache(series: PriceSeries, path: str | Path) -> None:
-    """Write a JSON cache that round-trips doubles exactly (shortest repr)."""
-    payload = {
-        "grid": {
-            "open_time": series.grid.open_time.isoformat(timespec="minutes"),
-            "bar_minutes": series.grid.bar_minutes,
-            "n_points": series.grid.n_points,
+    """Write a JSON cache whose log-price matrix is exact binary.
+
+    One JSON object holds the grid, the retained and dropped dates, and the
+    matrix as a single base64 string of row-major little-endian float64
+    (NaN holes included), with its dtype and shape.  Every double
+    round-trips bit for bit; the string is encoded and written block by
+    block, never held whole.
+    """
+    head = json.dumps(
+        {
+            "grid": {
+                "open_time": series.grid.open_time.isoformat(timespec="minutes"),
+                "bar_minutes": series.grid.bar_minutes,
+                "n_points": series.grid.n_points,
+            },
+            "dates": [d.isoformat() for d in series.dates],
+            "dropped_dates": [d.isoformat() for d in series.dropped_dates],
+            "log_prices": {"dtype": _CACHE_DTYPE, "shape": list(series.log_prices.shape)},
         },
-        "dropped_dates": [d.isoformat() for d in series.dropped_dates],
-        "days": [
-            {
-                "date": d.isoformat(),
-                "log_prices": [None if np.isnan(x) else x for x in row],
-            }
-            for d, row in zip(series.dates, series.log_prices)
-        ],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+        separators=(",", ":"),
+    )
+    lp = series.log_prices
+    with open(path, "wb") as fh:
+        fh.write(head[:-2].encode() + b',"base64":"')
+        for lo in range(0, lp.shape[0], CACHE_BLOCK_ROWS):
+            block = np.ascontiguousarray(lp[lo : lo + CACHE_BLOCK_ROWS], dtype=_CACHE_DTYPE)
+            fh.write(base64.b64encode(block))
+        fh.write(b'"}}\n')
 
 
 def load_cache(path: str | Path) -> PriceSeries:
+    """Read a cache written by ``save_cache``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if "log_prices" not in payload:
+        raise DataError(f"{path} is not a cache this version reads; re-run ingest to rebuild it")
     g = payload["grid"]
     hh, mm = g["open_time"].split(":")
     grid = DayGrid(open_time=time(int(hh), int(mm)), bar_minutes=g["bar_minutes"], n_points=g["n_points"])
-    dates = tuple(date.fromisoformat(d["date"]) for d in payload["days"])
-    matrix = np.array(
-        [[np.nan if x is None else x for x in d["log_prices"]] for d in payload["days"]],
-        dtype=float,
-    )
-    dropped = tuple(date.fromisoformat(d) for d in payload.get("dropped_dates", []))
+    dates = tuple(map(date.fromisoformat, payload["dates"]))
+    dropped = tuple(map(date.fromisoformat, payload["dropped_dates"]))
+    lp = payload["log_prices"]
+    shape = [len(dates), grid.n_points]
+    if lp["dtype"] != _CACHE_DTYPE or lp["shape"] != shape:
+        raise DataError(
+            f"{path}: matrix {lp['dtype']} {lp['shape']} does not match "
+            f"{_CACHE_DTYPE} {shape}"
+        )
+    try:
+        raw = base64.b64decode(lp.pop("base64"), validate=True)
+    except binascii.Error as exc:
+        raise DataError(f"{path}: corrupt matrix payload ({exc})") from None
+    if len(raw) != shape[0] * shape[1] * 8:
+        raise DataError(f"{path}: matrix payload holds {len(raw)} bytes, expected {shape[0] * shape[1] * 8}")
+    matrix = np.frombuffer(raw, dtype=_CACHE_DTYPE).reshape(shape)
     return PriceSeries(grid=grid, dates=dates, log_prices=matrix, dropped_dates=dropped)
 
 

@@ -292,13 +292,13 @@ def cascade_hurst(q: float, lambda2: float) -> float:
 
 def write_prices_csv(series: PriceSeries, path) -> None:
     """Emit the ``timestamp,price`` CSV form of a series (missing bars skipped)."""
-    from datetime import datetime
-
+    tods = [f"T{series.grid.bar_time(b).isoformat()}," for b in range(series.grid.n_points)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp,price\n")
         for d, row in zip(series.dates, series.log_prices):
-            for b, z in enumerate(row):
-                if np.isnan(z):
-                    continue
-                ts = datetime.combine(d, series.grid.bar_time(b))
-                fh.write(f"{ts.isoformat()},{math.exp(z)!r}\n")
+            day = d.isoformat()
+            fh.write("".join(
+                f"{day}{tod}{math.exp(z)!r}\n"
+                for tod, z in zip(tods, row.tolist())
+                if not math.isnan(z)
+            ))

@@ -5,9 +5,13 @@ build one small synthetic universe per session and the later stages feed on
 the earlier stages' files, the same way a user would chain them.
 """
 import json
+from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
+import fstclock.cli as cli
+from fstclock.clock import ClockCalibration, SearchConfig, assemble_time_map
 from fstclock.cli import (
     _reference,
     build_parser,
@@ -82,6 +86,46 @@ def test_calibration_file_roundtrips(pipeline):
     lines = (pipeline / "cal" / "timemap.csv").read_text().splitlines()
     assert lines[0] == "l,m,t_iso,tau_fst"
     assert len(lines) == 1 + 120 * 20 + 1
+
+
+def test_calibrate_from_csv_and_from_cache_writes_identical_files(pipeline, tmp_path):
+    # punch bars out of three sessions so both routes drop the same days
+    lines = (pipeline / "synth" / "prices.csv").read_text().splitlines(keepends=True)
+    holed = tmp_path / "prices.csv"
+    holed.write_text("".join(lines[:1] + [
+        row for i, row in enumerate(lines[1:]) if i not in (45, 700, 701, 1999)
+    ]))
+    assert main(["ingest", "--input", str(holed), "--out", str(tmp_path / "cache"),
+                 "--points", "20"]) == 0
+    assert main(["calibrate", "--input", str(holed), "--out", str(tmp_path / "a"),
+                 "--points", "20"]) == 0
+    assert main(["calibrate", "--input", str(tmp_path / "cache" / "cache.json"),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert len(json.loads((tmp_path / "cache" / "cache.json").read_text())["dropped_dates"]) == 3
+    for name in ("calibration.json", "timemap.csv", "cutoff.json", "additivity.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_timemap_file_matches_row_by_row_formatting(tmp_path, monkeypatch):
+    calibration = ClockCalibration(
+        intraday_durations=np.array([0.1, 0.2, 0.3]),
+        overnight_duration=0.4000000000000001,
+        intraday_d=np.zeros(3),
+        overnight_d=0.0,
+        reference_label="1-day",
+        search=SearchConfig(),
+    )
+    grid = DayGrid(open_time=dtime(9, 40), bar_minutes=20, n_points=7)
+    partition = PartitionSpec(boundaries=(0, 2, 4, 6), bar_minutes=20)
+    tmap = assemble_time_map(calibration, partition, grid, n_days=5)
+    expected = ["l,m,t_iso,tau_fst"]
+    for k, (s, tau) in enumerate(zip(tmap.anchor_seconds, tmap.anchor_tau)):
+        t = datetime(1970, 1, 1) + timedelta(seconds=float(s))
+        expected.append(f"{k // 4},{k % 4},{t.isoformat()},{float(tau)!r}")
+    monkeypatch.setattr(cli, "TIMEMAP_BLOCK_DAYS", 2)  # blocks end mid-file
+    path = tmp_path / "timemap.csv"
+    cli._write_timemap(str(path), tmap)
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_analyze_rerun_from_manifest_is_byte_identical(pipeline, tmp_path):

@@ -215,14 +215,29 @@ def test_map_dropped_session_keeps_its_full_day():
     series = filter_complete_days(PriceSeries(grid=MAP_GRID, dates=dates, log_prices=prices))
     cal = unit_day_calibration()
     tm = assemble_time_map(cal, MAP_PARTITION, MAP_GRID, dates=series)
-    assert len(list(tm.to_rows())) == series.n_days * (MAP_PARTITION.m_max + 1) + 1
+    assert tm.anchor_tau.size == series.n_days * (MAP_PARTITION.m_max + 1) + 1
     friday_close = tm.map_time(datetime(2020, 1, 3, 11, 40))
     tuesday_open = tm.map_time(datetime(2020, 1, 7, 9, 40))
     assert tuesday_open - friday_close == cal.overnight_duration + cal.day_total
     assert [tm.day_open_tau(l) for l in range(4)] == [0.0, 1.0, 3.0, 4.0]
+    # the dropped Monday's trading hours, ends included, have no clock value
+    for hhmm in ((9, 40), (10, 40), (11, 40)):
+        with pytest.raises(MapRangeError, match="dropped session"):
+            tm.map_time(datetime(2020, 1, 6, *hhmm))
+    # a clock value whose instant lands inside them has no instant either
+    wall = (datetime(2020, 1, 7, 9, 40) - datetime(2020, 1, 3, 11, 40)).total_seconds()
+    to_monday = (datetime(2020, 1, 6, 10, 40) - datetime(2020, 1, 3, 11, 40)).total_seconds()
+    with pytest.raises(MapRangeError, match="dropped session"):
+        tm.map_tau(friday_close + (tuesday_open - friday_close) * to_monday / wall)
+    # the closure around it still maps, both ways
+    for t in (datetime(2020, 1, 4, 12, 0), datetime(2020, 1, 6, 9, 0), datetime(2020, 1, 6, 12, 0)):
+        tau = tm.map_time(t)
+        assert friday_close < tau < tuesday_open
+        assert tm.map_tau(tau) == t
     # the plain date list knows nothing of the dropped Monday
     plain = assemble_time_map(cal, MAP_PARTITION, MAP_GRID, dates=series.dates)
     assert plain.map_time(datetime(2020, 1, 7, 9, 40)) == 2.0
+    assert friday_close < plain.map_time(datetime(2020, 1, 6, 10, 40)) < 2.0
 
 
 def test_map_range_errors():
@@ -245,12 +260,14 @@ def test_map_intraday_offsets():
 
 def test_map_rows_enumerate_anchors():
     tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, MAP_GRID, n_days=2)
-    rows = list(tm.to_rows())
-    assert len(rows) == 2 * 4 + 1
-    assert rows[0][:2] == (0, 0)
-    assert rows[4][:2] == (1, 0)
-    assert rows[-1][:2] == (2, 0)
-    taus = [r[3] for r in rows]
+    l, m, instants = tm.anchor_columns()
+    assert l.size == m.size == instants.size == tm.anchor_tau.size == 2 * 4 + 1
+    assert (l[0], m[0]) == (0, 0)
+    assert (l[4], m[4]) == (1, 0)
+    assert (l[-1], m[-1]) == (2, 0)
+    assert instants[0] == np.datetime64(datetime.combine(tm.dates[0], time(9, 40)), "s")
+    assert instants[-1] == np.datetime64(datetime.combine(tm.dates[-1], time(9, 40)), "s")
+    taus = tm.anchor_tau.tolist()
     assert taus == sorted(taus)
     assert taus[-1] == 2.0
 

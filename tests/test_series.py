@@ -1,9 +1,11 @@
 """Grid, ingestion, filtering, interval classes, returns, detrending, cache."""
 from __future__ import annotations
 
+import csv
 import io
+import json
 import math
-from datetime import date, time
+from datetime import date, datetime, time
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from fstclock import (
     raw_returns,
     save_cache,
 )
+import fstclock.series as series_module
 from fstclock.analysis import _magnitude_matrix
 from fstclock.series import dropped_between, synthetic_dates
 from fstclock.synthetic import ActivityProfile, generate_seasonal, write_prices_csv
@@ -129,6 +132,130 @@ def test_ingest_roundtrips_generated_increments(tmp_path):
     np.testing.assert_allclose(
         np.diff(back.log_prices, axis=1), np.diff(series.log_prices, axis=1), atol=1e-12
     )
+
+
+def _reference_ingest(text: str, grid: DayGrid) -> PriceSeries:
+    """Row-at-a-time ingest, the parser ``ingest_csv`` replaced, as an oracle."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input", line=1) from None
+    if [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
+        raise ParseError(f"expected header 'timestamp,price', got {','.join(header)!r}", line=1)
+
+    days: dict[date, np.ndarray] = {}
+    last_ts: dict[date, datetime] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise ParseError("expected two columns", line=lineno)
+        try:
+            ts = datetime.fromisoformat(row[0].strip())
+        except ValueError as exc:
+            raise ParseError(f"bad timestamp {row[0]!r}: {exc}", line=lineno) from None
+        if ts.tzinfo is not None:
+            raise ParseError("timestamps must be naive exchange-local", line=lineno)
+        try:
+            price = float(row[1])
+        except ValueError:
+            raise ParseError(f"bad price {row[1]!r}", line=lineno) from None
+        if not np.isfinite(price) or price <= 0:
+            raise DataError(f"line {lineno}: non-positive price {row[1]!r}")
+        d = ts.date()
+        prev = last_ts.get(d)
+        if prev is not None and ts <= prev:
+            raise DataError(f"line {lineno}: timestamps within {d.isoformat()} not increasing")
+        last_ts[d] = ts
+        try:
+            idx = grid.bar_index(ts.time())
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
+        if d not in days:
+            days[d] = np.full(grid.n_points, np.nan)
+        if not np.isnan(days[d][idx]):
+            raise DataError(f"line {lineno}: duplicate bar {ts.isoformat()}")
+        days[d][idx] = np.log(price)
+
+    if not days:
+        raise DataError("input holds no data rows")
+    order = sorted(days)
+    matrix = np.vstack([days[d] for d in order])
+    return PriceSeries(grid=grid, dates=tuple(order), log_prices=matrix)
+
+
+# Faulty rows for the parity corpus; "{d}" is a trading date.
+FAULTS = [
+    "", "   ", ",", "{d}T09:40:00", "{d}T09:40:00,100,extra", "not-a-date,100",
+    "{d}T25:00:00,100", "{d}T09:40:00+01:00,100", "{d}T09:40:00Z,100", "{d},100",
+    "{d}T09:40:00,nan", "{d}T09:40:00,inf", "{d}T09:40:00,-inf", "{d}T09:40:00,0",
+    "{d}T09:40:00,-3.5", "{d}T09:40:00,abc", "{d}T09:40:00,", "{d}T09:41:00,100",
+    "{d}T09:40:30,100", "{d}T09:40:00.5,100", "{d}T09:20:00,100", "{d}T10:40:00,100",
+    "{d}T23:59:00,100", " {d}T10:00:00 , 1e2 ", "1969-12-31T09:40:00,100",
+]
+
+
+def _parity_corpus(rng: np.random.Generator) -> str:
+    """Interleaved days on GRID3 with skipped bars, repeats and faulty rows."""
+    dates = ["2020-01-02", "2020-01-03", "2020-01-06", "1969-12-31"]
+    next_bar = [0] * len(dates)
+    rows = []
+    for _ in range(int(rng.integers(1, 30))):
+        k = int(rng.integers(len(dates)))
+        d = dates[k]
+        u = rng.random()
+        if u < 0.04:
+            rows.append(FAULTS[int(rng.integers(len(FAULTS)))].format(d=d))
+            continue
+        if u < 0.06 and next_bar[k] > 0:  # repeat or step back: out of order
+            bar = int(rng.integers(next_bar[k]))
+        else:
+            bar = next_bar[k] + int(rng.random() < 0.2)  # sometimes skip a bar
+            if bar >= GRID3.n_points:
+                continue
+            next_bar[k] = bar + 1
+        price = float(rng.lognormal(4.6, 0.1))
+        rows.append(f"{d}T{GRID3.bar_time(bar).isoformat()},{price!r}")
+    return "timestamp,price\n" + "\n".join(rows) + "\n"
+
+
+def _outcome(parse, text: str):
+    try:
+        s = parse(text)
+    except (DataError, ParseError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return s.dates, s.log_prices.tobytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [3, series_module.INGEST_CHUNK_ROWS])
+def test_ingest_matches_row_by_row_parser(monkeypatch, chunk_rows):
+    """Same series bits, or the same error class, message and line.
+
+    Three-row batches make errors and runs of one day cross batch edges.
+    """
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(2024)
+    seen = {"ok": 0}
+    for _ in range(1500):
+        text = _parity_corpus(rng)
+        expected = _outcome(lambda t: _reference_ingest(t, GRID3), text)
+        got = _outcome(lambda t: ingest_csv(io.StringIO(t), GRID3), text)
+        assert got == expected, text
+        key = "ok" if isinstance(expected[0], tuple) else expected[1].split(": ", 1)[-1][:20]
+        seen[key] = seen.get(key, 0) + 1
+    # the corpus reaches clean parses and every kind of rejection
+    assert seen["ok"] > 100
+    assert len(seen) > 12
+
+
+def test_ingest_blank_rows_count_toward_line_numbers(monkeypatch):
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", 3)
+    text = "timestamp,price\n\n2020-01-02T09:40:00,100\n\n  \n2020-01-02T09:40:00,101\n"
+    with pytest.raises(DataError, match="^line 6: timestamps within 2020-01-02 not increasing$"):
+        ingest_csv(io.StringIO(text), GRID3)
+    with pytest.raises(DataError, match="^input holds no data rows$"):
+        ingest_csv(io.StringIO("timestamp,price\n\n\n\n\n"), GRID3)
 
 
 # --- filtering -------------------------------------------------------------
@@ -392,6 +519,75 @@ def test_cache_roundtrip_exact(tmp_path, default_grid):
     # doubles survive bit for bit
     both = ~np.isnan(s.log_prices)
     assert (back.log_prices[both] == s.log_prices[both]).all()
+
+
+def _holed_series(tmp_path, n_days: int) -> PriceSeries:
+    """A CSV-ingested series with NaN holes kept by ``max_missing_bars > 0``."""
+    grid = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20)
+    profile = ActivityProfile.flat(n_bars=19, overnight_mass=0.3)
+    series, _ = generate_seasonal(profile, GeneratorConfig(n_days=n_days, seed=5), grid)
+    lp = np.array(series.log_prices)
+    lp[1, 4] = lp[3, 0] = lp[3, 19] = lp[n_days - 1, 7] = np.nan
+    lp[2, 5:9] = np.nan  # beyond the tolerance: dropped
+    path = tmp_path / "prices.csv"
+    write_prices_csv(PriceSeries(grid=grid, dates=series.dates, log_prices=lp), path)
+    return filter_complete_days(ingest_csv(path, grid), max_missing_bars=2)
+
+
+def test_cache_keeps_nan_holes_bit_exact_and_saves_deterministically(tmp_path):
+    s = _holed_series(tmp_path, n_days=9)
+    assert np.isnan(s.log_prices).sum() == 4 and len(s.dropped_dates) == 1
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_cache(s, a)
+    save_cache(s, b)
+    assert a.read_bytes() == b.read_bytes()
+    back = load_cache(a)
+    assert back.grid == s.grid
+    assert back.dates == s.dates
+    assert back.dropped_dates == s.dropped_dates
+    assert back.log_prices.tobytes() == s.log_prices.tobytes()
+    payload = json.loads(a.read_text())
+    assert payload["log_prices"]["shape"] == [8, 20]
+    assert payload["log_prices"]["dtype"] == "<f8"
+    assert payload["dates"] == [d.isoformat() for d in s.dates]
+
+
+@pytest.mark.parametrize("block_rows", [3, 6])
+def test_cache_blocks_concatenate_to_one_encoding(tmp_path, monkeypatch, block_rows):
+    s = _holed_series(tmp_path, n_days=9)
+    whole = tmp_path / "whole.json"
+    save_cache(s, whole)
+    monkeypatch.setattr(series_module, "CACHE_BLOCK_ROWS", block_rows)
+    blocked = tmp_path / "blocked.json"
+    save_cache(s, blocked)
+    assert blocked.read_bytes() == whole.read_bytes()
+
+
+def test_cache_refuses_old_and_damaged_files(tmp_path, default_grid):
+    old = {
+        "grid": {"open_time": "09:40", "bar_minutes": 20, "n_points": 3},
+        "dropped_dates": [],
+        "days": [{"date": "2020-01-02", "log_prices": [0.0, None, 1.0]}],
+    }
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(old))
+    with pytest.raises(DataError, match="re-run ingest"):
+        load_cache(path)
+
+    s = series_from_matrix(np.zeros((4, default_grid.n_points)), grid=default_grid)
+    save_cache(s, path)
+    good = json.loads(path.read_text())
+    for damage, message in [
+        (lambda p: p["log_prices"].update(base64=p["log_prices"]["base64"][:-8]), "bytes"),
+        (lambda p: p["log_prices"].update(base64="@" + p["log_prices"]["base64"][1:]), "corrupt"),
+        (lambda p: p["dates"].pop(), "does not match"),
+        (lambda p: p["log_prices"].update(dtype=">f8"), "does not match"),
+    ]:
+        payload = json.loads(json.dumps(good))
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            load_cache(path)
 
 
 def test_load_series_dispatch(tmp_path, default_grid):

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from datetime import time
+from datetime import datetime, time
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from fstclock.synthetic import (
     generate_multifractal,
     generate_seasonal,
     generate_selfsimilar,
+    write_prices_csv,
 )
 
 GRID20 = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20)
@@ -206,3 +207,24 @@ def test_cascade_hurst_formula():
     assert cascade_hurst(4.0, 0.05) == pytest.approx(0.45)
     assert cascade_hurst(1.0, 0.05) - cascade_hurst(4.0, 0.05) == pytest.approx(0.075)
     assert cascade_hurst(3.0, 0.0) == 0.5
+
+
+# --- CSV writer -------------------------------------------------------------
+
+def test_write_prices_csv_matches_row_by_row_writer(tmp_path):
+    series, _ = generate_seasonal(
+        ActivityProfile.u_shape(19), GeneratorConfig(n_days=12, seed=3), GRID20
+    )
+    lp = np.array(series.log_prices)
+    lp[0, 0] = lp[4, 7] = lp[4, 8] = lp[11, 19] = np.nan
+    lp[6] = np.nan  # a day with no bar at all writes no line
+    holed = type(series)(grid=GRID20, dates=series.dates, log_prices=lp)
+    expected = ["timestamp,price\n"]
+    for d, row in zip(holed.dates, holed.log_prices):
+        for b, z in enumerate(row):
+            if not np.isnan(z):
+                ts = datetime.combine(d, GRID20.bar_time(b))
+                expected.append(f"{ts.isoformat()},{math.exp(z)!r}\n")
+    path = tmp_path / "prices.csv"
+    write_prices_csv(holed, path)
+    assert path.read_bytes() == "".join(expected).encode()
