@@ -137,8 +137,6 @@ GRID_OPTS = [
 SEARCH_OPTS = [
     Opt("tau_min", float, 1e-4, "lower edge of the duration search window"),
     Opt("tau_max", float, 1e2, "upper edge of the duration search window"),
-    Opt("grid_points", int, 200, "coarse search grid size"),
-    Opt("refine_tol", float, 1e-3, "relative tolerance of the refinement"),
 ]
 COMMON_OPTS = [
     Opt("out", str, ".", "output directory"),
@@ -321,12 +319,7 @@ def _partition_from(cfg: dict, grid: DayGrid) -> PartitionSpec:
 
 
 def _search_from(cfg: dict) -> SearchConfig:
-    return SearchConfig(
-        delta_tau_min=cfg["tau_min"],
-        delta_tau_max=cfg["tau_max"],
-        coarse_grid_points=cfg["grid_points"],
-        refine_rel_tol=cfg["refine_tol"],
-    )
+    return SearchConfig(delta_tau_min=cfg["tau_min"], delta_tau_max=cfg["tau_max"])
 
 
 def _num_list(text: str, typ=float) -> list:
@@ -524,7 +517,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
         )
         files.append(add_path)
 
-    warns = [f"search hit the window edge for {label}" for label in cal.boundary_warnings]
+    warns = [f"the optimal cell touches the window edge for {c}" for c in cal.boundary_warnings]
     return files, warns + gate_warns
 
 

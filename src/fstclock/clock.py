@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ClassSpecError, DataError, MapRangeError
-from .ks import KsResult, _ks_sorted, ks_distance
+from .ks import KsResult, ks_distance
 from .series import (
     DayGrid,
     IntervalClass,
@@ -31,8 +31,6 @@ from .series import (
     next_weekday,
     synthetic_dates,
 )
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Naive-datetime epoch for the time map, so the mapping never touches the
 # process timezone and stays deterministic across machines.
@@ -49,127 +47,148 @@ def _from_seconds(s: float) -> datetime:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search window and resolution for the duration minimisation.
+    """Window of durations a class may receive.
 
-    The objective is scanned on a log-spaced coarse grid, then the winning
-    bracket is narrowed by golden-section in log duration until its log-width
-    drops below ``refine_rel_tol`` (log-width is relative width to first
-    order).  The coarse grid must stay dense enough to bracket the global
-    basin, hence the floor on its size.
+    The minimisation inside it is exact (see ``calibrate_interval``), so the
+    window is its only setting.
     """
 
     delta_tau_min: float = 1e-4
     delta_tau_max: float = 1e2
-    coarse_grid_points: int = 200
-    refine_rel_tol: float = 1e-3
 
     def __post_init__(self):
         if not (0 < self.delta_tau_min < self.delta_tau_max):
             raise ValueError("need 0 < delta_tau_min < delta_tau_max")
-        if self.coarse_grid_points < 50:
-            raise ValueError("coarse grid below 50 points cannot bracket reliably")
-        if self.refine_rel_tol <= 0:
-            raise ValueError("refine_rel_tol must be positive")
-
-    def grid(self) -> np.ndarray:
-        return np.logspace(
-            math.log10(self.delta_tau_min),
-            math.log10(self.delta_tau_max),
-            self.coarse_grid_points,
-        )
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Best duration for one interval class."""
+    """Best duration for one interval class.
+
+    ``cell`` is the interval (delta_tau_lo, delta_tau_hi) of durations whose
+    KS distance is minimal, clipped to the window: how precisely the data pin
+    the duration down.  ``delta_tau`` is its geometric midpoint.
+    ``n_evaluations`` counts the feasibility checks the search made.
+    """
 
     delta_tau: float
     ks: KsResult
     boundary_warning: bool
     n_evaluations: int
+    cell: tuple[float, float]
+
+
+def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
+    """Largest (or smallest) over pairs a, b > 0 of the first float q with fl(a/q) <= b.
+
+    fl(a/q) never rises with q, and a/b is within an ulp or two of each
+    answer, so only pairs near the extreme a/b can hold it; one-ulp steps
+    settle those.
+    """
+    q = a / b
+    edge = q.max() if largest else q.min()
+    near = np.abs(q - edge) <= 1e-14 * edge
+    a, b, q = a[near], b[near], q[near]
+    while (up := a / q > b).any():
+        q[up] = np.nextafter(q[up], np.inf)
+    while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
+        q[down] = below[down]
+    return float(q.max() if largest else q.min())
+
+
+def _divisor_bounds(y: np.ndarray, x: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
+    """Narrow [lo, hi] to the floats q > 0 with fl(y/q) <= x for every pair.
+
+    Each pair is a half-line: q >= a bound if y > 0 (none if x <= 0), q <= a
+    bound if y < 0 and x < 0, else all q or none.  lo > hi means empty.
+    """
+    pos, neg = y > 0, y < 0
+    if (pos & (x <= 0)).any() or (~(pos | neg) & (x < 0)).any():
+        return lo, -math.inf
+    if pos.any():
+        lo = max(lo, _first_divisor(y[pos], x[pos], largest=True))
+    if (both := neg & (x < 0)).any():
+        # fl(|y|/q) >= |x| up to the float before fl(|y|/q) <= prev(|x|)
+        out = _first_divisor(-y[both], np.nextafter(-x[both], 0.0), largest=False)
+        hi = min(hi, math.nextafter(out, 0.0))
+    return lo, hi
+
+
+def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int]:
+    """Divisor cell (lo, hi) of the smallest KS count of sorted xs, ys, and the checks made."""
+    m, n = xs.size, ys.size
+    i_n = np.arange(1, m + 1, dtype=np.int64) * n
+    j_m = np.arange(1, n + 1, dtype=np.int64) * m
+    # cells grow with k; the count n_x n_y constrains nothing
+    k_lo, k_hi, (lo, hi), checks = 0, m * n, (q_min, q_max), 0
+    while k_lo < k_hi:
+        k = (k_lo + k_hi) // 2
+        a, b = k // n, k // m  # the half-lines start at x_(a+1) and y_(b+1)
+        # 0-based: ceil((i n_y - k) / n_x) - 1 = (i n_y - k - 1) // n_x for i > a
+        j = (i_n[a:] - (k + 1)) // m
+        i = (j_m[b:] - (k + 1)) // n
+        c = _divisor_bounds(ys[j], xs[a:], q_min, q_max)
+        c = _divisor_bounds(-ys[b:], -xs[i], *c)
+        checks += 1
+        if c[0] <= c[1]:
+            k_hi, (lo, hi) = k, c
+        else:
+            k_lo = k + 1
+    return lo, hi, checks
 
 
 def calibrate_interval(
     y: ReturnSample,
     x_ref: ReturnSample,
     cfg: SearchConfig | None = None,
-    extra_candidates: Sequence[float] = (),
 ) -> CalibrationResult:
     """Duration of one interval class in units of the reference duration.
 
-    Minimises d(delta_tau) = rescaled KS distance of y / sqrt(delta_tau)
-    against the reference.  The objective is piecewise constant, so every
-    evaluated point is kept and ties resolve to the smallest duration.  The
-    mean-square ratio of the two samples is always seeded as a candidate: it
-    is the exact optimum whenever the candidate is a rescaled copy of the
-    reference, and costs one evaluation otherwise.  ``extra_candidates``
-    lets callers seed further trial durations (clipped to the window); any
-    candidate that beats the grid gets its own golden-section refinement.
-
-    A warning flag is raised when the best coarse-grid point sits on either
-    end of the search window, which means the window is probably
-    misconfigured for this class.
+    Minimises the rescaled KS distance of y / q, q = sqrt(delta_tau), against
+    the reference, exactly.  The KS count sup_z |n_y C_x(z) - n_x C_{y/q}(z)|
+    (C counts the points <= z) is at most k exactly when q lies on every
+    half-line x_(i) <= y_(j) / q, i = ceil((j n_x - k) / n_y), and
+    y_(j) / q <= x_(i), j = ceil((i n_y - k) / n_x), for indices >= 1.  So
+    the objective is quasi-convex, and a bisection on k over [0, n_x n_y],
+    one vectorised check per step after one sort, finds the smallest count
+    whose cell of q meets the window.  The duration is the cell's geometric
+    midpoint: exactly 1.0 for identical samples, 4.0 for y = 2x.  The bounds
+    are exact in the arithmetic the result is measured with (``y /
+    sqrt(delta_tau)``, as in ``rescaled_ks``) and sqrt(q * q) == q, so a cell
+    that is one point on tied data is reproduced, and the measured count is
+    the optimal one.  ``boundary_warning`` means the window bounds the cell.
     """
     cfg = cfg or SearchConfig()
     xs = np.sort(x_ref.values)
     ys = np.sort(y.values)
-    evals: dict[float, float] = {}
-
-    def objective(dt: float) -> float:
-        if dt not in evals:
-            evals[dt] = _ks_sorted(xs, ys / math.sqrt(dt))[0]
-        return evals[dt]
-
-    grid = cfg.grid()
-    grid_vals = [objective(float(g)) for g in grid]
-    best_grid_idx = int(np.argmin(grid_vals))
-    boundary = best_grid_idx in (0, len(grid) - 1)
-
-    def refine(lo: float, hi: float) -> None:
-        """Golden-section on log duration; every iterate lands in ``evals``."""
-        a, b = math.log(lo), math.log(hi)
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        fc, fd = objective(math.exp(c)), objective(math.exp(d))
-        while (b - a) > cfg.refine_rel_tol:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - GOLDEN * (b - a)
-                fc = objective(math.exp(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + GOLDEN * (b - a)
-                fd = objective(math.exp(d))
-
-    lo = grid[max(best_grid_idx - 1, 0)]
-    hi = grid[min(best_grid_idx + 1, len(grid) - 1)]
-    if lo < hi:
-        refine(float(lo), float(hi))
-
-    step = grid[1] / grid[0]
-    seeds = [float(np.mean(y.values**2) / np.mean(x_ref.values**2))]
-    seeds.extend(float(c) for c in extra_candidates)
-    grid_best_val = min(evals.values())
-    for seed in seeds:
-        if not (seed > 0) or not math.isfinite(seed):
-            continue
-        seed = min(max(seed, cfg.delta_tau_min), cfg.delta_tau_max)
-        if objective(seed) < grid_best_val:
-            refine(max(seed / step, cfg.delta_tau_min), min(seed * step, cfg.delta_tau_max))
-
-    best_raw = min(evals.values())
-    best_dt = min(dt for dt, raw in evals.items() if raw == best_raw)
+    # the divisors whose squares fall inside the duration window
+    q_min, q_max = math.sqrt(cfg.delta_tau_min), math.sqrt(cfg.delta_tau_max)
+    if q_min * q_min < cfg.delta_tau_min:
+        q_min = math.nextafter(q_min, math.inf)
+    if q_max * q_max > cfg.delta_tau_max:
+        q_max = math.nextafter(q_max, 0.0)
+    lo, hi, checks = _optimal_cell(xs, ys, q_min, q_max)
+    q = math.sqrt(lo * hi)
     return CalibrationResult(
-        delta_tau=best_dt,
-        ks=ks_distance(xs, ys / math.sqrt(best_dt)),
-        boundary_warning=boundary,
-        n_evaluations=len(evals),
+        delta_tau=q * q,
+        ks=ks_distance(xs, ys / math.sqrt(q * q)),
+        boundary_warning=lo == q_min or hi == q_max,
+        n_evaluations=checks,
+        cell=(
+            cfg.delta_tau_min if lo == q_min else lo * lo,
+            cfg.delta_tau_max if hi == q_max else hi * hi,
+        ),
     )
 
 
 @dataclass(frozen=True)
 class ClockCalibration:
-    """Calibrated durations for every partition interval plus the closure."""
+    """Calibrated durations for every partition interval plus the closure.
+
+    ``cells`` holds each fitted duration's optimal cell (delta_tau_lo,
+    delta_tau_hi) in class order, night last; it is empty for durations that
+    were not fitted (a ground-truth clock, a hand-built one).
+    """
 
     intraday_durations: np.ndarray
     overnight_duration: float
@@ -178,6 +197,7 @@ class ClockCalibration:
     reference_label: str
     search: SearchConfig
     boundary_warnings: tuple[str, ...] = ()
+    cells: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         dur = np.asarray(self.intraday_durations, dtype=float)
@@ -186,6 +206,8 @@ class ClockCalibration:
             raise DataError("calibration arrays malformed")
         if (dur <= 0).any() or self.overnight_duration <= 0:
             raise DataError("calibrated durations must be positive")
+        if self.cells and len(self.cells) != dur.size + 1:
+            raise DataError("need one duration cell per interval plus the night")
         dur = dur.copy(); dur.setflags(write=False)
         dvals = dvals.copy(); dvals.setflags(write=False)
         object.__setattr__(self, "intraday_durations", dur)
@@ -209,12 +231,8 @@ class ClockCalibration:
             "delta_tau_intraday": [float(x) for x in self.intraday_durations],
             "delta_tau_night": float(self.overnight_duration),
             "d_values": [float(x) for x in self.intraday_d] + [float(self.overnight_d)],
-            "search_config": {
-                "delta_tau_min": self.search.delta_tau_min,
-                "delta_tau_max": self.search.delta_tau_max,
-                "coarse_grid_points": self.search.coarse_grid_points,
-                "refine_rel_tol": self.search.refine_rel_tol,
-            },
+            "search_config": asdict(self.search),
+            "delta_tau_cells": [[float(lo), float(hi)] for lo, hi in self.cells],
             "boundary_warnings": list(self.boundary_warnings),
         }
 
@@ -231,10 +249,9 @@ class ClockCalibration:
             search=SearchConfig(
                 delta_tau_min=sc["delta_tau_min"],
                 delta_tau_max=sc["delta_tau_max"],
-                coarse_grid_points=sc["coarse_grid_points"],
-                refine_rel_tol=sc["refine_rel_tol"],
             ),
             boundary_warnings=tuple(payload.get("boundary_warnings", [])),
+            cells=tuple((lo, hi) for lo, hi in payload.get("delta_tau_cells", [])),
         )
 
 
@@ -277,6 +294,7 @@ def calibrate_clock(
         reference_label=ref_class.label,
         search=cfg,
         boundary_warnings=warnings,
+        cells=tuple(r.cell for r in results),
     )
 
 

@@ -53,34 +53,24 @@ def _values(sample) -> np.ndarray:
     return np.asarray(sample, dtype=float).ravel()
 
 
-def _ks_sorted(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    """Sup of |F_x - F_y| and the smallest merged point attaining it.
-
-    xs and ys must be sorted.  O((n_x + n_y) log(n_x + n_y)).
-    """
+def ks_distance(x, y) -> KsResult:
+    """Rescaled KS statistic between two samples.  O((n_x + n_y) log(n_x + n_y))."""
+    xs = np.sort(_values(x))
+    ys = np.sort(_values(y))
+    if xs.size == 0 or ys.size == 0:
+        raise DataError("KS statistic needs non-empty samples on both sides")
     zs = np.concatenate([xs, ys])
     zs.sort(kind="mergesort")
     diff = np.abs(
         np.searchsorted(xs, zs, side="right") / xs.size
         - np.searchsorted(ys, zs, side="right") / ys.size
     )
-    sup = float(diff.max())
-    location = float(zs[int(np.argmax(diff == sup))])
-    return sup, location
-
-
-def ks_distance(x, y) -> KsResult:
-    """Rescaled KS statistic between two samples."""
-    xs = np.sort(_values(x))
-    ys = np.sort(_values(y))
-    if xs.size == 0 or ys.size == 0:
-        raise DataError("KS statistic needs non-empty samples on both sides")
-    raw, loc = _ks_sorted(xs, ys)
+    raw = float(diff.max())
     scale = math.sqrt(xs.size * ys.size / (xs.size + ys.size))
     return KsResult(
         d=scale * raw,
         raw_sup=raw,
-        sup_location=loc,
+        sup_location=float(zs[int(np.argmax(diff == raw))]),
         n_x=int(xs.size),
         n_y=int(ys.size),
     )

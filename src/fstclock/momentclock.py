@@ -6,8 +6,9 @@ moment with the reference after diffusive rescaling:
     delta_tau(q) = (E|y|^q / E|x_ref|^q)**(2/q).
 
 Each order q defines its own clock; they agree only under exact simple
-scaling, and none of them can beat the KS-fitted duration on the KS
-objective itself, which is what ``compare_clocks`` puts on record.
+scaling.  The KS-fitted duration is the exact minimiser of the KS objective
+over the search window, so no moment duration inside the window can beat
+it there; ``compare_clocks`` puts that on record.
 """
 from __future__ import annotations
 
@@ -77,24 +78,21 @@ def compare_clocks(
 ) -> ClockComparison:
     """KS-fitted durations side by side with each moment clock.
 
-    The moment durations are seeded into the KS search as candidate points,
-    so the fitted duration is optimal over everything any moment clock
-    proposes and the dominance property holds by construction (up to the
-    search window; a violation, which would indicate a window clipped below
-    a moment duration, is warned about rather than hidden).
+    The fitted duration minimises the KS objective exactly over the search
+    window, so it dominates every moment duration inside the window.  A
+    violation means a moment duration lies outside the window; it is warned
+    about rather than hidden.
     """
     rows = []
     for label, sample in classes:
         moments = tuple(moment_time(sample, x_ref, q) for q in orders)
-        fst = calibrate_interval(
-            sample, x_ref, cfg, extra_candidates=[m.delta_tau for m in moments]
-        )
+        fst = calibrate_interval(sample, x_ref, cfg)
         rows.append(ComparisonRow(label=label, fst=fst, moments=moments))
     comparison = ClockComparison(rows=tuple(rows), orders=tuple(float(q) for q in orders))
     if not comparison.dominance_ok:
         warnings.warn(
             "a moment clock beat the fitted duration on the KS objective; "
-            "the search window is probably clipping",
+            "its duration lies outside the search window",
             stacklevel=2,
         )
     return comparison

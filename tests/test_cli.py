@@ -161,7 +161,7 @@ def test_strict_mode_exits_nonzero_on_boundary_warnings(pipeline, tmp_path, caps
         "--skip-additivity", "--strict",
     ])
     assert code == 3
-    assert "window edge" in capsys.readouterr().out
+    assert "the optimal cell touches the window edge for intraday[0..1]" in capsys.readouterr().out
 
 
 def test_pairwise_matrix_is_symmetric_with_zero_diagonal(pipeline, tmp_path):
@@ -211,6 +211,13 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"dayz": 15}))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "dayz" in capsys.readouterr().err
+    # manifests from before the exact search name its removed grid settings
+    for command in ("calibrate", "compare-clocks"):
+        old = tmp_path / f"{command}.json"
+        old.write_text(json.dumps({"command": command, "config": {
+            "tau_min": 1e-4, "tau_max": 1e2, "grid_points": 200, "refine_tol": 1e-3}}))
+        assert main([command, "--config", str(old), "--out", str(tmp_path)]) == 2
+        assert "['grid_points', 'refine_tol']" in capsys.readouterr().err
 
 
 def test_manifest_for_other_command_is_refused(pipeline, tmp_path, capsys):

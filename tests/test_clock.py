@@ -22,6 +22,7 @@ from fstclock import (
     calibrate_clock,
     calibrate_interval,
     filter_complete_days,
+    rescaled_ks,
 )
 
 from conftest import brownian_series, make_sample
@@ -57,24 +58,30 @@ def test_generic_scaling_close(c):
     assert abs(r.delta_tau - c * c) <= 2e-3 * c * c
 
 
-def test_counts_evaluations():
-    x = make_sample(gauss(100, seed=3))
-    r = calibrate_interval(x, x, extra_candidates=(0.9, 1.1))
-    assert r.delta_tau == 1.0
-    assert r.n_evaluations >= SearchConfig().coarse_grid_points + 2
+def test_zero_width_optimum_is_found_and_reproduced():
+    # the smallest count, 18, is reached only at the single scale 0.7/1.7;
+    # 1/(s*s) with s = 0.7/1.7 misses that tie in floating point and scores
+    # 27, and the best open cell scores 19
+    x = make_sample([-2.1, -1, -1, -0.7, -0.7, -0.6, -0.5, -0.2, -0.2, -0.1, 0,
+                     0.2, 0.5, 0.7, 0.7, 0.7, 0.8, 0.9, 1.4, 1.7, 2.1])
+    y = make_sample([-2.5, -1.7, 1, 1.7, 2.9])
+    s = 0.7 / 1.7
+    assert round(rescaled_ks(x, y, 1.0 / (s * s)).raw_sup * 105) == 27
+    r = calibrate_interval(y, x)
+    assert round(r.ks.raw_sup * 105) == 18
+    assert r.ks == rescaled_ks(x, y, r.delta_tau)
+    assert r.cell == (r.delta_tau, r.delta_tau)
 
 
 def test_out_of_window_optimum_warns():
-    # window chosen so the scale mismatch at the edge still has a clear
-    # gradient; with a huge mismatch the empirical objective goes flat
     cfg = SearchConfig(delta_tau_min=0.25, delta_tau_max=4.0)
     x = make_sample(gauss(300, seed=4))
     lo = calibrate_interval(make_sample(0.25 * x.values), x, cfg)
     assert lo.boundary_warning
-    assert lo.delta_tau == cfg.delta_tau_min  # smallest-value tie-break pins the edge
+    assert lo.cell[0] == cfg.delta_tau_min
     hi = calibrate_interval(make_sample(4.0 * x.values), x, cfg)
     assert hi.boundary_warning
-    assert hi.delta_tau >= 0.95 * cfg.delta_tau_max  # edge up to one sample-swap of jitter
+    assert hi.cell[1] == cfg.delta_tau_max
 
 
 def test_search_config_validation():
@@ -82,17 +89,66 @@ def test_search_config_validation():
         SearchConfig(delta_tau_min=0.0)
     with pytest.raises(ValueError):
         SearchConfig(delta_tau_min=10.0, delta_tau_max=1.0)
-    with pytest.raises(ValueError):
-        SearchConfig(coarse_grid_points=10)
-    with pytest.raises(ValueError):
-        SearchConfig(refine_rel_tol=0.0)
 
 
-def test_grid_is_log_spaced():
-    g = SearchConfig(delta_tau_min=1e-2, delta_tau_max=1e2, coarse_grid_points=101).grid()
-    assert g.shape == (101,)
-    steps = np.diff(np.log(g))
-    np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
+def _oracle_case(family, rng):
+    """(x, y, window) for one brute-force case of the given family."""
+    nx, ny = (int(v) for v in rng.integers(1, 13, size=2))
+    cfg = SearchConfig()
+    if family == "ties":
+        x = rng.integers(-3, 4, size=nx).astype(float)
+        y = rng.integers(-3, 4, size=ny).astype(float)
+    elif family == "decimal":
+        x = np.round(rng.standard_normal(nx), 1)
+        y = np.round(rng.standard_normal(ny) * rng.uniform(0.2, 5.0), 1)
+    elif family == "signs":
+        x = np.abs(rng.standard_normal(nx)) + 0.1
+        y = -np.abs(rng.standard_normal(ny)) - 0.1
+    elif family == "gauss":
+        x = rng.standard_normal(nx)
+        y = rng.standard_normal(ny) * rng.uniform(0.05, 20.0)
+    else:  # narrow window, rounded samples of similar scale
+        x = np.round(rng.standard_normal(nx), 1)
+        y = np.round(rng.standard_normal(ny) * rng.uniform(0.5, 2.0), 1)
+        cfg = SearchConfig(delta_tau_min=0.5, delta_tau_max=2.0)
+    return make_sample(x), make_sample(y), cfg
+
+
+def _brute_force_min_count(x, y, cfg):
+    """Smallest KS count over the window edges, every open cell and every tie.
+
+    The count is constant between consecutive breakpoints delta_tau =
+    (y_j / x_i)**2, so one geometric midpoint per gap sees every value the
+    open cells take.  A breakpoint itself scores lower when y / q reproduces
+    the tie y_j / q == x_i in floating point; the floats q within two ulps of
+    y_j / x_i, squared (sqrt gives q back), try that.  Every candidate is
+    scored with ``rescaled_ks``.
+    """
+    lo, hi = cfg.delta_tau_min, cfg.delta_tau_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.divide.outer(y.values, x.values).ravel()
+    q = q[np.isfinite(q) & (q > 0)]
+    below, above = np.nextafter(q, 0.0), np.nextafter(q, np.inf)
+    near = np.concatenate([np.nextafter(below, 0.0), below, q, above, np.nextafter(above, np.inf)])
+    breaks = np.unique(np.concatenate([[lo, hi], q * q]))
+    breaks = breaks[(breaks >= lo) & (breaks <= hi)]
+    ties = near * near
+    candidates = np.concatenate(
+        [[lo, hi], np.sqrt(breaks[:-1] * breaks[1:]), ties[(ties >= lo) & (ties <= hi)]]
+    )
+    scale = x.n * y.n
+    return min(round(rescaled_ks(x, y, float(dt)).raw_sup * scale) for dt in np.unique(candidates))
+
+
+@pytest.mark.parametrize("family", ["ties", "decimal", "signs", "gauss", "narrow"])
+def test_calibration_matches_brute_force_oracle(family):
+    rng = np.random.default_rng(["ties", "decimal", "signs", "gauss", "narrow"].index(family))
+    for _ in range(250):
+        x, y, cfg = _oracle_case(family, rng)
+        r = calibrate_interval(y, x, cfg)
+        assert r.ks == rescaled_ks(x, y, r.delta_tau)
+        assert round(r.ks.raw_sup * x.n * y.n) <= _brute_force_min_count(x, y, cfg)
+        assert cfg.delta_tau_min <= r.delta_tau <= cfg.delta_tau_max
 
 
 # --- whole-day calibration --------------------------------------------------
@@ -140,13 +196,20 @@ def test_calibration_json_roundtrip(noisy_calibration):
         "delta_tau_night",
         "d_values",
         "search_config",
+        "delta_tau_cells",
         "boundary_warnings",
     ]
     assert len(payload["d_values"]) == noisy_calibration.m_max + 1
+    # one cell per class, night last, each holding its fitted duration
+    durations = [*noisy_calibration.intraday_durations, noisy_calibration.overnight_duration]
+    assert len(payload["delta_tau_cells"]) == len(durations)
+    for (lo, hi), dt in zip(payload["delta_tau_cells"], durations):
+        assert lo <= dt <= hi
     back = ClockCalibration.from_json_dict(json.loads(json.dumps(payload)))
     assert (back.intraday_durations == noisy_calibration.intraday_durations).all()
     assert back.overnight_duration == noisy_calibration.overnight_duration
     assert back.search == noisy_calibration.search
+    assert back.cells == noisy_calibration.cells
 
 
 def test_calibration_validation():
