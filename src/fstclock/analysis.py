@@ -29,6 +29,10 @@ from .series import (
 
 MIN_PAIRS = 30
 
+# Grid positions per column block in ``linear_correlation_contiguous``: the
+# day x position temporaries are bounded to this many columns at a time.
+CORRELATION_BLOCK_COLS = 32
+
 
 def _demean_columns(m: np.ndarray) -> np.ndarray:
     """Column-wise mean removal, twice to cancel rounding residue."""
@@ -572,15 +576,20 @@ def linear_correlation_contiguous(series: PriceSeries, dt_minutes: float) -> flo
     if 2 * k > n:
         raise ClassSpecError(f"{dt_minutes} min is more than half the session")
     # Column-major differences, demeaned in place: the layout the column
-    # means are summed in is part of the result's last bits.
-    centers = z[:, k : n - k + 1]
-    before = np.subtract(centers, z[:, : n - 2 * k + 1], order="F")
-    after = np.subtract(z[:, 2 * k :], centers, order="F")
-    for diff in (before, after):
-        diff -= diff.mean(axis=0)
-        diff -= diff.mean(axis=0)
-    num = (before * after).mean(axis=0)
-    den = np.sqrt((before**2).mean(axis=0)) * np.sqrt((after**2).mean(axis=0))
+    # means are summed in is part of the result's last bits.  Each position
+    # is independent, so blocks of columns give the same bits.
+    m = n - 2 * k + 1
+    num, den = np.empty(m), np.empty(m)
+    for lo in range(0, m, CORRELATION_BLOCK_COLS):
+        cols = slice(lo, min(lo + CORRELATION_BLOCK_COLS, m))
+        centers = z[:, k:][:, cols]
+        before = np.subtract(centers, z[:, cols], order="F")
+        after = np.subtract(z[:, 2 * k :][:, cols], centers, order="F")
+        for diff in (before, after):
+            diff -= diff.mean(axis=0)
+            diff -= diff.mean(axis=0)
+        num[cols] = (before * after).mean(axis=0)
+        den[cols] = np.sqrt((before**2).mean(axis=0)) * np.sqrt((after**2).mean(axis=0))
     good = den > 0
     if not good.all():
         warnings.warn("positions with zero variance skipped", stacklevel=2)

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClassSpecError, DataError, ParseError
 
@@ -312,6 +313,20 @@ _EPOCH_ORDINAL = _EPOCH.toordinal()
 _US = timedelta(microseconds=1)
 _US_PER_DAY = 86_400_000_000
 
+# The one layout decoded by array operations: a header line of exactly
+# ``timestamp,price`` and data lines of ``YYYY-MM-DDTHH:MM:SS,<price>\n``.
+_BOM = "\ufeff"
+_STRICT_HEADER = "timestamp,price\n"
+# Each strict timestamp byte minus its template byte: at most 9 at a digit,
+# 0 at a separator.
+_STRICT_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00,", dtype=np.uint8)
+_STRICT_SPAN = np.where(_STRICT_TEMPLATE == ord("0"), 9, 0).astype(np.uint8)
+_PRICE_FIELD = operator.itemgetter(slice(20, None))
+# Days in each month number 00..99 of a common year; 0 outside 1..12, so that
+# no day of an invalid month passes.
+_MONTH_DAYS = np.zeros(100, dtype=np.int64)
+_MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+
 
 def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> PriceSeries:
     """Parse a ``timestamp,price`` CSV into a grid-aligned series.
@@ -319,32 +334,63 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     Timestamps are ISO-8601 exchange-local, prices decimal and positive.
     Rows are grouped by calendar date and placed on the grid; a day missing
     bars is retained with NaN holes for ``filter_complete_days`` to judge.
-    Malformed rows, off-grid timestamps, non-positive prices, and within-day
-    timestamp disorder all raise for the first offending row, with its line
-    number (blank rows are skipped but counted).
+    Malformed rows (a line that is not UTF-8 among them), off-grid
+    timestamps, non-positive prices, and within-day timestamp disorder all
+    raise for the first offending row, with its line number (blank rows are
+    skipped but counted).  One leading byte-order mark is ignored.
+
+    Batches of lines in the strict layout ``YYYY-MM-DDTHH:MM:SS,<price>``
+    under a ``timestamp,price`` header are decoded by array operations.  The
+    first batch that departs from it, or in which a check fires, and every
+    later line go through ``csv`` and ``datetime.fromisoformat``; both paths
+    give the same series and the same errors.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "rb") as fh:
             return ingest_csv(fh, grid)
-    if isinstance(source, io.BufferedIOBase) or (
+    binary = isinstance(source, io.BufferedIOBase) or (
         hasattr(source, "read") and "b" in getattr(source, "mode", "")
-    ):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input", line=1) from None
-    if [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
-        raise ParseError(f"expected header 'timestamp,price', got {','.join(header)!r}", line=1)
+    )
+    bom, header = (_BOM.encode(), _STRICT_HEADER.encode()) if binary else (_BOM, _STRICT_HEADER)
+    lines = iter(source)
+    first = next(lines, header[:0]).removeprefix(bom)
 
     days: dict[int, np.ndarray] = {}
     last_us: dict[int, int] = {}
-    line = 2
-    while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
-        _place_chunk(chunk, line, grid, days, last_us)
-        line += len(chunk)
+    line, batch = 1, [first] if first else []
+    if first == header:
+        line = 2
+        while batch := list(itertools.islice(lines, INGEST_CHUNK_ROWS)):
+            decoded = _decode_strict(batch)
+            if decoded is None or _place(*decoded, grid, days, last_us) is not None:
+                break
+            line += len(batch)
+
+    # the general path: the whole input under any other header, or the batch
+    # the strict path handed on and every line after it
+    if line == 1 or batch:
+        if binary:
+            # undecodable bytes become lone surrogates, reported by line
+            text = itertools.chain(
+                io.StringIO(b"".join(batch).decode("utf-8", "surrogateescape"), newline=""),
+                io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline=""),
+            )
+        else:
+            text = itertools.chain(batch, lines)
+        reader = csv.reader(text)
+        if line == 1:
+            try:
+                row = next(reader)
+            except StopIteration:
+                raise ParseError("empty input", line=1) from None
+            if not _is_utf8(row):
+                raise ParseError("not valid UTF-8", line=1)
+            if [h.strip().lower() for h in row[:2]] != ["timestamp", "price"]:
+                raise ParseError(f"expected header 'timestamp,price', got {','.join(row)!r}", line=1)
+            line = 2
+        while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
+            _place_chunk(chunk, line, grid, days, last_us)
+            line += len(chunk)
 
     if not days:
         raise DataError("input holds no data rows")
@@ -352,6 +398,58 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     matrix = np.vstack([days[d] for d in order])
     dates = tuple(date.fromordinal(_EPOCH_ORDINAL + d) for d in order)
     return PriceSeries(grid=grid, dates=dates, log_prices=matrix)
+
+
+def _decode_strict(lines: list[bytes] | list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Timestamps (microseconds since 1970-01-01) and prices of strict-layout lines.
+
+    None if any line departs from ``YYYY-MM-DDTHH:MM:SS,<price>\\n``, names a
+    date or time that does not exist, or has a price ``float`` refuses.
+    """
+    if isinstance(lines[0], str):
+        buf = "".join(lines).encode("utf-8", "surrogatepass")
+    else:
+        buf = b"".join(lines)
+    if b"\r" in buf:
+        return None
+    a = np.frombuffer(buf, dtype=np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    if ends.size != len(lines) or a[-1] != ord("\n"):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    if (ends - starts < 20).any():
+        return None
+    d = sliding_window_view(a, 20)[starts] - _STRICT_TEMPLATE  # wraps below the template
+    if (d > _STRICT_SPAN).any():
+        return None
+
+    def number(lo: int, hi: int) -> np.ndarray:
+        out = d[:, lo].astype(np.int64)
+        for i in range(lo + 1, hi):
+            out = out * 10 + d[:, i]
+        return out
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[month] + (leap & (month == 2))
+    if ((year < 1) | (day < 1) | (day > month_days) | (hour > 23) | (minute > 59) | (second > 59)).any():
+        return None
+    # days from 1970-01-01 to the civil date, in 400-year eras from March
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_number = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
+    us = (((day_number * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
+
+    try:
+        price = np.fromiter(map(float, map(_PRICE_FIELD, lines)), dtype=float, count=len(lines))
+    except ValueError:
+        return None
+    return us, price
 
 
 def _parse_prefix(parse, texts: list[str]) -> tuple[list, ValueError | None]:
@@ -369,6 +467,15 @@ def _parse_prefix(parse, texts: list[str]) -> tuple[list, ValueError | None]:
     return out, None
 
 
+def _is_utf8(row: list[str]) -> bool:
+    """False for a row holding bytes that were not UTF-8 (lone surrogates)."""
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _place_chunk(
     rows: list[list[str]],
     line: int,
@@ -376,19 +483,20 @@ def _place_chunk(
     days: dict[int, np.ndarray],
     last_us: dict[int, int],
 ) -> None:
-    """Validate one batch of CSV rows and write its log-prices into ``days``.
+    """Parse one batch of CSV rows, raise for the first bad one, place the rest.
 
-    ``line`` is the line number of ``rows[0]``.  Days are keyed by their
-    offset from 1970-01-01; ``last_us`` carries each day's latest timestamp,
-    in microseconds since then, across batches.  Each check runs column-wise
+    ``line`` is the line number of ``rows[0]``.  Each check runs column-wise
     on the rows before the first one an earlier-listed check rejected, so
     the row that raises, and its message, are those of a row-by-row parse.
     """
     error: ParseError | None = None
     lines = range(line, line + len(rows))
-    if min(map(len, rows)) < 2:
+    if min(map(len, rows)) < 2 or not "".join(itertools.chain.from_iterable(rows)).isascii():
         kept = []
         for i, row in enumerate(rows):
+            if not _is_utf8(row):
+                error = ParseError("not valid UTF-8", line=line + i)
+                break
             if len(row) >= 2:
                 kept.append(i)
             elif row and row[0].strip():
@@ -418,12 +526,44 @@ def _place_chunk(
             raise error
         return
 
-    price = np.array(prices, dtype=float)
     us = np.fromiter(
         map(operator.floordiv, map(operator.sub, ts, itertools.repeat(_EPOCH)), itertools.repeat(_US)),
         dtype=np.int64,
         count=n,
     )
+    failed = _place(us, np.array(prices, dtype=float), grid, days, last_us)
+    if failed is not None:
+        i, check = failed
+        if check == "price":
+            raise DataError(f"line {lines[i]}: non-positive price {raw[i]!r}")
+        if check == "order":
+            raise DataError(
+                f"line {lines[i]}: timestamps within {ts[i].date().isoformat()} not increasing"
+            )
+        try:
+            grid.bar_index(ts[i].time())
+        except DataError as exc:
+            raise DataError(f"line {lines[i]}: {exc}") from None
+    if error is not None:
+        raise error
+
+
+def _place(
+    us: np.ndarray,
+    price: np.ndarray,
+    grid: DayGrid,
+    days: dict[int, np.ndarray],
+    last_us: dict[int, int],
+) -> tuple[int, str] | None:
+    """Check a batch of rows and write their log-prices into ``days``.
+
+    ``us`` holds each row's timestamp in microseconds since 1970-01-01, and
+    days are keyed by their offset from that date; ``last_us`` carries each
+    day's latest timestamp across batches.  If any row fails a check,
+    nothing is written and the first such row is returned with the first
+    check it fails: ``"price"``, ``"order"`` or ``"grid"``.
+    """
+    n = len(us)
     day, tod = np.divmod(us, _US_PER_DAY)
     open_us = (grid.open_time.hour * 60 + grid.open_time.minute) * 60_000_000
     idx, off_grid = np.divmod(tod - open_us, grid.bar_minutes * 60_000_000)
@@ -445,18 +585,7 @@ def _place_chunk(
     bad = bad_price | bad_order | bad_grid
     if bad.any():
         i = int(np.argmax(bad))
-        if bad_price[i]:
-            raise DataError(f"line {lines[i]}: non-positive price {raw[i]!r}")
-        if bad_order[i]:
-            raise DataError(
-                f"line {lines[i]}: timestamps within {ts[i].date().isoformat()} not increasing"
-            )
-        try:
-            grid.bar_index(ts[i].time())
-        except DataError as exc:
-            raise DataError(f"line {lines[i]}: {exc}") from None
-    if error is not None:
-        raise error
+        return i, "price" if bad_price[i] else "order" if bad_order[i] else "grid"
 
     log_price = np.log(price)
     ends = np.append(starts[1:], n)
@@ -466,6 +595,7 @@ def _place_chunk(
         rows_of_day = by_day[lo:hi]
         days[d][idx[rows_of_day]] = log_price[rows_of_day]
         last_us[d] = int(us_s[hi - 1])
+    return None
 
 
 def filter_complete_days(series: PriceSeries, max_missing_bars: int = 0) -> PriceSeries:

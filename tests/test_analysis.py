@@ -24,6 +24,7 @@ from fstclock import (
     tiled_bar_classes,
     volatility_autocorrelation,
 )
+import fstclock.analysis as analysis_module
 from fstclock.analysis import CorrelationCurve
 from fstclock.synthetic import ActivityProfile, GeneratorConfig, generate_seasonal
 
@@ -311,6 +312,18 @@ def test_contiguous_correlation_matches_ar1_oracle():
 def test_contiguous_correlation_iid_near_zero():
     s = brownian_series(n_days=3000, n_bars=19, seed=50)
     assert abs(linear_correlation_contiguous(s, 20.0)) < 0.02
+
+
+@pytest.mark.parametrize("block_cols", [1, 7, analysis_module.CORRELATION_BLOCK_COLS])
+def test_contiguous_correlation_blocks_give_the_whole_matrix_bits(monkeypatch, block_cols):
+    s = brownian_series(n_days=400, n_bars=95, seed=54, bar_minutes=4, ar=0.3)
+    whole = {}
+    monkeypatch.setattr(analysis_module, "CORRELATION_BLOCK_COLS", s.grid.n_points)
+    for dt in (4.0, 20.0, 188.0):
+        whole[dt] = linear_correlation_contiguous(s, dt)
+    monkeypatch.setattr(analysis_module, "CORRELATION_BLOCK_COLS", block_cols)
+    for dt, value in whole.items():
+        assert linear_correlation_contiguous(s, dt) == value, dt
 
 
 def test_contiguous_correlation_validation():

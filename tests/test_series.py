@@ -32,6 +32,7 @@ from fstclock import (
     raw_returns,
     save_cache,
 )
+import fstclock.cli as cli
 import fstclock.series as series_module
 from fstclock.analysis import _magnitude_matrix
 from fstclock.series import dropped_between, synthetic_dates
@@ -110,6 +111,12 @@ def test_ingest_missing_bar_kept_as_nan():
 def test_ingest_rejects_bad_rows(rows, exc):
     with pytest.raises(exc):
         ingest_csv(csv_of(rows), GRID3)
+
+
+def test_ingest_rejects_hour_24_on_a_grid_opening_at_midnight():
+    grid = DayGrid(open_time=time(0, 0), bar_minutes=60, n_points=3)
+    with pytest.raises(ParseError, match="^line 2: bad timestamp"):
+        ingest_csv(csv_of("2020-01-01T24:00:00,100\n"), grid)
 
 
 def test_ingest_reports_line_numbers():
@@ -193,12 +200,27 @@ FAULTS = [
     "{d}T09:40:00,-3.5", "{d}T09:40:00,abc", "{d}T09:40:00,", "{d}T09:41:00,100",
     "{d}T09:40:30,100", "{d}T09:40:00.5,100", "{d}T09:20:00,100", "{d}T10:40:00,100",
     "{d}T23:59:00,100", " {d}T10:00:00 , 1e2 ", "1969-12-31T09:40:00,100",
+    # the strict layout, naming a date or time that does not exist
+    "2021-02-29T09:40:00,100", "1900-02-29T09:40:00,100", "2021-04-31T09:40:00,100",
+    "2020-00-02T09:40:00,100", "2020-13-02T09:40:00,100", "2020-01-00T09:40:00,100",
+    "2020-01-32T09:40:00,100", "0000-01-02T09:40:00,100", "{d}T24:00:00,100",
+    "{d}T09:60:00,100", "{d}T09:40:60,100", "{d}T09:59:60,100",
+    # the strict width with other separators or a letter, on a day of their own
+    "2020/01-07T09:40:00,100", "2020-01/07T09:40:00,100", "2020-01-07T09.40:00,100",
+    "2020-01-07T09:40.00,100", "2020-01-07T09:40:00;100", "2O20-01-07T09:40:00,100",
 ]
+
+# Accepted layouts other than the strict YYYY-MM-DDTHH:MM:SS,<price>.
+LAYOUTS = ["{d} {t},{p}", "{d}T{t:.5},{p}", '"{d}T{t}","{p}"', "{d}T{t},{p} "]
 
 
 def _parity_corpus(rng: np.random.Generator) -> str:
-    """Interleaved days on GRID3 with skipped bars, repeats and faulty rows."""
-    dates = ["2020-01-02", "2020-01-03", "2020-01-06", "1969-12-31"]
+    """Interleaved days on GRID3 with skipped bars, repeats and faulty rows.
+
+    A few rows take a non-strict layout, a few end in CRLF, and some corpora
+    end without a newline.  2000-02-29 is a leap day.
+    """
+    dates = ["2020-01-02", "2020-01-03", "2020-01-06", "1969-12-31", "2000-02-29"]
     next_bar = [0] * len(dates)
     rows = []
     for _ in range(int(rng.integers(1, 30))):
@@ -216,8 +238,12 @@ def _parity_corpus(rng: np.random.Generator) -> str:
                 continue
             next_bar[k] = bar + 1
         price = float(rng.lognormal(4.6, 0.1))
-        rows.append(f"{d}T{GRID3.bar_time(bar).isoformat()},{price!r}")
-    return "timestamp,price\n" + "\n".join(rows) + "\n"
+        layout = "{d}T{t},{p}" if rng.random() < 0.97 else LAYOUTS[int(rng.integers(len(LAYOUTS)))]
+        rows.append(layout.format(d=d, t=GRID3.bar_time(bar).isoformat(), p=repr(price)))
+    text = "timestamp,price\n" + "".join(
+        row + ("\r\n" if rng.random() < 0.02 else "\n") for row in rows
+    )
+    return text[:-1] if rng.random() < 0.1 else text
 
 
 def _outcome(parse, text: str):
@@ -228,25 +254,114 @@ def _outcome(parse, text: str):
     return s.dates, s.log_prices.tobytes()
 
 
+def _spy_fast_path(monkeypatch) -> dict[bool, int]:
+    """Count the batches the strict-layout path decodes (True) and hands on (False)."""
+    counts = {True: 0, False: 0}
+    decode_strict = series_module._decode_strict
+
+    def spy(lines):
+        decoded = decode_strict(lines)
+        counts[decoded is not None] += 1
+        return decoded
+
+    monkeypatch.setattr(series_module, "_decode_strict", spy)
+    return counts
+
+
+SOURCES = {"text": io.StringIO, "bytes": lambda t: io.BytesIO(t.encode())}
+
+
 @pytest.mark.parametrize("chunk_rows", [3, series_module.INGEST_CHUNK_ROWS])
 def test_ingest_matches_row_by_row_parser(monkeypatch, chunk_rows):
     """Same series bits, or the same error class, message and line.
 
     Three-row batches make errors and runs of one day cross batch edges.
+    Text and byte sources both reach the strict-layout path.
     """
     monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", chunk_rows)
+    counts = _spy_fast_path(monkeypatch)
     rng = np.random.default_rng(2024)
     seen = {"ok": 0}
     for _ in range(1500):
         text = _parity_corpus(rng)
         expected = _outcome(lambda t: _reference_ingest(t, GRID3), text)
-        got = _outcome(lambda t: ingest_csv(io.StringIO(t), GRID3), text)
-        assert got == expected, text
+        for name, source in SOURCES.items():
+            got = _outcome(lambda t: ingest_csv(source(t), GRID3), text)
+            assert got == expected, (name, text)
         key = "ok" if isinstance(expected[0], tuple) else expected[1].split(": ", 1)[-1][:20]
         seen[key] = seen.get(key, 0) + 1
     # the corpus reaches clean parses and every kind of rejection
     assert seen["ok"] > 100
     assert len(seen) > 12
+    # both paths ran
+    assert counts[True] > 200 and counts[False] > 200
+
+    # a clean strict corpus: every batch on the strict-layout path
+    days = ["2000-02-28", "2000-02-29", "2000-03-01"] + [f"2020-01-{d:02d}" for d in range(2, 30)]
+    clean = "timestamp,price\n" + "".join(
+        f"{d}T{GRID3.bar_time(b).isoformat()},{100 + b}.25\n" for d in days for b in range(3)
+    )
+    expected = _outcome(lambda t: _reference_ingest(t, GRID3), clean)
+    for name, source in SOURCES.items():
+        counts.update({True: 0, False: 0})
+        assert _outcome(lambda t: ingest_csv(source(t), GRID3), clean) == expected, name
+        assert counts == {True: -(-3 * len(days) // chunk_rows), False: 0}, name
+
+
+@pytest.mark.parametrize("chunk_rows", [3, series_module.INGEST_CHUNK_ROWS])
+def test_ingest_reports_the_first_line_that_is_not_utf8(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", chunk_rows)
+    rows = [
+        f"2020-01-0{d}T{GRID3.bar_time(b).isoformat()},10{b}\n".encode()
+        for d in (2, 3, 6) for b in range(3)
+    ]
+    path = tmp_path / "prices.csv"
+    for k, bad, message in [
+        (0, b"timestamp,pr\xe9ce\n", "^line 1: not valid UTF-8$"),
+        (6, b"2020-01-03T10:20:00,1\xe90\n", "^line 7: not valid UTF-8$"),
+        (9, b"2020-01-06T10:20:00,102,\xff\n", "^line 10: not valid UTF-8$"),
+    ]:
+        lines = [b"timestamp,price\n"] + rows
+        lines[k] = bad
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=message):
+            ingest_csv(path, GRID3)
+        assert cli.main(["ingest", "--input", str(path), "--out", str(tmp_path / "out"),
+                         "--points", "3"]) == 2
+        # an earlier malformed row is still reported first
+        lines[2] = b"2020-01-02T10:00:00,abc\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match="^line 3: bad price" if k else message):
+            ingest_csv(path, GRID3)
+
+
+def test_ingest_accepts_one_leading_bom(tmp_path):
+    body = "timestamp,price\n2020-01-02T09:40:00,100\n2020-01-02T10:00:00,101.5\n"
+    plain = _outcome(lambda t: ingest_csv(io.StringIO(t), GRID3), body)
+    path = tmp_path / "prices.csv"
+    path.write_bytes(("\ufeff" + body).encode())
+    assert _outcome(lambda t: ingest_csv(path, GRID3), body) == plain
+    for name, source in SOURCES.items():
+        assert _outcome(lambda t: ingest_csv(source(t), GRID3), "\ufeff" + body) == plain, name
+        with pytest.raises(ParseError, match="^line 1: expected header"):
+            ingest_csv(source("\ufeff\ufeff" + body), GRID3)
+        with pytest.raises(ParseError, match="^line 4: bad timestamp"):
+            ingest_csv(source(body + "\ufeff2020-01-02T10:20:00,102\n"), GRID3)
+
+
+def test_written_csv_is_ingested_entirely_on_the_fast_path(tmp_path, monkeypatch):
+    """``write_prices_csv``'s layout stays the one decoded by array operations."""
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", 7)
+    counts = _spy_fast_path(monkeypatch)
+    general = []
+    monkeypatch.setattr(series_module, "_place_chunk", lambda *args: general.append(args))
+    s = _holed_series(tmp_path, n_days=9)  # missing bars, and a day dropped
+    text = (tmp_path / "prices.csv").read_text()
+    rows = text.count("\n") - 1
+    assert rows == 9 * 20 - 8
+    assert counts == {True: -(-rows // 7), False: 0} and not general
+    want = filter_complete_days(_reference_ingest(text, s.grid), max_missing_bars=2)
+    assert s.log_prices.tobytes() == want.log_prices.tobytes()
 
 
 def test_ingest_blank_rows_count_toward_line_numbers(monkeypatch):
@@ -256,6 +371,11 @@ def test_ingest_blank_rows_count_toward_line_numbers(monkeypatch):
         ingest_csv(io.StringIO(text), GRID3)
     with pytest.raises(DataError, match="^input holds no data rows$"):
         ingest_csv(io.StringIO("timestamp,price\n\n\n\n\n"), GRID3)
+    # read from bytes, a lone CR ends a line too, as csv reads a file
+    data = b"timestamp,price\n2020-01-02T09:40:00,100\r\r\n2020-01-02T10:00:00,101\n"
+    data += b"2020-01-02T10:20:00,102\n2020-01-02T10:20:00,103\n"
+    with pytest.raises(DataError, match="^line 6: timestamps within 2020-01-02 not increasing$"):
+        ingest_csv(io.BytesIO(data), GRID3)
 
 
 # --- filtering -------------------------------------------------------------
