@@ -22,7 +22,6 @@ from .analysis import (
     pdf_collapse_export,
     pooled_bar_sample,
     span_union_samples,
-    tiled_bar_classes,
     volatility_autocorrelation,
 )
 from .clock import (

@@ -24,6 +24,7 @@ from .series import (
     PriceSeries,
     ReturnSample,
     class_sample,
+    demean,
     dropped_between,
 )
 
@@ -34,17 +35,46 @@ MIN_PAIRS = 30
 CORRELATION_BLOCK_COLS = 32
 
 
-def _demean_columns(m: np.ndarray) -> np.ndarray:
-    """Column-wise mean removal, twice to cancel rounding residue."""
-    out = m - m.mean(axis=0)
-    return out - out.mean(axis=0)
-
-
 def _complete_matrix(series: PriceSeries, what: str) -> np.ndarray:
     z = series.log_prices
     if np.isnan(z).any():
         raise DataError(f"{what} needs a complete series; run filter_complete_days first")
     return z
+
+
+# ---------------------------------------------------------------------------
+# Slot returns: one detrended (day x slot) matrix per kind of slot
+
+def _bar_returns(z: np.ndarray, k_bars: int) -> np.ndarray:
+    """k-bar returns over the disjoint windows from the open, detrended per window.
+
+    Windows start at multiples of k, one column each; each column is its own
+    ensemble for mean removal.
+    """
+    n_bars = z.shape[1] - 1
+    if not 1 <= k_bars <= n_bars:
+        raise ClassSpecError(f"k_bars={k_bars} outside 1..{n_bars}")
+    starts = np.arange(0, n_bars - k_bars + 1, k_bars)
+    return demean(z[:, starts + k_bars] - z[:, starts])
+
+
+def _clock_bin_returns(
+    z: np.ndarray, grid: DayGrid, time_map: TimeMap, n_bins: int, width: float
+) -> np.ndarray:
+    """Returns over ``n_bins`` clock bins of ``width`` from the open, detrended per bin.
+
+    Bin edges are pulled back to intraday instants through the map, and
+    log-prices at the edges come from linear interpolation between bars.
+    """
+    edges_tau = np.arange(n_bins + 1) * width
+    offsets = [time_map.intraday_offset_minutes(t) for t in edges_tau]
+    pos = np.asarray(offsets, dtype=float) / grid.bar_minutes
+    if (pos < -1e-9).any() or (pos > grid.n_bars + 1e-9).any():
+        raise DataError("offset outside the trading session")
+    idx = np.clip(np.floor(pos).astype(int), 0, grid.n_bars - 1)
+    frac = pos - idx
+    edge_prices = (1.0 - frac) * z[:, idx] + frac * z[:, idx + 1]
+    return demean(np.diff(edge_prices, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -61,27 +91,9 @@ def pooled_bar_sample(
     Each start position is its own ensemble for mean removal, then positions
     are pooled into one sample.
     """
-    z = _complete_matrix(series, "pooled sampling")
-    n_bars = series.grid.n_bars
-    if not 1 <= k_bars <= n_bars:
-        raise ClassSpecError(f"k_bars={k_bars} outside 1..{n_bars}")
-    starts = np.arange(0, n_bars - k_bars + 1, k_bars)
-    diffs = z[:, starts + k_bars] - z[:, starts]
-    pooled = _demean_columns(diffs).ravel()
+    pooled = _bar_returns(_complete_matrix(series, "pooled sampling"), k_bars).ravel()
     name = label or f"pooled[{k_bars * series.grid.bar_minutes}min]"
     return ReturnSample(values=pooled, interval=IntervalClass.sample(name), detrended=True)
-
-
-def tiled_bar_classes(grid: DayGrid, minutes: float) -> list[IntervalClass]:
-    """The contiguous ``minutes``-long intervals tiling the session."""
-    step = minutes / grid.bar_minutes
-    if step != int(step) or step < 1:
-        raise ClassSpecError(f"{minutes} min is not a whole number of bars")
-    step = int(step)
-    return [
-        IntervalClass.bars(j, j + step, label=f"{minutes:g}min[{j}]")
-        for j in range(0, grid.n_bars - step + 1, step)
-    ]
 
 
 @dataclass(frozen=True)
@@ -163,7 +175,6 @@ class MomentTable:
     orders: np.ndarray
     moments: np.ndarray
     clock_tag: str
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         d = np.asarray(self.durations, dtype=float)
@@ -197,8 +208,7 @@ def moment_curve(
     for i, (_, sample) in enumerate(samples):
         a = np.abs(sample.values)
         rows[i] = [float(np.mean(a**qq)) for qq in q]
-    labels = tuple(s.interval.label for _, s in samples)
-    return MomentTable(durations=durations, orders=q, moments=rows, clock_tag=clock_tag, labels=labels)
+    return MomentTable(durations=durations, orders=q, moments=rows, clock_tag=clock_tag)
 
 
 @dataclass(frozen=True)
@@ -287,12 +297,11 @@ def pdf_collapse_export(
     samples: Sequence[tuple[float, ReturnSample]],
     hurst: float = 0.5,
     n_bins: int = 101,
-    span_robust_sd: float = 6.0,
 ) -> list[CollapseRow]:
     """Rescale each sample by duration**hurst and histogram on shared bins.
 
-    Under simple scaling all densities land on one curve.  Bins span a
-    multiple of the pooled robust standard deviation (1.4826 * MAD), and the
+    Under simple scaling all densities land on one curve.  Bins span six
+    pooled robust standard deviations (1.4826 * MAD) either side of 0, and the
     densities are normalised against the full sample size, so tail mass
     outside the window is simply absent rather than redistributed.  The
     rescaled raw values are returned too; they, not the histogram, are the
@@ -308,7 +317,7 @@ def pdf_collapse_export(
     rsd = 1.4826 * float(np.median(np.abs(pooled - med)))
     if rsd == 0.0:
         rsd = float(pooled.std()) or 1.0
-    edges = np.linspace(-span_robust_sd * rsd, span_robust_sd * rsd, n_bins + 1)
+    edges = np.linspace(-6.0 * rsd, 6.0 * rsd, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
 
@@ -344,16 +353,6 @@ class VolatilityProfile:
         return float(self.sigma.max() / self.sigma.mean())
 
 
-def _interp_day_edges(z: np.ndarray, grid: DayGrid, offsets_minutes: np.ndarray) -> np.ndarray:
-    """Log-prices at intraday minute offsets, linear between bars, all days."""
-    pos = np.asarray(offsets_minutes, dtype=float) / grid.bar_minutes
-    if (pos < -1e-9).any() or (pos > grid.n_bars + 1e-9).any():
-        raise DataError("offset outside the trading session")
-    idx = np.clip(np.floor(pos).astype(int), 0, grid.n_bars - 1)
-    frac = pos - idx
-    return (1.0 - frac) * z[:, idx] + frac * z[:, idx + 1]
-
-
 def intraday_volatility_profile(
     series: PriceSeries,
     partition: PartitionSpec,
@@ -387,15 +386,11 @@ def intraday_volatility_profile(
             clock_tag="physical",
         )
 
-    cal = time_map.calibration
     bins = n_bins or partition.m_max
-    width = cal.trading_total / bins
-    edges_tau = np.arange(bins + 1) * width
-    offsets = np.asarray([time_map.intraday_offset_minutes(t) for t in edges_tau])
-    edge_prices = _interp_day_edges(z, series.grid, offsets)
-    returns = _demean_columns(np.diff(edge_prices, axis=1))
+    width = time_map.calibration.trading_total / bins
+    returns = _clock_bin_returns(z, series.grid, time_map, bins, width)
     return VolatilityProfile(
-        positions=edges_tau[:-1] + 0.5 * width,
+        positions=np.arange(bins) * width + 0.5 * width,
         sigma=np.abs(returns).mean(axis=0),
         n_obs=np.full(bins, series.n_days),
         clock_tag="fst",
@@ -446,32 +441,17 @@ def _magnitude_matrix(
     z = _complete_matrix(series, "volatility autocorrelation")
     grid = series.grid
     if time_map is None:
-        k = delta / grid.bar_minutes
-        if k != int(k) or k < 1:
-            raise ClassSpecError(f"{delta} min is not a whole number of bars")
-        k = int(k)
-        n_slots = grid.n_bars // k
-        if n_slots < 1:
-            raise ClassSpecError("delta exceeds the session")
-        starts = np.arange(n_slots) * k
-        diffs = z[:, starts + k] - z[:, starts]
-        return np.abs(_demean_columns(diffs))
+        return np.abs(_bar_returns(z, grid.bars_in(delta)))
 
     cal = time_map.calibration
     n_bins = int(cal.trading_total / delta + 1e-9)
     if n_bins < 1:
         raise ClassSpecError("delta exceeds the trading day on the clock")
-    edges_tau = np.arange(n_bins + 1) * delta
-    offsets = np.asarray([time_map.intraday_offset_minutes(t) for t in edges_tau])
-    edge_prices = _interp_day_edges(z, grid, offsets)
-    intraday = _demean_columns(np.diff(edge_prices, axis=1))
+    intraday = _clock_bin_returns(z, grid, time_map, n_bins, delta)
 
     starts = np.flatnonzero(dropped_between(series) == 0)
-    kept = z[starts + 1, 0] - z[starts, grid.close_index]
-    kept = kept - kept.mean()
-    kept = kept - kept.mean()
     nights = np.full(series.n_days, np.nan)
-    nights[starts] = kept
+    nights[starts] = demean(z[starts + 1, 0] - z[starts, grid.close_index])
     nights *= math.sqrt(delta / cal.overnight_duration)
 
     out = np.empty((series.n_days, n_bins + 1))
@@ -486,7 +466,6 @@ def volatility_autocorrelation(
     lags: Sequence[int],
     time_map: TimeMap | None = None,
     estimator: str = "sliding",
-    min_pairs: int = MIN_PAIRS,
 ) -> CorrelationCurve:
     """Pearson autocorrelation of |r| at multiples of one base duration.
 
@@ -494,7 +473,7 @@ def volatility_autocorrelation(
     The sliding estimator pools every admissible start; the ciclostationary
     one correlates across days at fixed slot-of-day and averages the
     per-slot coefficients.  Lag 0 is exactly 1.  Lags with fewer than
-    ``min_pairs`` admissible pairs are dropped with a warning.
+    ``MIN_PAIRS`` admissible pairs are dropped with a warning.
     """
     if estimator not in ("sliding", "ciclostationary"):
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -521,7 +500,7 @@ def volatility_autocorrelation(
         ok = valid[: total - h] & valid[h:]
         if estimator == "sliding":
             n_ok = int(ok.sum())
-            if n_ok < min_pairs:
+            if n_ok < MIN_PAIRS:
                 warnings.warn(f"lag {h}: only {n_ok} pairs, dropped", stacklevel=2)
                 continue
             kept_lags.append(h)
@@ -533,13 +512,13 @@ def volatility_autocorrelation(
             for j0 in range(n_slots):
                 sel = np.arange(j0, total - h, n_slots)
                 ok_j = ok[sel]
-                if int(ok_j.sum()) < min_pairs:
+                if int(ok_j.sum()) < MIN_PAIRS:
                     continue
                 per_slot.append(_pearson(a[sel][ok_j], b[sel][ok_j]))
                 n_ok_total += int(ok_j.sum())
             per_slot = [p for p in per_slot if not math.isnan(p)]
             if not per_slot:
-                warnings.warn(f"lag {h}: no slot reaches {min_pairs} pairs, dropped", stacklevel=2)
+                warnings.warn(f"lag {h}: no slot reaches {MIN_PAIRS} pairs, dropped", stacklevel=2)
                 continue
             kept_lags.append(h)
             vals.append(float(np.mean(per_slot)))
@@ -568,10 +547,7 @@ def linear_correlation_contiguous(series: PriceSeries, dt_minutes: float) -> flo
     trustworthy where it is small.
     """
     z = _complete_matrix(series, "contiguous correlation")
-    k = dt_minutes / series.grid.bar_minutes
-    if k != int(k) or k < 1:
-        raise ClassSpecError(f"{dt_minutes} min is not a whole number of bars")
-    k = int(k)
+    k = series.grid.bars_in(dt_minutes)
     n = series.grid.n_bars
     if 2 * k > n:
         raise ClassSpecError(f"{dt_minutes} min is more than half the session")
@@ -585,9 +561,8 @@ def linear_correlation_contiguous(series: PriceSeries, dt_minutes: float) -> flo
         centers = z[:, k:][:, cols]
         before = np.subtract(centers, z[:, cols], order="F")
         after = np.subtract(z[:, 2 * k :][:, cols], centers, order="F")
-        for diff in (before, after):
-            diff -= diff.mean(axis=0)
-            diff -= diff.mean(axis=0)
+        demean(before)
+        demean(after)
         num[cols] = (before * after).mean(axis=0)
         den[cols] = np.sqrt((before**2).mean(axis=0)) * np.sqrt((after**2).mean(axis=0))
     good = den > 0

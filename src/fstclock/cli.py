@@ -175,8 +175,6 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("min_interval_minutes", float, 20.0, "partition cutoff scale"),
         Opt("max_missing", int, 0, "missing bars tolerated before a day is dropped"),
         Opt("reference", str, "1-day", "reference class spec"),
-        Opt("threads", int, 0,
-            "calibration workers (0 means the thread pool default, min(32, cores + 4))"),
         Opt("cutoff_threshold", float, 0.05, "contiguous-correlation gate"),
         Opt("skip_additivity", bool, False, "skip the additivity report"),
     ],
@@ -366,10 +364,8 @@ def parse_class_spec(spec: str, partition: PartitionSpec, grid: DayGrid) -> list
         return [IntervalClass.intraday(0, 1, partition)]
     if m := re.fullmatch(r"(\d+(?:\.\d+)?)min", spec):
         minutes = float(m.group(1))
-        k = minutes / grid.bar_minutes
-        if k != int(k) or k < 1:
-            raise ClassSpecError(f"{spec!r} is not a whole number of bars")
-        return [IntervalClass(kind="sample", label=f"{minutes:g}min", bar_start=0, bar_end=int(k))]
+        k = grid.bars_in(minutes)
+        return [IntervalClass(kind="sample", label=f"{minutes:g}min", bar_start=0, bar_end=k)]
     raise ClassSpecError(f"cannot parse class spec {spec!r}")
 
 
@@ -492,8 +488,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
     partition = _partition_from(cfg, grid)
     search = _search_from(cfg)
     ref_class = _reference(cfg["reference"], partition, grid)
-    threads = cfg["threads"] or None
-    cal = calibrate_clock(series, partition, cfg=search, reference=ref_class, threads=threads)
+    cal = calibrate_clock(series, partition, cfg=search, reference=ref_class)
 
     out = cfg["out"]
     cal_path = os.path.join(out, "calibration.json")

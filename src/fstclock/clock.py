@@ -350,10 +350,6 @@ class TimeMap:
         self._check_not_dropped(t)
         return t
 
-    def day_open_tau(self, l: int) -> float:
-        """Clock value at the open of retained day l (l = n_days: terminal)."""
-        return float(self.anchor_tau[l * (self.partition.m_max + 1)])
-
     def intraday_offset_minutes(self, tau_in_day: float) -> float:
         """Minutes after the open at which ``tau_in_day`` falls on any day.
 

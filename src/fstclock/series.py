@@ -88,6 +88,15 @@ class DayGrid:
             raise DataError(f"time {t.isoformat()} is outside the trading session")
         return index
 
+    def bars_in(self, minutes: float) -> int:
+        """Number of bars in a span of ``minutes``: a whole number >= 1, or ClassSpecError."""
+        k = float(minutes) / self.bar_minutes
+        if not (k >= 1 and k.is_integer()):
+            raise ClassSpecError(
+                f"{minutes:g} min is not a whole number of bars on a {self.bar_minutes} min grid"
+            )
+        return int(k)
+
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -160,13 +169,7 @@ class PartitionSpec:
         min_interval_minutes: float | None = None,
     ) -> "PartitionSpec":
         """Tile the session with equal intervals of ``interval_minutes``."""
-        bars_per = interval_minutes / grid.bar_minutes
-        if bars_per != int(bars_per):
-            raise ClassSpecError(
-                f"{interval_minutes} min intervals are not representable on a "
-                f"{grid.bar_minutes} min grid"
-            )
-        bars_per = int(bars_per)
+        bars_per = grid.bars_in(interval_minutes)
         if grid.n_bars % bars_per:
             raise ClassSpecError(
                 f"{interval_minutes} min intervals do not tile the "
@@ -369,28 +372,34 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     # the general path: the whole input under any other header, or the batch
     # the strict path handed on and every line after it
     if line == 1 or batch:
+        wrapper = None
         if binary:
             # undecodable bytes become lone surrogates, reported by line
-            text = itertools.chain(
-                io.StringIO(b"".join(batch).decode("utf-8", "surrogateescape"), newline=""),
-                io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline=""),
-            )
+            head = b"".join(batch).decode("utf-8", "surrogateescape")
+            wrapper = io.TextIOWrapper(source, "utf-8", "surrogateescape", newline="")
+            text = itertools.chain(io.StringIO(head, newline=""), wrapper)
         else:
             text = itertools.chain(batch, lines)
         reader = csv.reader(text)
-        if line == 1:
-            try:
-                row = next(reader)
-            except StopIteration:
-                raise ParseError("empty input", line=1) from None
-            if not _is_utf8(row):
-                raise ParseError("not valid UTF-8", line=1)
-            if [h.strip().lower() for h in row[:2]] != ["timestamp", "price"]:
-                raise ParseError(f"expected header 'timestamp,price', got {','.join(row)!r}", line=1)
-            line = 2
-        while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
-            _place_chunk(chunk, line, grid, days, last_us)
-            line += len(chunk)
+        try:
+            if line == 1:
+                try:
+                    row = next(reader)
+                except StopIteration:
+                    raise ParseError("empty input", line=1) from None
+                if not _is_utf8(row):
+                    raise ParseError("not valid UTF-8", line=1)
+                if [h.strip().lower() for h in row[:2]] != ["timestamp", "price"]:
+                    got = ",".join(row)
+                    raise ParseError(f"expected header 'timestamp,price', got {got!r}", line=1)
+                line = 2
+            while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
+                _place_chunk(chunk, line, grid, days, last_us)
+                line += len(chunk)
+        finally:
+            # a collected wrapper would close the caller's stream
+            if wrapper is not None:
+                wrapper.detach()
 
     if not days:
         raise DataError("input holds no data rows")
@@ -602,12 +611,15 @@ def filter_complete_days(series: PriceSeries, max_missing_bars: int = 0) -> Pric
     """Drop days with more than ``max_missing_bars`` missing bars.
 
     Retained rows are carried over bit-for-bit; dropped dates accumulate on
-    the result so gap-aware ensembles can avoid windows spanning them.
+    the result so gap-aware ensembles can avoid windows spanning them.  When
+    no day is dropped the (frozen, read-only) input itself is returned.
     """
     missing = np.isnan(series.log_prices).sum(axis=1)
     keep = missing <= max_missing_bars
     if not keep.any():
         raise DataError("no day survives the completeness filter")
+    if keep.all():
+        return series
     dropped = tuple(d for d, k in zip(series.dates, keep) if not k)
     if dropped:
         log.info(
@@ -683,17 +695,27 @@ def raw_returns(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
     raise ClassSpecError(f"cannot build returns for class kind {iclass.kind!r}")
 
 
+def demean(a: np.ndarray) -> np.ndarray:
+    """Subtract the mean along axis 0 from ``a`` in place, twice, and return ``a``.
+
+    The second pass cancels the rounding residue of the first, which keeps
+    the detrended-mean invariant honest even for pathological samples.  The
+    means are summed in ``a``'s own memory layout, which is part of the
+    result's last bits.
+    """
+    a -= a.mean(axis=0)
+    a -= a.mean(axis=0)
+    return a
+
+
 def detrend(sample: ReturnSample) -> ReturnSample:
     """Remove the ensemble mean of the class.
 
     All returns in a sample share intraday anchors and day offset, so the
-    seasonal trend of the class is exactly its ensemble mean.  The mean is
-    subtracted twice; the second pass cancels the rounding residue of the
-    first, which keeps the detrended-mean invariant honest even for
-    pathological samples.  Idempotent up to float rounding.
+    seasonal trend of the class is exactly its ensemble mean (removed by
+    ``demean``).  Idempotent up to float rounding.
     """
-    v = sample.values - sample.values.mean()
-    v = v - v.mean()
+    v = demean(sample.values.copy())
     return ReturnSample(values=v, interval=sample.interval, detrended=True)
 
 
@@ -709,9 +731,9 @@ def next_weekday(d: date) -> date:
     return d
 
 
-def synthetic_dates(n_days: int, start: date = date(1990, 1, 2)) -> tuple[date, ...]:
-    """Consecutive weekdays, for series without a real calendar attached."""
-    out = [start]
+def synthetic_dates(n_days: int) -> tuple[date, ...]:
+    """Consecutive weekdays from 1990-01-02, for series without a real calendar attached."""
+    out = [date(1990, 1, 2)]
     while len(out) < n_days:
         out.append(next_weekday(out[-1]))
     return tuple(out)

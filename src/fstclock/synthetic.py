@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -64,14 +63,12 @@ class ActivityProfile:
         cls,
         n_bars: int,
         edge_boost: float = 8.0,
-        power: float = 2.0,
         overnight_mass_ratio: float = 0.4,
     ) -> "ActivityProfile":
         """Smooth U: activity ``edge_boost`` times higher at open/close than midday."""
-        x = (np.arange(n_bars) + 0.5) / n_bars
-        a = 1.0 + (edge_boost - 1.0) * np.abs(2.0 * x - 1.0) ** power
-        a /= a.sum()
-        return cls(intraday_intensity=a, overnight_mass=overnight_mass_ratio)
+        return cls.u_steps(
+            n_bars, n_bars, edge_boost=edge_boost, overnight_mass_ratio=overnight_mass_ratio
+        )
 
     @classmethod
     def u_steps(
@@ -182,7 +179,6 @@ def generate_seasonal(
     profile: ActivityProfile,
     cfg: GeneratorConfig,
     grid: DayGrid,
-    start_date: date | None = None,
 ) -> tuple[PriceSeries, GroundTruthClock]:
     """Brownian series with deterministic intraday seasonality.
 
@@ -204,10 +200,7 @@ def generate_seasonal(
         rows[l, 1:] = open_ + np.cumsum(increments)
         prev_close = rows[l, -1]
 
-    dates = synthetic_dates(cfg.n_days) if start_date is None else synthetic_dates(
-        cfg.n_days, start=start_date
-    )
-    series = PriceSeries(grid=grid, dates=dates, log_prices=rows)
+    series = PriceSeries(grid=grid, dates=synthetic_dates(cfg.n_days), log_prices=rows)
     return series, GroundTruthClock.from_profile(profile)
 
 
@@ -215,17 +208,16 @@ def generate_selfsimilar(
     hurst: float,
     cfg: GeneratorConfig,
     durations,
-    n_per_duration: int | None = None,
 ) -> list[tuple[float, ReturnSample]]:
     """Exactly self-similar marginal samples, r = duration**H * innovation.
 
-    One independent ensemble per duration; sizes default to ``cfg.n_days``.
+    One independent ensemble of ``cfg.n_days`` draws per duration.
     The moment identity E|r|^q = duration**(qH) * E|innovation|^q holds by
     construction, making these the oracle for clock arithmetic.
     """
     if not 0 < hurst < 1:
         raise ValueError(f"hurst must be in (0, 1), got {hurst}")
-    n = n_per_duration or cfg.n_days
+    n = cfg.n_days
     durations = [float(d) for d in durations]
     out = []
     for dur, rng in zip(durations, _day_streams(cfg, len(durations))):
@@ -240,16 +232,15 @@ def generate_selfsimilar(
 def generate_multifractal(
     cfg: GeneratorConfig,
     grid: DayGrid,
-    base_bar_var: float | None = None,
     overnight_mass_ratio: float = 0.0,
-    start_date: date | None = None,
 ) -> PriceSeries:
     """Within-day log-normal multiplicative cascade.
 
     Each day splits dyadically ``cascade_depth`` times; every node multiplies
     the variance below it by an independent log-normal weight with unit mean
-    and log-variance ``4 ln2 * cascade_lambda2`` per level.  For gaussian
-    innovations the absolute-moment exponents at dyadic scales are then
+    and log-variance ``4 ln2 * cascade_lambda2`` per level, over a base
+    variance of ``1 / n_bars`` per bar.  For gaussian innovations the
+    absolute-moment exponents at dyadic scales are then
 
         zeta(q) = q/2 - cascade_lambda2 * q * (q - 2) / 2,
 
@@ -259,8 +250,7 @@ def generate_multifractal(
     n_bars = grid.n_bars
     if n_bars != 2**cfg.cascade_depth:
         raise DataError(f"cascade depth {cfg.cascade_depth} needs {2**cfg.cascade_depth} bars, grid has {n_bars}")
-    if base_bar_var is None:
-        base_bar_var = 1.0 / n_bars
+    base_bar_var = 1.0 / n_bars
     s2 = 4.0 * math.log(2.0) * cfg.cascade_lambda2
     s = math.sqrt(s2)
     sigma_night = math.sqrt(overnight_mass_ratio * base_bar_var * n_bars)
@@ -279,10 +269,7 @@ def generate_multifractal(
         rows[l, 1:] = open_ + np.cumsum(increments)
         prev_close = rows[l, -1]
 
-    dates = synthetic_dates(cfg.n_days) if start_date is None else synthetic_dates(
-        cfg.n_days, start=start_date
-    )
-    return PriceSeries(grid=grid, dates=dates, log_prices=rows)
+    return PriceSeries(grid=grid, dates=synthetic_dates(cfg.n_days), log_prices=rows)
 
 
 def cascade_hurst(q: float, lambda2: float) -> float:

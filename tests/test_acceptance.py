@@ -66,7 +66,7 @@ def seasonal_world():
     t0 = walltime.perf_counter()
     series, truth = generate_seasonal(profile, GeneratorConfig(n_days=5000, seed=99), grid)
     partition = PartitionSpec.equal_spacing(grid, 20.0)
-    calibration = calibrate_clock(series, partition, threads=4)
+    calibration = calibrate_clock(series, partition)
     elapsed = walltime.perf_counter() - t0
     return grid, partition, series, truth, calibration, elapsed
 

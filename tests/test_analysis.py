@@ -21,7 +21,6 @@ from fstclock import (
     pdf_collapse_export,
     pooled_bar_sample,
     span_union_samples,
-    tiled_bar_classes,
     volatility_autocorrelation,
 )
 import fstclock.analysis as analysis_module
@@ -47,13 +46,6 @@ def test_pooled_bar_sample_counts_and_label(default_grid):
         pooled_bar_sample(s, 0)
     with pytest.raises(ClassSpecError):
         pooled_bar_sample(s, 20)
-
-
-def test_tiled_bar_classes(default_grid):
-    classes = tiled_bar_classes(default_grid, 60.0)
-    assert [c.label for c in classes] == [f"60min[{j}]" for j in (0, 3, 6, 9, 12, 15)]
-    with pytest.raises(ClassSpecError):
-        tiled_bar_classes(default_grid, 50.0)
 
 
 def test_span_union_rows(default_grid, default_partition):
@@ -275,7 +267,7 @@ def test_autocorr_drops_starved_lags():
         c = volatility_autocorrelation(s, 20.0, [0, 1, 500])
     assert list(c.lags) == [0, 1]
     with pytest.warns(UserWarning, match="pairs, dropped"):
-        c2 = volatility_autocorrelation(s, 20.0, [0, 40], min_pairs=30)
+        c2 = volatility_autocorrelation(s, 20.0, [0, 40])
     assert list(c2.lags) == [0]
 
 

@@ -218,6 +218,26 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
             "tau_min": 1e-4, "tau_max": 1e2, "grid_points": 200, "refine_tol": 1e-3}}))
         assert main([command, "--config", str(old), "--out", str(tmp_path)]) == 2
         assert "['grid_points', 'refine_tol']" in capsys.readouterr().err
+    # calibration has no worker count any more
+    old = tmp_path / "threads.json"
+    old.write_text(json.dumps({"command": "calibrate", "config": {"threads": 0}}))
+    assert main(["calibrate", "--config", str(old), "--out", str(tmp_path)]) == 2
+    assert "['threads']" in capsys.readouterr().err
+
+
+def test_calibrate_has_no_threads_flag(pipeline, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--input", str(pipeline / "cache" / "cache.json"),
+              "--out", str(tmp_path), "--threads", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("minutes", ["0", "-20", "50"])
+def test_interval_minutes_must_be_whole_bars(pipeline, tmp_path, capsys, minutes):
+    code = main(["calibrate", "--input", str(pipeline / "cache" / "cache.json"),
+                 "--out", str(tmp_path), f"--interval-minutes={minutes}"])
+    assert code == 2
+    assert "not a whole number of bars on a 20 min grid" in capsys.readouterr().err
 
 
 def test_manifest_for_other_command_is_refused(pipeline, tmp_path, capsys):
@@ -262,7 +282,7 @@ def test_class_dsl_intervals_expands_to_every_interval():
     assert out[-1].label == f"intraday[{PARTITION.m_max - 1}..{PARTITION.m_max}]"
 
 
-@pytest.mark.parametrize("bad", ["nonsense", "intraday:2", "7min", "0-day"])
+@pytest.mark.parametrize("bad", ["nonsense", "intraday:2", "7min", "0min", "50min", "0-day"])
 def test_class_dsl_rejects_malformed_specs(bad):
     with pytest.raises(ClassSpecError):
         parse_class_spec(bad, PARTITION, GRID)

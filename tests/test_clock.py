@@ -251,7 +251,7 @@ def test_map_anchors_and_interpolation():
     assert tm.map_time(open0.replace(hour=10, minute=20)) == 0.25  # first boundary
     assert tm.map_time(open0.replace(hour=10, minute=0)) == 0.125  # mid-interval
     assert tm.map_time(datetime.combine(tm.dates[1], time(9, 40))) == 1.0
-    assert tm.day_open_tau(2) == 2.0
+    assert tm.anchor_tau[2 * (MAP_PARTITION.m_max + 1)] == 2.0
 
 
 def test_map_round_trip():
@@ -282,7 +282,7 @@ def test_map_dropped_session_keeps_its_full_day():
     friday_close = tm.map_time(datetime(2020, 1, 3, 11, 40))
     tuesday_open = tm.map_time(datetime(2020, 1, 7, 9, 40))
     assert tuesday_open - friday_close == cal.overnight_duration + cal.day_total
-    assert [tm.day_open_tau(l) for l in range(4)] == [0.0, 1.0, 3.0, 4.0]
+    assert [tm.anchor_tau[l * (MAP_PARTITION.m_max + 1)] for l in range(4)] == [0.0, 1.0, 3.0, 4.0]
     # the dropped Monday's trading hours, ends included, have no clock value
     for hhmm in ((9, 40), (10, 40), (11, 40)):
         with pytest.raises(MapRangeError, match="dropped session"):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
@@ -60,6 +61,14 @@ def test_grid_close_time_and_indexing():
         g.bar_index(time(9, 39))
     with pytest.raises(DataError):
         g.bar_index(time(16, 1))
+
+
+def test_bars_in_takes_only_whole_bars():
+    g = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20)
+    assert [g.bars_in(m) for m in (20, 60.0, 380)] == [1, 3, 19]
+    for minutes in (0, -20, 50, 7.5, math.nan, math.inf):
+        with pytest.raises(ClassSpecError, match="not a whole number of bars"):
+            g.bars_in(minutes)
 
 
 def test_grid_rejects_overnight_session():
@@ -378,6 +387,22 @@ def test_ingest_blank_rows_count_toward_line_numbers(monkeypatch):
         ingest_csv(io.BytesIO(data), GRID3)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("last", ["2020-01-02T10:20:00,102", "2020-01-02T10:20:00,abc"])
+def test_ingest_leaves_a_callers_byte_stream_open(newline, last):
+    """LF input stays on the strict path; CRLF and errors reach the general one."""
+    rows = ["timestamp,price", "2020-01-02T09:40:00,100", "2020-01-02T10:00:00,101", last]
+    stream = io.BytesIO("".join(row + newline for row in rows).encode())
+    try:
+        ingest_csv(stream, GRID3)
+    except ParseError:
+        assert last.endswith("abc")
+    else:
+        assert not last.endswith("abc")
+    gc.collect()  # a text wrapper left on the stream closes it when collected
+    assert not stream.closed
+
+
 # --- filtering -------------------------------------------------------------
 
 def test_filter_drops_and_preserves_bits():
@@ -389,6 +414,9 @@ def test_filter_drops_and_preserves_bits():
     assert f.dropped_dates == (s.dates[2],)
     kept = [0, 1, 3]
     assert np.array_equal(f.log_prices, s.log_prices[kept])
+    # a series the filter leaves unchanged is returned as it is
+    assert f is not s
+    assert filter_complete_days(f) is f
 
 
 def test_filter_tolerance():
