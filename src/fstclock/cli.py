@@ -708,7 +708,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args, command)
         os.makedirs(cfg["out"], exist_ok=True)
         files, warns = COMMANDS[command](cfg)
-    except FstError as e:
+    except (FstError, ValueError) as e:  # ValueError: a value the library refuses
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ import concurrent.futures
 import math
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .series import (
     PriceSeries,
     ReturnSample,
     class_sample,
+    day_numbers,
     dropped_between,
     next_weekday,
     synthetic_dates,
@@ -86,8 +87,12 @@ def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
     settle those.
     """
     q = a / b
-    edge = q.max() if largest else q.min()
-    near = np.abs(q - edge) <= 1e-14 * edge
+    if largest:  # q - edge is <= 0 here and >= 0 below: no abs needed
+        edge = q.max()
+        near = np.flatnonzero(q - edge >= -1e-14 * edge)
+    else:
+        edge = q.min()
+        near = np.flatnonzero(q - edge <= 1e-14 * edge)
     a, b, q = a[near], b[near], q[near]
     while (up := a / q > b).any():
         q[up] = np.nextafter(q[up], np.inf)
@@ -96,20 +101,49 @@ def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
     return float(q.max() if largest else q.min())
 
 
-def _divisor_bounds(y: np.ndarray, x: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """Narrow [lo, hi] to the floats q > 0 with fl(y/q) <= x for every pair.
+class _HalfLines(NamedTuple):
+    """Sorted tables that one family of half-line pairs reads.
+
+    Pair t is (y[iy[t]], x[ix[t]]) for index sequences iy, ix that never
+    fall, so both members ascend along the family.  ``neg_y`` is -y and
+    ``prev_neg_x`` the float before -x toward 0, for the pairs that bound q
+    from above; ``y_neg``, ``y_nonpos`` and ``x_neg`` count the entries of y
+    below 0 and up to 0, and of x below 0.
+    """
+
+    y: np.ndarray
+    x: np.ndarray
+    neg_y: np.ndarray
+    prev_neg_x: np.ndarray
+    y_neg: int
+    y_nonpos: int
+    x_neg: int
+
+    @classmethod
+    def of(cls, x: np.ndarray, y: np.ndarray, neg_y: np.ndarray) -> "_HalfLines":
+        return cls(y, x, neg_y, np.nextafter(-x, 0.0), int(y.searchsorted(0.0, "left")),
+                   int(y.searchsorted(0.0, "right")), int(x.searchsorted(0.0, "left")))
+
+
+def _divisor_bounds(
+    h: _HalfLines, iy: np.ndarray, ix: np.ndarray, lo: float, hi: float
+) -> tuple[float, float]:
+    """Narrow [lo, hi] to the floats q > 0 with fl(y/q) <= x for every pair of ``h``.
 
     Each pair is a half-line: q >= a bound if y > 0 (none if x <= 0), q <= a
-    bound if y < 0 and x < 0, else all q or none.  lo > hi means empty.
+    bound if y < 0 and x < 0, else all q or none.  Along the family the
+    pairs with y > 0 form a suffix, those with y < 0 and those with x < 0
+    prefixes, so each test reads the one pair at a slice's edge.  lo > hi
+    means empty.
     """
-    pos, neg = y > 0, y < 0
-    if (pos & (x <= 0)).any() or (~(pos | neg) & (x < 0)).any():
+    z, p = iy.searchsorted(h.y_neg), iy.searchsorted(h.y_nonpos)
+    if (p < iy.size and h.x[ix[p]] <= 0) or (z < p and h.x[ix[z]] < 0):
         return lo, -math.inf
-    if pos.any():
-        lo = max(lo, _first_divisor(y[pos], x[pos], largest=True))
-    if (both := neg & (x < 0)).any():
+    if p < iy.size:
+        lo = max(lo, _first_divisor(h.y[iy[p:]], h.x[ix[p:]], largest=True))
+    if (w := min(z, ix.searchsorted(h.x_neg))) > 0:
         # fl(|y|/q) >= |x| up to the float before fl(|y|/q) <= prev(|x|)
-        out = _first_divisor(-y[both], np.nextafter(-x[both], 0.0), largest=False)
+        out = _first_divisor(h.neg_y[iy[:w]], h.prev_neg_x[ix[:w]], largest=False)
         hi = min(hi, math.nextafter(out, 0.0))
     return lo, hi
 
@@ -118,7 +152,12 @@ def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int
     """Divisor cell (lo, hi) of the smallest KS count of sorted xs, ys, and the checks made."""
     m, n = xs.size, ys.size
     i_n = np.arange(1, m + 1, dtype=np.int64) * n
-    j_m = np.arange(1, n + 1, dtype=np.int64) * m
+    j_m = np.arange(n, 0, -1, dtype=np.int64) * m
+    at_x, at_y = np.arange(m), np.arange(n)
+    # the second family's pairs (-y_(j), -x_(i)) fall with j; reversed, they
+    # rise.  Each family's -y is the other's y read backwards.
+    nxs, nys = -xs[::-1], -ys[::-1]
+    first, second = _HalfLines.of(xs, ys, nys[::-1]), _HalfLines.of(nxs, nys, ys[::-1])
     # cells grow with k; the count n_x n_y constrains nothing
     k_lo, k_hi, (lo, hi), checks = 0, m * n, (q_min, q_max), 0
     while k_lo < k_hi:
@@ -126,9 +165,11 @@ def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int
         a, b = k // n, k // m  # the half-lines start at x_(a+1) and y_(b+1)
         # 0-based: ceil((i n_y - k) / n_x) - 1 = (i n_y - k - 1) // n_x for i > a
         j = (i_n[a:] - (k + 1)) // m
-        i = (j_m[b:] - (k + 1)) // n
-        c = _divisor_bounds(ys[j], xs[a:], q_min, q_max)
-        c = _divisor_bounds(-ys[b:], -xs[i], *c)
+        c = _divisor_bounds(first, j, at_x[a:], q_min, q_max)
+        if c[0] <= c[1]:  # an empty cell stays empty
+            # for j = n_y down to b + 1, where x_(i) sits in the reversed table
+            i = (m - 1) - (j_m[: n - b] - (k + 1)) // n
+            c = _divisor_bounds(second, at_y[: n - b], i, *c)
         checks += 1
         if c[0] <= c[1]:
             k_hi, (lo, hi) = k, c
@@ -417,22 +458,16 @@ def assemble_time_map(
     all_dates = dates + (next_weekday(dates[-1]),)
     # whole clock days elapsed before each retained open
     day_index = np.arange(n_days) + np.concatenate([[0], np.cumsum(skipped)])
+    day_total = calibration.day_total
 
+    open_s = grid.open_time.hour * 3600 + grid.open_time.minute * 60
+    opens = ((day_numbers(all_dates) - _EPOCH.toordinal()) * 86400 + open_s).astype(float)
+    offsets = np.asarray(partition.boundaries) * grid.bar_minutes * 60.0
     bounds_tau = np.concatenate([[0.0], np.cumsum(calibration.intraday_durations)])
-    seconds = []
-    taus = []
-    for l in range(n_days):
-        day_start = _to_seconds(datetime.combine(all_dates[l], grid.open_time))
-        day_tau = day_index[l] * calibration.day_total
-        for m, b in enumerate(partition.boundaries):
-            seconds.append(day_start + b * grid.bar_minutes * 60.0)
-            taus.append(day_tau + bounds_tau[m])
-    terminal = _to_seconds(datetime.combine(all_dates[-1], grid.open_time))
-    seconds.append(terminal)
-    taus.append((day_index[-1] + 1) * calibration.day_total)
-
-    anchor_seconds = np.asarray(seconds)
-    anchor_tau = np.asarray(taus)
+    anchor_seconds = np.append((opens[:-1, None] + offsets).ravel(), opens[-1])
+    anchor_tau = np.append(
+        (day_index[:, None] * day_total + bounds_tau).ravel(), (day_index[-1] + 1) * day_total
+    )
     if not (np.diff(anchor_seconds) > 0).all():
         raise DataError("anchor instants are not strictly increasing")
     return TimeMap(

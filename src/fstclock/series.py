@@ -108,7 +108,27 @@ class PriceSeries:
     dropped_dates: tuple[date, ...] = ()
 
     def __post_init__(self):
-        lp = np.asarray(self.log_prices, dtype=float)
+        self._settle(np.asarray(self.log_prices, dtype=float).copy())
+
+    @classmethod
+    def _adopt(
+        cls, grid: DayGrid, dates: Sequence[date], log_prices: np.ndarray,
+        dropped_dates: Sequence[date] = (),
+    ) -> "PriceSeries":
+        """A series that keeps ``log_prices`` itself, a matrix nobody else holds.
+
+        The public constructor copies what it is given; a loader that has
+        just made the matrix hands it over here and skips that copy.
+        """
+        series = cls.__new__(cls)
+        object.__setattr__(series, "grid", grid)
+        object.__setattr__(series, "dates", dates)
+        object.__setattr__(series, "dropped_dates", dropped_dates)
+        series._settle(np.asarray(log_prices, dtype=float))
+        return series
+
+    def _settle(self, lp: np.ndarray) -> None:
+        """Check ``lp`` against the dates and grid, then keep it read-only."""
         if lp.ndim != 2 or lp.shape != (len(self.dates), self.grid.n_points):
             raise DataError(
                 f"log_prices shape {lp.shape} does not match "
@@ -117,7 +137,6 @@ class PriceSeries:
         for a, b in zip(self.dates, self.dates[1:]):
             if a >= b:
                 raise DataError("dates must be strictly increasing with no duplicates")
-        lp = lp.copy()
         lp.setflags(write=False)
         object.__setattr__(self, "log_prices", lp)
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -406,7 +425,7 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     order = sorted(days)
     matrix = np.vstack([days[d] for d in order])
     dates = tuple(date.fromordinal(_EPOCH_ORDINAL + d) for d in order)
-    return PriceSeries(grid=grid, dates=dates, log_prices=matrix)
+    return PriceSeries._adopt(grid, dates, matrix)
 
 
 def _decode_strict(lines: list[bytes] | list[str]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -626,12 +645,17 @@ def filter_complete_days(series: PriceSeries, max_missing_bars: int = 0) -> Pric
             "dropped %d of %d days (more than %d missing bars)",
             len(dropped), series.n_days, max_missing_bars,
         )
-    return PriceSeries(
-        grid=series.grid,
-        dates=tuple(d for d, k in zip(series.dates, keep) if k),
-        log_prices=series.log_prices[keep],
-        dropped_dates=series.dropped_dates + dropped,
+    return PriceSeries._adopt(
+        series.grid,
+        tuple(d for d, k in zip(series.dates, keep) if k),
+        series.log_prices[keep],
+        series.dropped_dates + dropped,
     )
+
+
+def day_numbers(dates: Sequence[date]) -> np.ndarray:
+    """Proleptic Gregorian ordinals of ``dates``, as int64."""
+    return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
 def dropped_between(series: PriceSeries, span: int = 1) -> np.ndarray:
@@ -643,8 +667,8 @@ def dropped_between(series: PriceSeries, span: int = 1) -> np.ndarray:
     count zero.  Repeated filter passes append dropped dates out of order,
     so they are sorted here.
     """
-    days = np.array(series.dates, dtype="datetime64[D]")
-    dropped = np.unique(np.array(series.dropped_dates, dtype="datetime64[D]"))
+    days = day_numbers(series.dates)
+    dropped = np.unique(day_numbers(series.dropped_dates))
     return np.searchsorted(dropped, days[span:], side="left") - np.searchsorted(
         dropped, days[:-span], side="right"
     )
@@ -678,7 +702,7 @@ def raw_returns(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
     if iclass.kind == "overnight":
         keep = dropped_between(series) == 0
         if iclass.nights is not None:
-            nights = np.diff(np.array(series.dates, dtype="datetime64[D]")).astype(int)
+            nights = np.diff(day_numbers(series.dates))
             keep &= nights == iclass.nights
         starts = np.flatnonzero(keep)
         opens = _column(series, 0, starts + 1, label)
@@ -805,7 +829,7 @@ def load_cache(path: str | Path) -> PriceSeries:
     if len(raw) != shape[0] * shape[1] * 8:
         raise DataError(f"{path}: matrix payload holds {len(raw)} bytes, expected {shape[0] * shape[1] * 8}")
     matrix = np.frombuffer(raw, dtype=_CACHE_DTYPE).reshape(shape)
-    return PriceSeries(grid=grid, dates=dates, log_prices=matrix, dropped_dates=dropped)
+    return PriceSeries._adopt(grid, dates, matrix, dropped)
 
 
 def load_series(path: str | Path, grid: DayGrid | None = None) -> PriceSeries:

@@ -240,6 +240,19 @@ def test_interval_minutes_must_be_whole_bars(pipeline, tmp_path, capsys, minutes
     assert "not a whole number of bars on a 20 min grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("calibrate", ["--tau-min", "0.5", "--tau-max", "0.1"], "need 0 < delta_tau_min < delta_tau_max"),
+    ("calibrate", ["--bar-minutes", "0"], "bar_minutes must be positive"),
+    ("analyze", ["--orders=-1"], "moment orders must be positive"),
+])
+def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, command, flags, message):
+    code = main([command, "--input", str(pipeline / "synth" / "prices.csv"), "--points", "20",
+                 "--out", str(tmp_path), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def test_manifest_for_other_command_is_refused(pipeline, tmp_path, capsys):
     code = main([
         "synth", "--config", str(pipeline / "cal" / "manifest.json"),

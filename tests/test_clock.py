@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import date, datetime, time
 
 import numpy as np
@@ -24,6 +25,8 @@ from fstclock import (
     filter_complete_days,
     rescaled_ks,
 )
+
+from fstclock.clock import _optimal_cell
 
 from conftest import brownian_series, make_sample
 
@@ -149,6 +152,104 @@ def test_calibration_matches_brute_force_oracle(family):
         assert r.ks == rescaled_ks(x, y, r.delta_tau)
         assert round(r.ks.raw_sup * x.n * y.n) <= _brute_force_min_count(x, y, cfg)
         assert cfg.delta_tau_min <= r.delta_tau <= cfg.delta_tau_max
+
+
+# Reference for the KS kernel: the mask-based half-line check it replaced,
+# which builds every pair of both families and selects them with boolean
+# masks.  The sorted-slice kernel must reproduce its cells and check counts
+# bit for bit.
+def _mask_first_divisor(a, b, largest):
+    q = a / b
+    edge = q.max() if largest else q.min()
+    near = np.abs(q - edge) <= 1e-14 * edge
+    a, b, q = a[near], b[near], q[near]
+    while (up := a / q > b).any():
+        q[up] = np.nextafter(q[up], np.inf)
+    while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
+        q[down] = below[down]
+    return float(q.max() if largest else q.min())
+
+
+def _mask_divisor_bounds(y, x, lo, hi):
+    pos, neg = y > 0, y < 0
+    if (pos & (x <= 0)).any() or (~(pos | neg) & (x < 0)).any():
+        return lo, -math.inf
+    if pos.any():
+        lo = max(lo, _mask_first_divisor(y[pos], x[pos], largest=True))
+    if (both := neg & (x < 0)).any():
+        out = _mask_first_divisor(-y[both], np.nextafter(-x[both], 0.0), largest=False)
+        hi = min(hi, math.nextafter(out, 0.0))
+    return lo, hi
+
+
+def _mask_optimal_cell(xs, ys, q_min, q_max):
+    m, n = xs.size, ys.size
+    i_n = np.arange(1, m + 1, dtype=np.int64) * n
+    j_m = np.arange(1, n + 1, dtype=np.int64) * m
+    k_lo, k_hi, (lo, hi), checks = 0, m * n, (q_min, q_max), 0
+    while k_lo < k_hi:
+        k = (k_lo + k_hi) // 2
+        a, b = k // n, k // m
+        j = (i_n[a:] - (k + 1)) // m
+        i = (j_m[b:] - (k + 1)) // n
+        c = _mask_divisor_bounds(ys[j], xs[a:], q_min, q_max)
+        c = _mask_divisor_bounds(-ys[b:], -xs[i], *c)
+        checks += 1
+        if c[0] <= c[1]:
+            k_hi, (lo, hi) = k, c
+        else:
+            k_lo = k + 1
+    return lo, hi, checks
+
+
+def _kernel_case(family, rng):
+    """Unsorted (x, y) and a divisor window (q_min, q_max) for one family."""
+    nx, ny = (int(v) for v in rng.integers(1, 400, size=2))
+    if family == "ticks":  # quantised prices: heavy ties, most returns zero
+        x = rng.integers(-2, 3, size=nx) * (rng.random(nx) < 0.3) * 0.01
+        y = rng.integers(-3, 4, size=ny) * (rng.random(ny) < 0.4) * 0.01
+        return x, y, (0.01, 10.0)
+    if family == "one-signed":
+        x, y = rng.standard_normal(nx), rng.standard_normal(ny) * rng.uniform(0.2, 5.0)
+        sx, sy = rng.choice([-1.0, 0.0, 1.0], size=2)
+        x = np.abs(x) * sx if sx else x
+        y = np.abs(y) * sy if sy else y
+        return x, y, (0.01, 10.0)
+    if family == "single":
+        x, y = rng.standard_normal(nx), rng.standard_normal(ny)
+        if rng.random() < 0.5:
+            x = x[:1]
+        else:
+            y = y[:1]
+        return x, y, (0.01, 10.0)
+    # clipped: the optimum lies outside the window, on either side
+    x = rng.standard_normal(nx)
+    scale = rng.choice([0.05, 20.0])
+    return x, np.round(rng.standard_normal(ny) * scale, 2), (0.5, 2.0)
+
+
+@pytest.mark.parametrize("family", ["ticks", "one-signed", "single", "clipped"])
+def test_kernel_matches_mask_reference_bits(family):
+    rng = np.random.default_rng(["ticks", "one-signed", "single", "clipped"].index(family))
+    edges = set()
+    for _ in range(60):
+        x, y, (q_min, q_max) = _kernel_case(family, rng)
+        xs, ys = np.sort(x), np.sort(y)
+        got = _optimal_cell(xs, ys, q_min, q_max)
+        want = _mask_optimal_cell(xs, ys, q_min, q_max)
+        assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
+        edges |= {"lo"} if got[0] == q_min else set()
+        edges |= {"hi"} if got[1] == q_max else set()
+    assert family != "clipped" or edges == {"lo", "hi"}
+
+
+def test_kernel_matches_mask_reference_on_a_pooled_cascade_class():
+    rng = np.random.default_rng(96)
+    xs = np.sort(rng.standard_normal(3000) * np.exp(0.3 * rng.standard_normal(3000)))
+    ys = np.sort(np.round(0.4 * rng.standard_t(4, size=96_000), 3))
+    got = _optimal_cell(xs, ys, 0.01, 10.0)
+    want = _mask_optimal_cell(xs, ys, 0.01, 10.0)
+    assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
 
 
 # --- whole-day calibration --------------------------------------------------

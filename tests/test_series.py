@@ -36,7 +36,7 @@ from fstclock import (
 import fstclock.cli as cli
 import fstclock.series as series_module
 from fstclock.analysis import _magnitude_matrix
-from fstclock.series import dropped_between, synthetic_dates
+from fstclock.series import dropped_between, next_weekday, synthetic_dates
 from fstclock.synthetic import ActivityProfile, generate_seasonal, write_prices_csv
 
 from conftest import series_from_matrix
@@ -540,6 +540,13 @@ def test_gap_rule_matches_pairwise_scan(default_grid, default_partition, seed):
         ]
         assert dropped_between(s, span).tolist() == want
         assert span > 1 or max(want) >= 2  # the adjacent light drops
+    # and the calendar-day formula over datetime64 it replaced
+    days = np.array(s.dates, dtype="datetime64[D]")
+    gone = np.unique(np.array(s.dropped_dates, dtype="datetime64[D]"))
+    for span in (1, 2, 5):
+        formula = np.searchsorted(gone, days[span:]) - np.searchsorted(
+            gone, days[:-span], side="right")
+        assert dropped_between(s, span).tolist() == formula.tolist()
 
     cases = [(IntervalClass.overnight(nights=n), 1, 1, n) for n in (None, 1, 3, 4)]
     cases += [(IntervalClass.multiday(n), n, n, None) for n in (1, 2, 3)]
@@ -570,6 +577,43 @@ def test_gap_rule_matches_pairwise_scan(default_grid, default_partition, seed):
     np.testing.assert_allclose(
         night[starts], np.abs(kept) * math.sqrt(0.0625 / 0.40625), rtol=1e-12
     )
+
+
+def loop_anchors(cal, partition, grid, s):
+    """Time-map anchors one day and one boundary at a time, from datetimes."""
+    epoch = datetime(1970, 1, 1)
+    skipped = dropped_between(s)
+    all_dates = s.dates + (next_weekday(s.dates[-1]),)
+    day_index = np.arange(s.n_days) + np.concatenate([[0], np.cumsum(skipped)])
+    bounds_tau = np.concatenate([[0.0], np.cumsum(cal.intraday_durations)])
+    seconds, taus = [], []
+    for l in range(s.n_days):
+        start = (datetime.combine(all_dates[l], grid.open_time) - epoch).total_seconds()
+        for m, b in enumerate(partition.boundaries):
+            seconds.append(start + b * grid.bar_minutes * 60.0)
+            taus.append(day_index[l] * cal.day_total + bounds_tau[m])
+    seconds.append((datetime.combine(all_dates[-1], grid.open_time) - epoch).total_seconds())
+    taus.append((day_index[-1] + 1) * cal.day_total)
+    return np.asarray(seconds), np.asarray(taus)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_time_map_anchors_match_the_day_by_day_loop(default_grid, default_partition, seed):
+    s = gappy_series(default_grid, seed)
+    rng = np.random.default_rng(seed)
+    m_max = default_partition.m_max
+    cal = ClockCalibration(
+        intraday_durations=rng.uniform(0.01, 0.08, size=m_max),
+        overnight_duration=float(rng.uniform(0.1, 0.5)),
+        intraday_d=np.zeros(m_max),
+        overnight_d=0.0,
+        reference_label="1-day",
+        search=SearchConfig(),
+    )
+    tmap = assemble_time_map(cal, default_partition, default_grid, dates=s)
+    seconds, taus = loop_anchors(cal, default_partition, default_grid, s)
+    assert tmap.anchor_seconds.tobytes() == seconds.tobytes()
+    assert tmap.anchor_tau.tobytes() == taus.tobytes()
 
 
 def test_class_validation(default_partition):
@@ -667,6 +711,13 @@ def test_cache_roundtrip_exact(tmp_path, default_grid):
     # doubles survive bit for bit
     both = ~np.isnan(s.log_prices)
     assert (back.log_prices[both] == s.log_prices[both]).all()
+    # the loaded series keeps the decoded payload itself, read-only
+    assert not back.log_prices.flags.owndata
+    assert not back.log_prices.flags.writeable
+    # while the public constructor still copies what it is given
+    again = PriceSeries(grid=back.grid, dates=back.dates, log_prices=back.log_prices)
+    assert again.log_prices.flags.owndata
+    assert not np.shares_memory(again.log_prices, back.log_prices)
 
 
 def _holed_series(tmp_path, n_days: int) -> PriceSeries:
