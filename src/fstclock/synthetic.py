@@ -200,7 +200,7 @@ def generate_seasonal(
         rows[l, 1:] = open_ + np.cumsum(increments)
         prev_close = rows[l, -1]
 
-    series = PriceSeries(grid=grid, dates=synthetic_dates(cfg.n_days), log_prices=rows)
+    series = PriceSeries._adopt(grid, synthetic_dates(cfg.n_days), rows)
     return series, GroundTruthClock.from_profile(profile)
 
 
@@ -269,7 +269,7 @@ def generate_multifractal(
         rows[l, 1:] = open_ + np.cumsum(increments)
         prev_close = rows[l, -1]
 
-    return PriceSeries(grid=grid, dates=synthetic_dates(cfg.n_days), log_prices=rows)
+    return PriceSeries._adopt(grid, synthetic_dates(cfg.n_days), rows)
 
 
 def cascade_hurst(q: float, lambda2: float) -> float:
