@@ -25,7 +25,6 @@ from fstclock import (
     filter_complete_days,
     rescaled_ks,
 )
-
 from fstclock.clock import _optimal_cell
 
 from conftest import brownian_series, make_sample
@@ -238,8 +237,10 @@ def test_kernel_matches_mask_reference_bits(family):
         got = _optimal_cell(xs, ys, q_min, q_max)
         want = _mask_optimal_cell(xs, ys, q_min, q_max)
         assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
-        edges |= {"lo"} if got[0] == q_min else set()
-        edges |= {"hi"} if got[1] == q_max else set()
+        if got[0] == q_min:
+            edges.add("lo")
+        if got[1] == q_max:
+            edges.add("hi")
     assert family != "clipped" or edges == {"lo", "hi"}
 
 
