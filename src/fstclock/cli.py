@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import re
 import sys
 import warnings
@@ -718,6 +719,8 @@ def main(argv: list[str] | None = None) -> int:
     manifest = {
         "tool": "fstclock",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "command": command,
         "config": cfg,
         "inputs": inputs,

@@ -10,7 +10,6 @@ day and stacking whole days.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta
@@ -305,9 +304,11 @@ def calibrate_clock(
 ) -> ClockCalibration:
     """Calibrate every partition interval and the closure against a reference.
 
-    Per-interval calibrations are independent, so they run in a thread pool
-    when ``threads`` exceeds one; results are gathered by interval index, so
-    the outcome does not depend on worker count or scheduling.
+    The classes are fitted one after another on the calling thread, night
+    last.  ``threads`` is accepted and ignored: each exact fit takes a few
+    milliseconds, less than a thread pool costs to spread them, and the
+    keyword stays only because the benchmark in ``perfbench/`` still passes
+    it.
     """
     cfg = cfg or SearchConfig()
     partition.check_grid(series.grid)
@@ -320,11 +321,7 @@ def calibrate_clock(
     classes.append(IntervalClass.overnight())
     samples = [class_sample(series, c) for c in classes]
 
-    if threads is None or threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: calibrate_interval(s, x_ref, cfg), samples))
-    else:
-        results = [calibrate_interval(s, x_ref, cfg) for s in samples]
+    results = [calibrate_interval(s, x_ref, cfg) for s in samples]
 
     warnings = tuple(c.label for c, r in zip(classes, results) if r.boundary_warning)
     return ClockCalibration(

@@ -5,6 +5,7 @@ build one small synthetic universe per session and the later stages feed on
 the earlier stages' files, the same way a user would chain them.
 """
 import json
+import platform
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -73,6 +74,8 @@ def test_manifest_records_input_hashes(pipeline):
     manifest = json.loads((pipeline / "cal" / "manifest.json").read_text())
     assert manifest["tool"] == "fstclock"
     assert manifest["command"] == "calibrate"
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
     (path, digest), = manifest["inputs"].items()
     assert path.endswith("cache.json")
     assert digest.startswith("sha256:") and len(digest) == 7 + 64
@@ -141,6 +144,17 @@ def test_analyze_rerun_from_manifest_is_byte_identical(pipeline, tmp_path):
     for name in ("moments.csv", "hurst.csv", "collapse.csv", "profile.csv",
                  "autocorr.csv", "contiguous.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_manifest_without_environment_fields_replays(pipeline, tmp_path):
+    # manifests written before the python and numpy fields still replay
+    manifest = json.loads((pipeline / "cal" / "manifest.json").read_text())
+    del manifest["python"], manifest["numpy"]
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["calibrate", "--config", str(old), "--out", str(tmp_path / "cal")]) == 0
+    for name in ("calibration.json", "timemap.csv"):
+        assert (tmp_path / "cal" / name).read_bytes() == (pipeline / "cal" / name).read_bytes()
 
 
 def test_analyze_fst_without_calibration_fails(pipeline, tmp_path, capsys):

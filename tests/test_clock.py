@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from datetime import date, datetime, time
 
 import numpy as np
@@ -25,7 +26,8 @@ from fstclock import (
     filter_complete_days,
     rescaled_ks,
 )
-from fstclock.clock import _optimal_cell
+import fstclock.clock
+from fstclock.clock import _first_divisor, _optimal_cell
 
 from conftest import brownian_series, make_sample
 
@@ -253,6 +255,44 @@ def test_kernel_matches_mask_reference_on_a_pooled_cascade_class():
     assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
 
 
+def _scalar_first_divisor(a, b, largest):
+    """Each pair's first q with fl(a/q) <= b by one-ulp steps, then the extreme."""
+    firsts = []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        q = ai / bi
+        while ai / q > bi:
+            q = math.nextafter(q, math.inf)
+        while ai / math.nextafter(q, 0.0) <= bi:
+            q = math.nextafter(q, 0.0)
+        firsts.append(q)
+    return max(firsts) if largest else min(firsts)
+
+
+# pairs whose extreme a/b is not the pair with the extreme first divisor, so
+# only the near-set tolerance keeps the right pair in the refinement
+@pytest.mark.parametrize("a, b, largest, want", [
+    ([7.575669254945257, 10.99577124394846], [4.90275903932744, 7.116152388180599],
+     True, 1.545184903883118),
+    ([2.7542280697384336, 30.354650615512107], [0.8365003110284567, 9.219161971378584],
+     False, 3.2925607240386765),
+])
+def test_first_divisor_refines_every_near_tied_pair(a, b, largest, want):
+    a, b = np.array(a), np.array(b)
+    assert _scalar_first_divisor(a, b, largest) == want
+    assert _first_divisor(a, b, largest) == want
+
+
+def test_first_divisor_matches_scalar_refinement_on_near_ties():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        # a = q0 * b rounds differently per pair: every a/b is within an ulp
+        # or two of q0
+        b = rng.uniform(0.1, 10.0, size=32)
+        a = rng.uniform(0.5, 4.0) * b
+        for largest in (True, False):
+            assert _first_divisor(a, b, largest) == _scalar_first_divisor(a, b, largest)
+
+
 # --- whole-day calibration --------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -283,11 +323,30 @@ def test_clock_shape_and_scale(noisy_calibration):
     assert cal.overnight_duration > 2.0 * cal.intraday_durations.mean()
 
 
-def test_clock_threads_are_deterministic(noisy_series, noisy_partition, noisy_calibration):
-    threaded = calibrate_clock(noisy_series, noisy_partition, threads=4)
-    assert (threaded.intraday_durations == noisy_calibration.intraday_durations).all()
-    assert threaded.overnight_duration == noisy_calibration.overnight_duration
-    assert (threaded.intraday_d == noisy_calibration.intraday_d).all()
+@pytest.mark.parametrize("threads", [None, 1, 4])
+def test_clock_fits_on_the_calling_thread(
+    threads, noisy_series, noisy_partition, noisy_calibration, monkeypatch
+):
+    fit = fstclock.clock.calibrate_interval
+    seen = []
+
+    def recording(*args, **kwargs):
+        # a pool joins its threads on exit, so count them during each fit
+        seen.append((threading.get_ident(), threading.active_count()))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(fstclock.clock, "calibrate_interval", recording)
+    before = threading.active_count()
+    cal = calibrate_clock(noisy_series, noisy_partition, threads=threads)
+    assert threading.active_count() == before
+    assert seen == [(threading.get_ident(), before)] * (noisy_partition.m_max + 1)
+    assert cal.intraday_durations.tobytes() == noisy_calibration.intraday_durations.tobytes()
+    assert cal.overnight_duration.hex() == noisy_calibration.overnight_duration.hex()
+    assert cal.intraday_d.tobytes() == noisy_calibration.intraday_d.tobytes()
+    assert cal.overnight_d.hex() == noisy_calibration.overnight_d.hex()
+    assert [(lo.hex(), hi.hex()) for lo, hi in cal.cells] == [
+        (lo.hex(), hi.hex()) for lo, hi in noisy_calibration.cells
+    ]
 
 
 def test_calibration_json_roundtrip(noisy_calibration):
