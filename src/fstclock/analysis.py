@@ -230,6 +230,12 @@ class HurstSpectrum:
         return float(self.hurst[i] - self.hurst[j])
 
 
+def _distinct_count(x: np.ndarray) -> int:
+    """``np.unique(x).size`` for NaN-free ``x``, without importing ``numpy.ma``."""
+    s = np.sort(x)
+    return int(s.size and 1 + np.count_nonzero(s[1:] != s[:-1]))
+
+
 def hurst_slopes(table: MomentTable, fit_range: tuple[float, float]) -> HurstSpectrum:
     """Fit log E|r|^q against log duration inside ``fit_range``.
 
@@ -243,7 +249,7 @@ def hurst_slopes(table: MomentTable, fit_range: tuple[float, float]) -> HurstSpe
     if not (0 < lo < hi):
         raise ValueError(f"bad fit range {fit_range}")
     in_range = (table.durations >= lo) & (table.durations <= hi)
-    if np.unique(table.durations[in_range]).size < 3:
+    if _distinct_count(table.durations[in_range]) < 3:
         raise DataError("fit range keeps fewer than 3 distinct durations")
 
     n_q = table.orders.size
@@ -258,7 +264,7 @@ def hurst_slopes(table: MomentTable, fit_range: tuple[float, float]) -> HurstSpe
                 f"order q={table.orders[j]:g}: dropping non-positive moments from the fit",
                 stacklevel=2,
             )
-        if np.unique(table.durations[usable]).size < 3:
+        if _distinct_count(table.durations[usable]) < 3:
             warnings.warn(
                 f"order q={table.orders[j]:g}: fewer than 3 usable durations, reporting NaN",
                 stacklevel=2,
@@ -293,6 +299,20 @@ class CollapseRow:
     density: np.ndarray
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-d float array, bit for bit, without importing ``numpy.ma``."""
+    k = x.size // 2
+    # np.median takes np.mean of the middle values, whose sum starts from 0.0
+    # (so a middle -0.0 comes out as 0.0).
+    if x.size % 2:
+        part = np.partition(x, [k, -1])
+        mid = part[k] + 0.0
+    else:
+        part = np.partition(x, [k - 1, k, -1])
+        mid = (part[k - 1] + part[k] + 0.0) / 2
+    return np.nan if np.isnan(part[-1]) else mid
+
+
 def pdf_collapse_export(
     samples: Sequence[tuple[float, ReturnSample]],
     hurst: float = 0.5,
@@ -313,8 +333,8 @@ def pdf_collapse_export(
         raise ValueError("need at least 3 bins")
     rescaled = [(d, s.values / d**hurst, s.interval.label) for d, s in samples]
     pooled = np.concatenate([u for _, u, _ in rescaled])
-    med = np.median(pooled)
-    rsd = 1.4826 * float(np.median(np.abs(pooled - med)))
+    med = _median(pooled)
+    rsd = 1.4826 * float(_median(np.abs(pooled - med)))
     if rsd == 0.0:
         rsd = float(pooled.std()) or 1.0
     edges = np.linspace(-6.0 * rsd, 6.0 * rsd, n_bins + 1)

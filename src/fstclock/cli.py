@@ -16,7 +16,9 @@ import platform
 import re
 import sys
 import warnings
+from collections.abc import Callable, Sequence
 from datetime import time as dtime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .analysis import (
 from .clock import (
     ClockCalibration,
     SearchConfig,
-    TimeMap,
     additivity_report,
     assemble_time_map,
     calibrate_clock,
@@ -60,22 +61,12 @@ from .synthetic import (
 )
 
 STRICT_EXIT = 3
-# Days of time-map rows formatted per write to ``timemap.csv``.
-TIMEMAP_BLOCK_DAYS = 256
+# Rows formatted per write to a CSV file.
+CSV_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
 # Deterministic file plumbing
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
 
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -86,28 +77,60 @@ def _write_json(path: str, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+class Runs(NamedTuple):
+    """A CSV column of ``values``, each held for ``length`` consecutive rows.
+
+    ``length`` is one count for every value or one count per value, as for
+    ``np.repeat``.  Each value is formatted once, however long its run.
+    """
+
+    values: Sequence
+    length: int | Sequence[int]
 
 
-def _write_timemap(path: str, tmap: TimeMap) -> None:
-    """``l,m,t_iso,tau_fst`` per anchor, formatted ``TIMEMAP_BLOCK_DAYS`` days at a time."""
-    l, m, instants = tmap.anchor_columns()
-    tau = tmap.anchor_tau
-    block = TIMEMAP_BLOCK_DAYS * (tmap.partition.m_max + 1)
+def _str_cells(a: np.ndarray) -> list[str]:
+    return list(map(str, a.tolist()))
+
+
+# Cell formatters by dtype kind; integers and everything else go through str.
+_CELL_FORMATTERS = {
+    "b": lambda a: np.where(a, "true", "false").tolist(),
+    "f": lambda a: list(map(repr, a.tolist())),
+    "M": lambda a: np.datetime_as_string(a, unit="s").tolist(),
+}
+
+
+def _formatter(a: np.ndarray) -> Callable[[np.ndarray], list[str]]:
+    return _CELL_FORMATTERS.get(a.dtype.kind, _str_cells)
+
+
+def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """Write a header line, then one row per index of ``columns``.
+
+    Each column is a sequence with one value per row, or ``Runs``.  Its
+    formatter is picked once from its dtype: ``true``/``false`` for bools,
+    ``str`` for integers, ``repr`` for floats (so text round-trips exactly),
+    ISO seconds for ``datetime64``, ``str`` for anything else.  Nothing is
+    quoted.  Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time.
+    """
+    cols = []
+    for col in columns:
+        if isinstance(col, Runs):  # format the runs, then repeat the text
+            values = np.asarray(col.values)
+            text = np.array(_formatter(values)(values), dtype=object)
+            cols.append((np.repeat(text, col.length), np.ndarray.tolist))
+        else:
+            a = np.asarray(col)
+            cols.append((a, _formatter(a)))
+    sizes = {len(a) for a, _ in cols}
+    if len(sizes) > 1:
+        raise ValueError(f"{path}: columns of unequal length {sorted(sizes)}")
+    n_rows = sizes.pop() if sizes else 0
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("l,m,t_iso,tau_fst\n")
-        for lo in range(0, tau.size, block):
-            cols = (
-                l[lo : lo + block].tolist(),
-                m[lo : lo + block].tolist(),
-                np.datetime_as_string(instants[lo : lo + block], unit="s").tolist(),
-                tau[lo : lo + block].tolist(),
-            )
-            f.write("".join(f"{a},{b},{t},{x!r}\n" for a, b, t, x in zip(*cols)))
+        f.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [fmt(a[lo : lo + CSV_BLOCK_ROWS]) for a, fmt in cols]
+            f.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -260,6 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# JSON values each option type takes from a config file; bools are never numbers.
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_config_value(o: Opt, v) -> None:
+    if isinstance(v, bool) != (o.typ is bool) or not isinstance(v, _JSON_TYPES[o.typ]):
+        raise ClassSpecError(f"config key {o.name!r} takes a {o.typ.__name__}, not {v!r}")
+    if o.choices is not None and v not in o.choices:
+        raise ClassSpecError(f"config key {o.name!r} takes one of {o.choices}, not {v!r}")
+
+
 def resolve_config(args: argparse.Namespace, command: str) -> dict:
     """Defaults, then config file, then explicit flags; fully materialized."""
     file_cfg = {}
@@ -277,6 +311,9 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
         unknown = set(file_cfg) - {o.name for o in OPTIONS[command]}
         if unknown:
             raise ClassSpecError(f"config keys not understood: {sorted(unknown)}")
+        for o in OPTIONS[command]:
+            if o.name in file_cfg:
+                _check_config_value(o, file_cfg[o.name])
     out = {}
     for o in OPTIONS[command]:
         v = getattr(args, o.name)
@@ -497,7 +534,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
 
     tmap = assemble_time_map(cal, partition, grid, dates=series)
     map_path = os.path.join(out, "timemap.csv")
-    _write_timemap(map_path, tmap)
+    _write_csv(map_path, ["l", "m", "t_iso", "tau_fst"], [*tmap.anchor_columns(), tmap.anchor_tau])
 
     cut_path = os.path.join(out, "cutoff.json")
     gate_warns = _write_gate(cut_path, series, partition, cfg["cutoff_threshold"])
@@ -509,7 +546,8 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
         _write_csv(
             add_path,
             ["label", "measured", "parts_sum", "ratio"],
-            ((r.label, r.measured, r.parts_sum, r.ratio) for r in rows),
+            [[r.label for r in rows], [r.measured for r in rows],
+             [r.parts_sum for r in rows], [r.ratio for r in rows]],
         )
         files.append(add_path)
 
@@ -556,14 +594,17 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
 
         out = cfg["out"]
         moments_path = os.path.join(out, "moments.csv")
+        n_q = table.orders.size
         _write_csv(
             moments_path,
             ["label", "duration", "clock", "q", "moment"],
-            (
-                (rows[i].label, table.durations[i], cfg["clock"], q, table.moments[i, j])
-                for i in range(len(rows))
-                for j, q in enumerate(table.orders)
-            ),
+            [
+                Runs([r.label for r in rows], n_q),
+                Runs(table.durations, n_q),
+                Runs([cfg["clock"]], len(rows) * n_q),
+                np.tile(table.orders, len(rows)),
+                table.moments.ravel(),
+            ],
         )
 
         lo = cfg["fit_lo"] or float(table.durations.min())
@@ -574,25 +615,30 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         _write_csv(
             hurst_path,
             ["q", "clock", "hurst", "slope", "intercept", "rms_residual"],
-            (
-                (q, cfg["clock"], spectrum.hurst[j], spectrum.slopes[j],
-                 spectrum.intercepts[j], spectrum.rms_residuals[j])
-                for j, q in enumerate(spectrum.orders)
-            ),
+            [
+                spectrum.orders,
+                Runs([cfg["clock"]], spectrum.orders.size),
+                spectrum.hurst,
+                spectrum.slopes,
+                spectrum.intercepts,
+                spectrum.rms_residuals,
+            ],
         )
 
         collapse = pdf_collapse_export(
             samples, hurst=cfg["collapse_hurst"], n_bins=cfg["collapse_bins"]
         )
         collapse_path = os.path.join(out, "collapse.csv")
+        bins = [row.density.size for row in collapse]
         _write_csv(
             collapse_path,
             ["label", "duration", "x_rescaled", "density"],
-            (
-                (row.label, row.duration, x, d)
-                for row in collapse
-                for x, d in zip(row.bin_centers, row.density)
-            ),
+            [
+                Runs([row.label for row in collapse], bins),
+                Runs([row.duration for row in collapse], bins),
+                np.concatenate([row.bin_centers for row in collapse]),
+                np.concatenate([row.density for row in collapse]),
+            ],
         )
 
         profile = intraday_volatility_profile(
@@ -602,10 +648,12 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         _write_csv(
             profile_path,
             ["position", "clock", "sigma", "n_obs"],
-            (
-                (profile.positions[i], profile.clock_tag, profile.sigma[i], profile.n_obs[i])
-                for i in range(profile.positions.size)
-            ),
+            [
+                profile.positions,
+                Runs([profile.clock_tag], profile.positions.size),
+                profile.sigma,
+                profile.n_obs,
+            ],
         )
 
         curve = volatility_autocorrelation(
@@ -619,10 +667,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         _write_csv(
             autocorr_path,
             ["lag", "clock", "corr", "n_pairs"],
-            (
-                (curve.lags[i], curve.clock_tag, curve.values[i], curve.n_pairs[i])
-                for i in range(curve.lags.size)
-            ),
+            [curve.lags, Runs([curve.clock_tag], curve.lags.size), curve.values, curve.n_pairs],
         )
 
         gate_path = os.path.join(out, "contiguous.json")
@@ -651,16 +696,19 @@ def cmd_compare_clocks(cfg: dict) -> tuple[list[str], list[str]]:
     warns = [str(w.message) for w in rec]
 
     header = ["class", "fst_dtau", "fst_D"]
+    columns = [
+        [row.label for row in comp.rows],
+        [row.fst.delta_tau for row in comp.rows],
+        [row.fst.ks.d for row in comp.rows],
+    ]
     for i in range(len(orders)):
         header += [f"q{i + 1}_dtau", f"q{i + 1}_D"]
-    out_rows = []
-    for row in comp.rows:
-        cells = [row.label, row.fst.delta_tau, row.fst.ks.d]
-        for m in row.moments:
-            cells += [m.delta_tau, m.ks.d]
-        out_rows.append(cells)
+        columns += [
+            [row.moments[i].delta_tau for row in comp.rows],
+            [row.moments[i].ks.d for row in comp.rows],
+        ]
     path = os.path.join(cfg["out"], "comparison.csv")
-    _write_csv(path, header, out_rows)
+    _write_csv(path, header, columns)
     if not comp.dominance_ok:
         warns.append("dominance violated: a moment clock beat the fitted duration")
     return [path], warns
@@ -682,11 +730,7 @@ def cmd_pairwise_d(cfg: dict) -> tuple[list[str], list[str]]:
             matrix[i, j] = matrix[j, i] = d
     path = os.path.join(cfg["out"], "pairwise.csv")
     labels = [label for label, _ in labeled]
-    _write_csv(
-        path,
-        ["class"] + labels,
-        ([labels[i]] + [matrix[i, j] for j in range(n)] for i in range(n)),
-    )
+    _write_csv(path, ["class"] + labels, [labels, *matrix.T])
     return [path], []
 
 

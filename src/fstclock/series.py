@@ -665,10 +665,12 @@ def dropped_between(series: PriceSeries, span: int = 1) -> np.ndarray:
     a window with a nonzero count would silently absorb part of a trading
     day.  Calendar gaps that were never in the feed (weekends, holidays)
     count zero.  Repeated filter passes append dropped dates out of order,
-    so they are sorted here.
+    so they are sorted and de-duplicated here (by sort, not ``np.unique``,
+    whose first call imports ``numpy.ma``).
     """
     days = day_numbers(series.dates)
-    dropped = np.unique(day_numbers(series.dropped_dates))
+    dropped = np.sort(day_numbers(series.dropped_dates))
+    dropped = dropped[np.diff(dropped, prepend=0) != 0]  # ordinals start at 1
     return np.searchsorted(dropped, days[span:], side="left") - np.searchsorted(
         dropped, days[:-span], side="right"
     )

@@ -5,7 +5,10 @@ build one small synthetic universe per session and the later stages feed on
 the earlier stages' files, the same way a user would chain them.
 """
 import json
+import os
 import platform
+import subprocess
+import sys
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -125,10 +128,147 @@ def test_timemap_file_matches_row_by_row_formatting(tmp_path, monkeypatch):
     for k, (s, tau) in enumerate(zip(tmap.anchor_seconds, tmap.anchor_tau)):
         t = datetime(1970, 1, 1) + timedelta(seconds=float(s))
         expected.append(f"{k // 4},{k % 4},{t.isoformat()},{float(tau)!r}")
-    monkeypatch.setattr(cli, "TIMEMAP_BLOCK_DAYS", 2)  # blocks end mid-file
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)  # blocks end mid-file and mid-day
     path = tmp_path / "timemap.csv"
-    cli._write_timemap(str(path), tmap)
+    cli._write_csv(str(path), ["l", "m", "t_iso", "tau_fst"], [*tmap.anchor_columns(), tmap.anchor_tau])
     assert path.read_text() == "\n".join(expected) + "\n"
+
+
+# --- the CSV writer against the row-by-row writer it replaced -----------------
+
+def _fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_csv_rows(path, header, rows) -> None:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _per_row(column) -> list:
+    """A column as one value per row, each of the type it has inside the column."""
+    if isinstance(column, cli.Runs):
+        return [v for v, k in zip(column.values, np.broadcast_to(column.length, len(column.values)))
+                for _ in range(k)]
+    return list(column)
+
+
+def _typed_columns(seed: int, n_runs: int) -> dict:
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 6, n_runs)
+    n = int(lengths.sum())
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5e-300]
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    k = min(n, len(special))
+    floats[rng.choice(n, size=k, replace=False)] = special[:k]
+    int64 = rng.integers(-2**62, 2**62, n)
+    int64[: min(n, 1)] = 2**63 - 1
+    labels = [f"class[{j}..{j + 1}]" for j in range(n_runs)]
+    return {
+        "py_bool": [bool(b) for b in rng.integers(0, 2, n)],
+        "np_bool": rng.integers(0, 2, n).astype(bool),
+        "int32": rng.integers(-2**31, 2**31, n, dtype=np.int32),
+        "int64": int64,
+        "uint8": rng.integers(0, 256, n, dtype=np.uint8),
+        "py_int": [int(v) for v in int64],
+        "float32": rng.standard_normal(n).astype(np.float32),
+        "float64": floats,
+        "py_float": [float(v) for v in floats[::-1]],
+        "np_float_list": list(floats),
+        "datetime": (1_600_000_000 + np.sort(rng.integers(0, 10**8, n))).astype("datetime64[s]"),
+        "label": [labels[j] for j in rng.integers(0, n_runs, n)],
+        "const": cli.Runs(["fst"], n),
+        "label_runs": cli.Runs(labels, lengths),
+        "float_runs": cli.Runs(rng.choice(special, n_runs), lengths),
+        "int_runs": cli.Runs(rng.integers(-9, 9, n_runs), lengths),
+    }
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, cli.CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("seed,n_runs", [(0, 0), (1, 1), (2, 9), (3, 101), (4, 2000)])
+def test_csv_writer_matches_row_by_row_writer(tmp_path, monkeypatch, block_rows, seed, n_runs):
+    columns = _typed_columns(seed, n_runs)
+    header = list(columns)
+    want, got = tmp_path / "rows.csv", tmp_path / "columns.csv"
+    _write_csv_rows(str(want), header, zip(*map(_per_row, columns.values())))
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    cli._write_csv(str(got), header, list(columns.values()))
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) == 1 + len(columns["float64"])
+
+
+def test_csv_writer_refuses_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="unequal length"):
+        cli._write_csv(str(tmp_path / "x.csv"), ["a", "b"], [[1, 2], cli.Runs([0.5], 3)])
+
+
+def test_every_csv_goes_through_the_writer(tmp_path, monkeypatch):
+    written = []
+    real = cli._write_csv
+
+    def spy(path, header, columns):
+        written.append(os.path.abspath(path))
+        real(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    synth, cache, cal = tmp_path / "synth", tmp_path / "cache", tmp_path / "cal"
+    cache_json = str(cache / "cache.json")
+    runs = [
+        ["synth", "--out", str(synth), "--days", "120", "--seed", "5", "--profile", "u-steps",
+         "--steps", "19", "--points", "20"],
+        ["ingest", "--input", str(synth / "prices.csv"), "--out", str(cache), "--points", "20"],
+        ["calibrate", "--input", cache_json, "--out", str(cal)],
+        ["analyze", "--input", cache_json, "--out", str(tmp_path / "physical")],
+        ["analyze", "--input", cache_json, "--out", str(tmp_path / "fst"), "--clock", "fst",
+         "--calibration", str(cal / "calibration.json"), "--estimator", "ciclostationary"],
+        ["compare-clocks", "--input", cache_json, "--out", str(tmp_path / "cmp"),
+         "--classes", "first-interval,overnight"],
+        ["pairwise-d", "--input", cache_json, "--out", str(tmp_path / "pw")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    csvs = {os.path.abspath(p) for p in tmp_path.rglob("*.csv")}
+    assert {os.path.basename(p) for p in csvs} == {
+        "prices.csv", "timemap.csv", "additivity.csv", "moments.csv", "hurst.csv",
+        "collapse.csv", "profile.csv", "autocorr.csv", "comparison.csv", "pairwise.csv",
+    }
+    assert sorted(csvs - set(written)) == [str(synth / "prices.csv")]
+    assert len(written) == len(set(written)) == len(csvs) - 1
+
+
+def test_commands_never_import_numpy_ma(pipeline, tmp_path):
+    # np.unique and np.median import numpy.ma on their first call (16-18 ms)
+    cache = str(pipeline / "cache" / "cache.json")
+    script = (
+        "import sys\n"
+        "from fstclock.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (
+        ["calibrate", "--input", cache, "--out", str(tmp_path / "cal")],
+        ["analyze", "--input", cache, "--out", str(tmp_path / "physical")],
+        ["analyze", "--input", cache, "--out", str(tmp_path / "fst"), "--clock", "fst",
+         "--calibration", str(pipeline / "cal" / "calibration.json")],
+        ["compare-clocks", "--input", cache, "--out", str(tmp_path / "cmp")],
+    ):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", argv
 
 
 def test_analyze_rerun_from_manifest_is_byte_identical(pipeline, tmp_path):
@@ -218,6 +358,39 @@ def test_config_file_merges_under_flags(tmp_path):
     assert resolved["days"] == 15       # from the file
     assert resolved["seed"] == 11       # flag wins
     assert resolved["profile"] == "u-shape"  # default fills the rest
+
+
+@pytest.mark.parametrize("command,config", [
+    ("calibrate", {"skip_additivity": "false"}),
+    ("calibrate", {"skip_additivity": 0}),
+    ("calibrate", {"bar_minutes": 20.9}),
+    ("calibrate", {"bar_minutes": 20.0}),
+    ("calibrate", {"bar_minutes": True}),
+    ("calibrate", {"bar_minutes": "20"}),
+    ("calibrate", {"tau_min": False}),
+    ("calibrate", {"tau_min": "1e-4"}),
+    ("calibrate", {"reference": 1}),
+    ("calibrate", {"input": None}),
+    ("analyze", {"clock": "fts"}),
+])
+def test_config_refuses_values_of_the_wrong_type(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--input", "prices.csv",
+                 "--out", str(tmp_path / "out")]) == 2
+    (key,) = config
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_float_option_takes_an_integer(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_min": 1, "tau_max": 100, "skip_additivity": False}))
+    args = build_parser().parse_args(["calibrate", "--config", str(cfg), "--input", "x"])
+    resolved = resolve_config(args, "calibrate")
+    assert resolved["tau_min"] == 1.0 and type(resolved["tau_min"]) is float
+    assert resolved["tau_max"] == 100.0 and type(resolved["tau_max"]) is float
+    assert resolved["skip_additivity"] is False
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
