@@ -292,6 +292,11 @@ def _check_config_value(o: Opt, v) -> None:
         raise ClassSpecError(f"config key {o.name!r} takes a {o.typ.__name__}, not {v!r}")
     if o.choices is not None and v not in o.choices:
         raise ClassSpecError(f"config key {o.name!r} takes one of {o.choices}, not {v!r}")
+    if o.typ is float:
+        try:
+            float(v)
+        except OverflowError:  # a JSON integer beyond the doubles
+            raise ClassSpecError(f"config key {o.name!r} is too large for a float") from None
 
 
 def resolve_config(args: argparse.Namespace, command: str) -> dict:

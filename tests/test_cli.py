@@ -372,6 +372,7 @@ def test_config_file_merges_under_flags(tmp_path):
     ("calibrate", {"reference": 1}),
     ("calibrate", {"input": None}),
     ("analyze", {"clock": "fts"}),
+    ("calibrate", {"tau_min": 10**370}),  # no double holds it
 ])
 def test_config_refuses_values_of_the_wrong_type(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
@@ -431,6 +432,7 @@ def test_interval_minutes_must_be_whole_bars(pipeline, tmp_path, capsys, minutes
     ("calibrate", ["--tau-min", "0.5", "--tau-max", "0.1"], "need 0 < delta_tau_min < delta_tau_max"),
     ("calibrate", ["--bar-minutes", "0"], "bar_minutes must be positive"),
     ("analyze", ["--orders=-1"], "moment orders must be positive"),
+    ("calibrate", ["--tau-max", "inf"], "need finite delta_tau_min and delta_tau_max"),
 ])
 def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, command, flags, message):
     code = main([command, "--input", str(pipeline / "synth" / "prices.csv"), "--points", "20",
@@ -438,6 +440,7 @@ def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, comman
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "resolved_config.json").exists()
 
 
 def test_manifest_for_other_command_is_refused(pipeline, tmp_path, capsys):

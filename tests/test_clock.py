@@ -27,7 +27,7 @@ from fstclock import (
     rescaled_ks,
 )
 import fstclock.clock
-from fstclock.clock import _first_divisor, _optimal_cell
+from fstclock.clock import _first_divisor, _ks_counter, _optimal_cell
 
 from conftest import brownian_series, make_sample
 
@@ -93,6 +93,16 @@ def test_search_config_validation():
         SearchConfig(delta_tau_min=0.0)
     with pytest.raises(ValueError):
         SearchConfig(delta_tau_min=10.0, delta_tau_max=1.0)
+    for lo, hi in [(1e-4, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1e-4, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(delta_tau_min=lo, delta_tau_max=hi)
+
+
+def test_calibration_refuses_an_unbounded_window():
+    # an infinite upper edge once gave delta_tau = inf and the cell (1e-4, inf)
+    y, x = make_sample([0.0, 0.0, 1e-300]), make_sample(gauss(50))
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_interval(y, x, SearchConfig(delta_tau_min=1e-4, delta_tau_max=math.inf))
 
 
 def _oracle_case(family, rng):
@@ -155,10 +165,11 @@ def test_calibration_matches_brute_force_oracle(family):
         assert cfg.delta_tau_min <= r.delta_tau <= cfg.delta_tau_max
 
 
-# Reference for the KS kernel: the mask-based half-line check it replaced,
-# which builds every pair of both families and selects them with boolean
-# masks.  The sorted-slice kernel must reproduce its cells and check counts
-# bit for bit.
+# Reference for the KS kernel and its search: the mask-based half-line check
+# that builds every pair of both families and selects them with boolean
+# masks, in a bisection over [0, n_x n_y].  The sorted-slice kernel and the
+# count-guided search must reproduce its cells bit for bit, in far fewer
+# checks.
 def _mask_first_divisor(a, b, largest):
     q = a / b
     edge = q.max() if largest else q.min()
@@ -229,30 +240,101 @@ def _kernel_case(family, rng):
     return x, np.round(rng.standard_normal(ny) * scale, 2), (0.5, 2.0)
 
 
+def _assert_same_cell(xs, ys, q_min, q_max):
+    """The search's cell equals the reference's bit for bit; the check counts of both."""
+    got = _optimal_cell(xs, ys, q_min, q_max)
+    want = _mask_optimal_cell(xs, ys, q_min, q_max)
+    assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
+    # the guided phase stops at bit_length checks, then bisection and one
+    # last check of the count found
+    assert got[2] <= 2 * (xs.size * ys.size).bit_length() + 1
+    return got, want[2]
+
+
 @pytest.mark.parametrize("family", ["ticks", "one-signed", "single", "clipped"])
 def test_kernel_matches_mask_reference_bits(family):
     rng = np.random.default_rng(["ticks", "one-signed", "single", "clipped"].index(family))
-    edges = set()
+    edges, checks, reference_checks = set(), 0, 0
     for _ in range(60):
         x, y, (q_min, q_max) = _kernel_case(family, rng)
-        xs, ys = np.sort(x), np.sort(y)
-        got = _optimal_cell(xs, ys, q_min, q_max)
-        want = _mask_optimal_cell(xs, ys, q_min, q_max)
-        assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
+        got, want_checks = _assert_same_cell(np.sort(x), np.sort(y), q_min, q_max)
+        checks += got[2]
+        reference_checks += want_checks
         if got[0] == q_min:
             edges.add("lo")
         if got[1] == q_max:
             edges.add("hi")
     assert family != "clipped" or edges == {"lo", "hi"}
+    assert 2 * checks <= reference_checks
 
 
 def test_kernel_matches_mask_reference_on_a_pooled_cascade_class():
     rng = np.random.default_rng(96)
     xs = np.sort(rng.standard_normal(3000) * np.exp(0.3 * rng.standard_normal(3000)))
     ys = np.sort(np.round(0.4 * rng.standard_t(4, size=96_000), 3))
-    got = _optimal_cell(xs, ys, 0.01, 10.0)
-    want = _mask_optimal_cell(xs, ys, 0.01, 10.0)
-    assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
+    got, want_checks = _assert_same_cell(xs, ys, 0.01, 10.0)
+    assert 2 * got[2] <= want_checks
+
+
+def _edge_case(name):
+    """Sorted (xs, ys) and a divisor window for one named edge of the search."""
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.standard_normal(300))
+    if name == "identical":  # the optimal count is 0
+        return x, x.copy(), (0.01, 10.0)
+    if name == "doubled":
+        return x, 2.0 * x, (0.01, 10.0)
+    if name == "zero-iqr":  # most ticks are zero, so both quartiles are
+        x = rng.integers(-2, 3, size=301) * (rng.random(301) < 0.2) * 0.01
+        y = rng.integers(-3, 4, size=257) * (rng.random(257) < 0.3) * 0.01
+        return np.sort(x), np.sort(y), (0.01, 10.0)
+    if name == "clipped-lo":
+        return x, np.sort(0.01 * rng.standard_normal(200)), (0.5, 2.0)
+    return x, np.sort(100.0 * rng.standard_normal(200)), (0.5, 2.0)
+
+
+@pytest.mark.parametrize("name", ["identical", "doubled", "zero-iqr", "clipped-lo", "clipped-hi"])
+def test_search_matches_mask_reference_at_its_edges(name):
+    xs, ys, (q_min, q_max) = _edge_case(name)
+    got, _ = _assert_same_cell(xs, ys, q_min, q_max)
+    if name in ("identical", "doubled"):
+        # the interquartile ratio is the exact scale, whose count 0 one check
+        # certifies
+        scale = 1.0 if name == "identical" else 2.0
+        assert got == (scale, scale, 1)
+    if name == "zero-iqr":
+        assert xs[3 * xs.size // 4] == xs[xs.size // 4] == 0.0
+    if name.startswith("clipped"):
+        assert (got[0] == q_min) == (name == "clipped-lo")
+        assert (got[1] == q_max) == (name == "clipped-hi")
+
+
+def _brute_force_count(xs, ys, q):
+    """max over the merged points z of |n_y C_x(z) - n_x C_{y/q}(z)|, by comparison matrices."""
+    zs = ys / q
+    merged = np.concatenate([xs, zs])
+    c_x = (xs[None, :] <= merged[:, None]).sum(axis=1)
+    c_z = (zs[None, :] <= merged[:, None]).sum(axis=1)
+    return int(np.abs(ys.size * c_x - xs.size * c_z).max())
+
+
+@pytest.mark.parametrize("family", ["ticks", "one-signed", "single", "clipped"])
+def test_ks_count_is_exact(family):
+    rng = np.random.default_rng(10 + ["ticks", "one-signed", "single", "clipped"].index(family))
+    for _ in range(40):
+        x, y, (q_min, q_max) = _kernel_case(family, rng)
+        xs, ys = np.sort(x), np.sort(y)
+        count = _ks_counter(xs, ys)
+        # a random divisor, and divisors y_(j) / x_(i) at which a y / q meets an x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ties = np.divide.outer(ys, xs).ravel()
+        ties = ties[np.isfinite(ties) & (ties > 0)]
+        qs = [math.exp(rng.uniform(math.log(q_min), math.log(q_max)))]
+        qs += list(rng.choice(ties, size=min(3, ties.size), replace=False))
+        for q in map(float, qs):
+            want = _brute_force_count(xs, ys, q)
+            assert count(q) == want
+            assert round(rescaled_ks(xs, ys, q * q).raw_sup * xs.size * ys.size) == want
 
 
 def _scalar_first_divisor(a, b, largest):
