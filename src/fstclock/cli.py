@@ -40,7 +40,7 @@ from .clock import (
     assemble_time_map,
     calibrate_clock,
 )
-from .errors import ClassSpecError, FstError
+from .errors import ClassSpecError, DataError, FstError
 from .ks import ks_distance
 from .momentclock import compare_clocks
 from .series import (
@@ -165,6 +165,13 @@ SEARCH_OPTS = [
 COMMON_OPTS = [
     Opt("out", str, ".", "output directory"),
 ]
+# the price series and the partition every command after ingest reads
+SERIES_OPTS = [
+    Opt("input", str, None, "prices CSV or cache JSON"),
+    Opt("interval_minutes", float, 20.0, "partition interval length"),
+    Opt("min_interval_minutes", float, 20.0, "partition cutoff scale"),
+    Opt("max_missing", int, 0, "missing bars tolerated before a day is dropped"),
+]
 
 OPTIONS: dict[str, list[Opt]] = {
     "synth": COMMON_OPTS
@@ -193,22 +200,16 @@ OPTIONS: dict[str, list[Opt]] = {
     "calibrate": COMMON_OPTS
     + GRID_OPTS
     + SEARCH_OPTS
+    + SERIES_OPTS
     + [
-        Opt("input", str, None, "prices CSV or cache JSON"),
-        Opt("interval_minutes", float, 20.0, "partition interval length"),
-        Opt("min_interval_minutes", float, 20.0, "partition cutoff scale"),
-        Opt("max_missing", int, 0, "missing bars tolerated before a day is dropped"),
         Opt("reference", str, "1-day", "reference class spec"),
         Opt("cutoff_threshold", float, 0.05, "contiguous-correlation gate"),
         Opt("skip_additivity", bool, False, "skip the additivity report"),
     ],
     "analyze": COMMON_OPTS
     + GRID_OPTS
+    + SERIES_OPTS
     + [
-        Opt("input", str, None, "prices CSV or cache JSON"),
-        Opt("interval_minutes", float, 20.0, "partition interval length"),
-        Opt("min_interval_minutes", float, 20.0, "partition cutoff scale"),
-        Opt("max_missing", int, 0, "missing bars tolerated before a day is dropped"),
         Opt("clock", str, "physical", "duration axis", choices=["physical", "fst"]),
         Opt("calibration", str, "", "calibration.json (required for the fst clock)"),
         Opt("orders", str, "0.5,1,2,3,4", "moment orders, comma separated"),
@@ -229,22 +230,16 @@ OPTIONS: dict[str, list[Opt]] = {
     "compare-clocks": COMMON_OPTS
     + GRID_OPTS
     + SEARCH_OPTS
+    + SERIES_OPTS
     + [
-        Opt("input", str, None, "prices CSV or cache JSON"),
-        Opt("interval_minutes", float, 20.0, "partition interval length"),
-        Opt("min_interval_minutes", float, 20.0, "partition cutoff scale"),
-        Opt("max_missing", int, 0, "missing bars tolerated before a day is dropped"),
         Opt("classes", str, "intervals,overnight", "class specs, comma separated"),
         Opt("orders", str, "1,2,3", "moment-clock orders"),
         Opt("reference", str, "1-day", "reference class spec"),
     ],
     "pairwise-d": COMMON_OPTS
     + GRID_OPTS
+    + SERIES_OPTS
     + [
-        Opt("input", str, None, "prices CSV or cache JSON"),
-        Opt("interval_minutes", float, 20.0, "partition interval length"),
-        Opt("min_interval_minutes", float, 20.0, "partition cutoff scale"),
-        Opt("max_missing", int, 0, "missing bars tolerated before a day is dropped"),
         Opt("classes", str, "first-interval,overnight,1-day", "class specs, >= 2 of them"),
     ],
 }
@@ -304,15 +299,15 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
     file_cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-        if "config" in payload and "command" in payload:  # a manifest
+            payload = file_cfg = json.load(f)
+        if isinstance(payload, dict) and "config" in payload and "command" in payload:  # a manifest
             if payload["command"] != command:
                 raise ClassSpecError(
                     f"manifest was written by {payload['command']!r}, not {command!r}"
                 )
             file_cfg = payload["config"]
-        else:
-            file_cfg = payload
+        if not isinstance(file_cfg, dict):
+            raise ClassSpecError(f"{args.config}: the config is not a JSON object")
         unknown = set(file_cfg) - {o.name for o in OPTIONS[command]}
         if unknown:
             raise ClassSpecError(f"config keys not understood: {sorted(unknown)}")
@@ -369,7 +364,10 @@ def _num_list(text: str, typ=float) -> list:
         return []
     m = re.fullmatch(r"(\d+):(\d+)", text)
     if m:
-        return [typ(v) for v in range(int(m.group(1)), int(m.group(2)) + 1)]
+        a, b = int(m.group(1)), int(m.group(2))
+        if b < a:
+            raise ClassSpecError(f"range {text!r} runs backwards")
+        return [typ(v) for v in range(a, b + 1)]
     return [typ(v) for v in text.split(",")]
 
 
@@ -455,7 +453,11 @@ def _write_gate(path: str, series, partition: PartitionSpec, threshold: float) -
 
 def _load_calibration(path: str) -> ClockCalibration:
     with open(path, "r", encoding="utf-8") as f:
-        return ClockCalibration.from_json_dict(json.load(f))
+        payload = json.load(f)
+    try:
+        return ClockCalibration.from_json_dict(payload)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +583,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
     if not cfg["profile_bins"]:
         cfg["profile_bins"] = partition.m_max
 
+    lags = [int(h) for h in _num_list(cfg["lags"], int)]
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
 
@@ -664,7 +667,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         curve = volatility_autocorrelation(
             series,
             cfg["delta"],
-            [int(h) for h in _num_list(cfg["lags"], int)],
+            lags,
             time_map=tmap,
             estimator=cfg["estimator"],
         )

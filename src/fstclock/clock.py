@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, timedelta
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ClassSpecError, DataError, MapRangeError
-from .ks import KsResult, ks_distance
+from .ks import KsResult, ks_count
 from .series import (
     DayGrid,
     IntervalClass,
@@ -72,6 +72,8 @@ class CalibrationResult:
     argmin, not a confidence set.  The sampling error of the duration is far
     wider: on 2,500-day synthetic classes its rms log error was 26 times the
     median cell log-width.  ``delta_tau`` is the cell's geometric midpoint.
+    ``ks`` is the optimal KS count as a ``KsResult``, equal to
+    ``rescaled_ks(x_ref, y, delta_tau)`` field for field.
     ``n_evaluations`` counts the feasibility checks the search made.
     """
 
@@ -151,27 +153,10 @@ def _divisor_bounds(
     return lo, hi
 
 
-def _ks_counter(xs: np.ndarray, ys: np.ndarray) -> Callable[[float], int]:
-    """The KS count sup_z |n_y C_x(z) - n_x C_{y/q}(z)| of sorted xs, ys as a function of q.
+def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int, int]:
+    """Smallest KS count of sorted xs against ys / q over the window, with its cell.
 
-    C counts the points <= z.  Between two x's, n_y C_x is constant and
-    n_x C_{y/q} rises, so the count is extreme at an x_(i) itself or at the
-    last y / q below it: both limits at each x_(i) give the sup, in
-    O(n_y + n_x log n_y) per divisor.
-    """
-    m, n = xs.size, ys.size
-    x_le, x_lt = n * xs.searchsorted(xs, "right"), n * xs.searchsorted(xs, "left")
-
-    def count(q: float) -> int:
-        zs = ys / q
-        return int(max(np.abs(x_le - m * zs.searchsorted(xs, "right")).max(),
-                       np.abs(x_lt - m * zs.searchsorted(xs, "left")).max()))
-
-    return count
-
-
-def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int]:
-    """Divisor cell (lo, hi) of the smallest KS count of sorted xs, ys, and the checks made.
+    Returns the divisor cell (lo, hi), the count k_hi and the checks made.
 
     The search keeps k_hi, a count known to be feasible, and k_lo, below
     which every count has been checked infeasible.  It starts from the exact
@@ -207,12 +192,10 @@ def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int
             c = _divisor_bounds(second, at_y[: n - b], i, *c)
         return c
 
-    count = _ks_counter(xs, ys)
-
     # interquartile ranges, as Python floats, whose ratio overflows to inf silently
     spread_x, spread_y = float(xs[3 * m // 4] - xs[m // 4]), float(ys[3 * n // 4] - ys[n // 4])
     q0 = spread_y / spread_x if spread_x > 0 and spread_y > 0 else 1.0
-    k_lo, k_hi, best = 0, count(min(max(q0, q_min), q_max)), None
+    k_lo, k_hi, best = 0, ks_count(xs, ys / min(max(q0, q_min), q_max)), None
     checks, guided = 0, (m * n).bit_length()
     while k_lo < k_hi:
         # while guided, an infeasible k_hi - 1 ends the search
@@ -225,14 +208,14 @@ def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int
                 # every divisor in the cell counts at most k; an optimum the
                 # window clips sits at the window edge its cells touch
                 probes = {math.sqrt(c[0] * c[1]), *({q_min, q_max} & set(c))}
-                if (k_in := min(map(count, probes))) < k:
+                if (k_in := min(ks_count(xs, ys / p) for p in probes)) < k:
                     k_hi, best = k_in, None
         else:
             k_lo = k + 1
     if best is None:
         best = cell(k_hi)
         checks += 1
-    return best[0], best[1], checks
+    return best[0], best[1], k_hi, checks
 
 
 def calibrate_interval(
@@ -254,11 +237,12 @@ def calibrate_interval(
     inside the cells it finds: 2 to 7 checks for classes of 2,499 to 96,000
     returns, where a bisection over [0, n_x n_y] takes 23 to 28.  The
     duration is the cell's geometric midpoint: exactly 1.0 for identical
-    samples, 4.0 for y = 2x.  The bounds are exact in the arithmetic the
-    result is measured with (``y / sqrt(delta_tau)``, as in ``rescaled_ks``)
-    and sqrt(q * q) == q, so a cell that is one point on tied data is
-    reproduced, and the measured count is the optimal one.
-    ``boundary_warning`` means the window bounds the cell.
+    samples, 4.0 for y = 2x.  ``ks`` is built from the optimal count the
+    search certified.  The bounds are exact in the arithmetic of
+    ``rescaled_ks`` (``y / sqrt(delta_tau)``) and sqrt(q * q) == q, so
+    ``rescaled_ks`` at ``delta_tau`` measures that same count, and a cell
+    that is one point on tied data is reproduced.  ``boundary_warning``
+    means the window bounds the cell.
     """
     cfg = cfg or SearchConfig()
     xs = np.sort(x_ref.values)
@@ -269,11 +253,11 @@ def calibrate_interval(
         q_min = math.nextafter(q_min, math.inf)
     if q_max * q_max > cfg.delta_tau_max:
         q_max = math.nextafter(q_max, 0.0)
-    lo, hi, checks = _optimal_cell(xs, ys, q_min, q_max)
+    lo, hi, k, checks = _optimal_cell(xs, ys, q_min, q_max)
     q = math.sqrt(lo * hi)
     return CalibrationResult(
         delta_tau=q * q,
-        ks=ks_distance(xs, ys / math.sqrt(q * q)),
+        ks=KsResult.from_count(k, xs.size, ys.size),
         boundary_warning=lo == q_min or hi == q_max,
         n_evaluations=checks,
         cell=(
@@ -340,21 +324,24 @@ class ClockCalibration:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ClockCalibration":
-        sc = payload["search_config"]
-        d_values = payload["d_values"]
-        return cls(
-            intraday_durations=np.asarray(payload["delta_tau_intraday"], dtype=float),
-            overnight_duration=float(payload["delta_tau_night"]),
-            intraday_d=np.asarray(d_values[:-1], dtype=float),
-            overnight_d=float(d_values[-1]),
-            reference_label=payload["reference_class"],
-            search=SearchConfig(
-                delta_tau_min=sc["delta_tau_min"],
-                delta_tau_max=sc["delta_tau_max"],
-            ),
-            boundary_warnings=tuple(payload.get("boundary_warnings", [])),
-            cells=tuple((lo, hi) for lo, hi in payload.get("delta_tau_cells", [])),
-        )
+        try:
+            sc = payload["search_config"]
+            d_values = payload["d_values"]
+            return cls(
+                intraday_durations=np.asarray(payload["delta_tau_intraday"], dtype=float),
+                overnight_duration=float(payload["delta_tau_night"]),
+                intraday_d=np.asarray(d_values[:-1], dtype=float),
+                overnight_d=float(d_values[-1]),
+                reference_label=payload["reference_class"],
+                search=SearchConfig(
+                    delta_tau_min=sc["delta_tau_min"],
+                    delta_tau_max=sc["delta_tau_max"],
+                ),
+                boundary_warnings=tuple(payload.get("boundary_warnings", [])),
+                cells=tuple((lo, hi) for lo, hi in payload.get("delta_tau_cells", [])),
+            )
+        except KeyError as exc:
+            raise DataError(f"the calibration has no {exc.args[0]!r} entry") from None
 
 
 def calibrate_clock(

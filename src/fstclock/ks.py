@@ -4,13 +4,9 @@ The distance between two return ensembles is
 
     d = sqrt(n_x * n_y / (n_x + n_y)) * sup_z |F_x(z) - F_y(z)|
 
-with the supremum taken over the whole real line.  Between jumps of the
-merged support both CDFs are constant and at infinity the difference
-vanishes, so only the one-sided limits at the merged points can carry the
-sup.  The left limit at a merged point equals the right limit at the
-previous one (or 0 at the first), so the right limits alone give both the
-sup and the smallest point attaining it, ties within and across the samples
-included.
+with the supremum taken over the whole real line.  It is computed exactly
+as the integer count k = sup_z |n_y C_x(z) - n_x C_y(z)|, where C counts
+the points <= z, and then sup |F_x - F_y| = k / (n_x n_y), rounded once.
 """
 from __future__ import annotations
 
@@ -25,11 +21,14 @@ from .series import ReturnSample
 
 @dataclass(frozen=True)
 class KsResult:
-    """Rescaled KS statistic together with where and how the sup was attained."""
+    """Rescaled KS statistic and the sample sizes it was measured on.
+
+    ``raw_sup`` is sup |F_x - F_y|, the exact KS count over n_x n_y rounded
+    once; ``d`` is ``raw_sup`` times ``scale``.
+    """
 
     d: float
     raw_sup: float
-    sup_location: float
     n_x: int
     n_y: int
 
@@ -46,6 +45,26 @@ class KsResult:
     def scale(self) -> float:
         return math.sqrt(self.n_x * self.n_y / (self.n_x + self.n_y))
 
+    @classmethod
+    def from_count(cls, k: int, n_x: int, n_y: int) -> "KsResult":
+        """The result of KS count k (see ``ks_count``) on samples of n_x and n_y values."""
+        raw = k / (n_x * n_y)  # both integers are exact, so this rounds once
+        return cls(d=math.sqrt(n_x * n_y / (n_x + n_y)) * raw, raw_sup=raw, n_x=n_x, n_y=n_y)
+
+
+def ks_count(xs: np.ndarray, ys: np.ndarray) -> int:
+    """The KS count sup_z |n_y C_x(z) - n_x C_y(z)| of sorted, non-empty xs and ys.
+
+    C counts the points <= z.  On each stretch between or beyond the x's,
+    n_y C_x is constant and n_x C_y rises, so both limits at each x_(i) give
+    the sup, ties included.
+    """
+    m, n = xs.size, ys.size
+    return int(max(
+        np.abs(n * xs.searchsorted(xs, "right") - m * ys.searchsorted(xs, "right")).max(),
+        np.abs(n * xs.searchsorted(xs, "left") - m * ys.searchsorted(xs, "left")).max(),
+    ))
+
 
 def _values(sample) -> np.ndarray:
     if isinstance(sample, ReturnSample):
@@ -59,21 +78,7 @@ def ks_distance(x, y) -> KsResult:
     ys = np.sort(_values(y))
     if xs.size == 0 or ys.size == 0:
         raise DataError("KS statistic needs non-empty samples on both sides")
-    zs = np.concatenate([xs, ys])
-    zs.sort(kind="mergesort")
-    diff = np.abs(
-        np.searchsorted(xs, zs, side="right") / xs.size
-        - np.searchsorted(ys, zs, side="right") / ys.size
-    )
-    raw = float(diff.max())
-    scale = math.sqrt(xs.size * ys.size / (xs.size + ys.size))
-    return KsResult(
-        d=scale * raw,
-        raw_sup=raw,
-        sup_location=float(zs[int(np.argmax(diff == raw))]),
-        n_x=int(xs.size),
-        n_y=int(ys.size),
-    )
+    return KsResult.from_count(ks_count(xs, ys), xs.size, ys.size)
 
 
 def rescaled_ks(x_ref, y, delta_tau: float) -> KsResult:

@@ -810,27 +810,30 @@ def load_cache(path: str | Path) -> PriceSeries:
     """Read a cache written by ``save_cache``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if "log_prices" not in payload:
+    if not isinstance(payload, dict) or "log_prices" not in payload:
         raise DataError(f"{path} is not a cache this version reads; re-run ingest to rebuild it")
-    g = payload["grid"]
-    hh, mm = g["open_time"].split(":")
-    grid = DayGrid(open_time=time(int(hh), int(mm)), bar_minutes=g["bar_minutes"], n_points=g["n_points"])
-    dates = tuple(map(date.fromisoformat, payload["dates"]))
-    dropped = tuple(map(date.fromisoformat, payload["dropped_dates"]))
-    lp = payload["log_prices"]
-    shape = [len(dates), grid.n_points]
-    if lp["dtype"] != _CACHE_DTYPE or lp["shape"] != shape:
-        raise DataError(
-            f"{path}: matrix {lp['dtype']} {lp['shape']} does not match "
-            f"{_CACHE_DTYPE} {shape}"
-        )
     try:
-        raw = base64.b64decode(lp.pop("base64"), validate=True)
-    except binascii.Error as exc:
-        raise DataError(f"{path}: corrupt matrix payload ({exc})") from None
-    if len(raw) != shape[0] * shape[1] * 8:
-        raise DataError(f"{path}: matrix payload holds {len(raw)} bytes, expected {shape[0] * shape[1] * 8}")
-    matrix = np.frombuffer(raw, dtype=_CACHE_DTYPE).reshape(shape)
+        g = payload["grid"]
+        hh, mm = g["open_time"].split(":")
+        grid = DayGrid(open_time=time(int(hh), int(mm)), bar_minutes=g["bar_minutes"], n_points=g["n_points"])
+        dates = tuple(map(date.fromisoformat, payload["dates"]))
+        dropped = tuple(map(date.fromisoformat, payload["dropped_dates"]))
+        lp = payload["log_prices"]
+        shape = [len(dates), grid.n_points]
+        if lp["dtype"] != _CACHE_DTYPE or lp["shape"] != shape:
+            raise DataError(
+                f"{path}: matrix {lp['dtype']} {lp['shape']} does not match "
+                f"{_CACHE_DTYPE} {shape}"
+            )
+        try:
+            raw = base64.b64decode(lp.pop("base64"), validate=True)
+        except binascii.Error as exc:
+            raise DataError(f"{path}: corrupt matrix payload ({exc})") from None
+        if len(raw) != shape[0] * shape[1] * 8:
+            raise DataError(f"{path}: matrix payload holds {len(raw)} bytes, expected {shape[0] * shape[1] * 8}")
+        matrix = np.frombuffer(raw, dtype=_CACHE_DTYPE).reshape(shape)
+    except KeyError as exc:
+        raise DataError(f"{path}: the cache has no {exc.args[0]!r} entry; re-run ingest") from None
     return PriceSeries._adopt(grid, dates, matrix, dropped)
 
 

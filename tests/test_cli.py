@@ -452,6 +452,48 @@ def test_manifest_for_other_command_is_refused(pipeline, tmp_path, capsys):
     assert "calibrate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [5, [1, 2], "calibrate", {"command": "synth", "config": 5}])
+def test_config_that_is_not_an_object_is_refused(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: the config is not a JSON object\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cache_without_an_entry_is_refused(pipeline, tmp_path, capsys):
+    payload = json.loads((pipeline / "cache" / "cache.json").read_text())
+    del payload["dropped_dates"]
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps(payload))
+    assert main(["calibrate", "--input", str(cache), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cache}: the cache has no 'dropped_dates' entry; re-run ingest\n"
+    )
+
+
+def test_calibration_without_an_entry_is_refused(pipeline, tmp_path, capsys):
+    payload = json.loads((pipeline / "cal" / "calibration.json").read_text())
+    del payload["search_config"]
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(payload))
+    code = main(["analyze", "--input", str(pipeline / "cache" / "cache.json"),
+                 "--out", str(tmp_path / "out"), "--clock", "fst", "--calibration", str(cal)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {cal}: the calibration has no 'search_config' entry\n"
+    )
+
+
+@pytest.mark.parametrize("lags", ["10:0", "3:2"])
+def test_backward_lag_range_is_refused(pipeline, tmp_path, capsys, lags):
+    code = main(["analyze", "--input", str(pipeline / "cache" / "cache.json"),
+                 "--out", str(tmp_path), f"--lags={lags}"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: range {lags!r} runs backwards\n"
+    assert os.listdir(tmp_path) == []
+
+
 # --- class DSL ---------------------------------------------------------------
 
 PARTITION = PartitionSpec.equal_spacing(GRID, 20.0)

@@ -27,7 +27,8 @@ from fstclock import (
     rescaled_ks,
 )
 import fstclock.clock
-from fstclock.clock import _first_divisor, _ks_counter, _optimal_cell
+from fstclock.clock import _first_divisor, _optimal_cell
+from fstclock.ks import ks_count
 
 from conftest import brownian_series, make_sample
 
@@ -211,7 +212,7 @@ def _mask_optimal_cell(xs, ys, q_min, q_max):
             k_hi, (lo, hi) = k, c
         else:
             k_lo = k + 1
-    return lo, hi, checks
+    return lo, hi, k_hi, checks
 
 
 def _kernel_case(family, rng):
@@ -241,14 +242,14 @@ def _kernel_case(family, rng):
 
 
 def _assert_same_cell(xs, ys, q_min, q_max):
-    """The search's cell equals the reference's bit for bit; the check counts of both."""
+    """The search's cell and count equal the reference's bit for bit; the check counts of both."""
     got = _optimal_cell(xs, ys, q_min, q_max)
     want = _mask_optimal_cell(xs, ys, q_min, q_max)
-    assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
+    assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
     # the guided phase stops at bit_length checks, then bisection and one
     # last check of the count found
-    assert got[2] <= 2 * (xs.size * ys.size).bit_length() + 1
-    return got, want[2]
+    assert got[3] <= 2 * (xs.size * ys.size).bit_length() + 1
+    return got, want[3]
 
 
 @pytest.mark.parametrize("family", ["ticks", "one-signed", "single", "clipped"])
@@ -258,7 +259,7 @@ def test_kernel_matches_mask_reference_bits(family):
     for _ in range(60):
         x, y, (q_min, q_max) = _kernel_case(family, rng)
         got, want_checks = _assert_same_cell(np.sort(x), np.sort(y), q_min, q_max)
-        checks += got[2]
+        checks += got[3]
         reference_checks += want_checks
         if got[0] == q_min:
             edges.add("lo")
@@ -268,12 +269,24 @@ def test_kernel_matches_mask_reference_bits(family):
     assert 2 * checks <= reference_checks
 
 
+@pytest.mark.parametrize("family", ["ticks", "one-signed", "single", "clipped"])
+def test_fitted_ks_is_the_distance_measured_at_the_duration(family):
+    # the fit reports the count its search certified; measuring the result
+    # again at the fitted duration must give the same KsResult
+    rng = np.random.default_rng(20 + ["ticks", "one-signed", "single", "clipped"].index(family))
+    for _ in range(40):
+        x, y, (q_min, q_max) = _kernel_case(family, rng)
+        x, y = make_sample(x), make_sample(y)
+        r = calibrate_interval(y, x, SearchConfig(q_min * q_min, q_max * q_max))
+        assert r.ks == rescaled_ks(x, y, r.delta_tau)
+
+
 def test_kernel_matches_mask_reference_on_a_pooled_cascade_class():
     rng = np.random.default_rng(96)
     xs = np.sort(rng.standard_normal(3000) * np.exp(0.3 * rng.standard_normal(3000)))
     ys = np.sort(np.round(0.4 * rng.standard_t(4, size=96_000), 3))
     got, want_checks = _assert_same_cell(xs, ys, 0.01, 10.0)
-    assert 2 * got[2] <= want_checks
+    assert 2 * got[3] <= want_checks
 
 
 def _edge_case(name):
@@ -301,7 +314,7 @@ def test_search_matches_mask_reference_at_its_edges(name):
         # the interquartile ratio is the exact scale, whose count 0 one check
         # certifies
         scale = 1.0 if name == "identical" else 2.0
-        assert got == (scale, scale, 1)
+        assert got == (scale, scale, 0, 1)
     if name == "zero-iqr":
         assert xs[3 * xs.size // 4] == xs[xs.size // 4] == 0.0
     if name.startswith("clipped"):
@@ -324,7 +337,6 @@ def test_ks_count_is_exact(family):
     for _ in range(40):
         x, y, (q_min, q_max) = _kernel_case(family, rng)
         xs, ys = np.sort(x), np.sort(y)
-        count = _ks_counter(xs, ys)
         # a random divisor, and divisors y_(j) / x_(i) at which a y / q meets an x
         with np.errstate(divide="ignore", invalid="ignore"):
             ties = np.divide.outer(ys, xs).ravel()
@@ -333,7 +345,7 @@ def test_ks_count_is_exact(family):
         qs += list(rng.choice(ties, size=min(3, ties.size), replace=False))
         for q in map(float, qs):
             want = _brute_force_count(xs, ys, q)
-            assert count(q) == want
+            assert ks_count(xs, ys / q) == want
             assert round(rescaled_ks(xs, ys, q * q).raw_sup * xs.size * ys.size) == want
 
 

@@ -15,27 +15,26 @@ from conftest import make_sample
 
 # --- independent oracle ----------------------------------------------------
 
-def brute_force_sup_and_location(x, y):
-    """Sup of |F_x - F_y| over both one-sided limits at every merged point,
-    and the smallest merged point at which either limit reaches it.
+def brute_force_count(x, y):
+    """Sup of |n_y #{x <= z} - n_x #{y <= z}| over both one-sided limits at
+    every merged point, in integers.
 
-    Written against the definition only: boolean comparisons and means, no
+    Written against the definition only: boolean comparisons and sums, no
     sorting, no searchsorted.  Deliberately the dumbest correct thing.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    points = np.concatenate([x, y])
-    limits = []
-    for z in points:
-        at = abs((x <= z).mean() - (y <= z).mean())
-        below = abs((x < z).mean() - (y < z).mean())
-        limits.append(max(at, below))
-    sup = max(limits)
-    return sup, min(z for z, lim in zip(points, limits) if lim == sup)
+    n_x, n_y = x.size, y.size
+    return max(
+        max(abs(n_y * int((x <= z).sum()) - n_x * int((y <= z).sum())),
+            abs(n_y * int((x < z).sum()) - n_x * int((y < z).sum())))
+        for z in np.concatenate([x, y])
+    )
 
 
 def brute_force_ks(x, y):
-    return brute_force_sup_and_location(x, y)[0]
+    """sup |F_x - F_y|: the count over n_x n_y, rounded once."""
+    return brute_force_count(x, y) / (len(x) * len(y))
 
 
 finite_floats = st.floats(
@@ -68,12 +67,6 @@ def test_rescaled_doubling_collapses_exactly():
     assert r.d == 0.0
 
 
-def test_sup_location_is_smallest_achieving_point():
-    # F_x - F_y hits the sup already at z = 1 (0.5) and again at 1.5
-    r = ks_distance([1.0, 2.0], [1.5])
-    assert r.sup_location == 1.0
-
-
 def test_disjoint_supports_sup_one():
     r = ks_distance([0.0, 1.0], [10.0, 11.0, 12.0])
     assert r.raw_sup == 1.0
@@ -85,9 +78,7 @@ def test_disjoint_supports_sup_one():
 @given(small_samples, small_samples)
 @settings(max_examples=200, deadline=None)
 def test_merge_matches_brute_force(xs, ys):
-    got = ks_distance(xs, ys).raw_sup
-    want = brute_force_ks(xs, ys)
-    assert got == pytest.approx(want, abs=1e-15)
+    assert ks_distance(xs, ys).raw_sup == brute_force_ks(xs, ys)
 
 
 # few distinct values, zero weighted double: tick-quantised returns pile up there
@@ -98,9 +89,8 @@ tied_samples = st.lists(
 
 @given(tied_samples, tied_samples)
 @settings(max_examples=300, deadline=None)
-def test_sup_location_matches_brute_force_with_heavy_ties(xs, ys):
-    r = ks_distance(xs, ys)
-    assert (r.raw_sup, r.sup_location) == brute_force_sup_and_location(xs, ys)
+def test_raw_sup_matches_brute_force_on_tick_samples(xs, ys):
+    assert ks_distance(xs, ys).raw_sup == brute_force_ks(xs, ys)
 
 
 def test_merge_matches_brute_force_with_heavy_ties():
@@ -108,7 +98,7 @@ def test_merge_matches_brute_force_with_heavy_ties():
     for _ in range(50):
         x = rng.integers(0, 4, size=rng.integers(1, 30)).astype(float)
         y = rng.integers(0, 4, size=rng.integers(1, 30)).astype(float)
-        assert ks_distance(x, y).raw_sup == pytest.approx(brute_force_ks(x, y), abs=1e-15)
+        assert ks_distance(x, y).raw_sup == brute_force_ks(x, y)
 
 
 # --- structural properties -------------------------------------------------
@@ -154,12 +144,12 @@ def test_scale_equivariance_general_scale_close():
 
 def test_ksresult_rejects_inconsistent_d():
     with pytest.raises(DataError):
-        KsResult(d=0.9, raw_sup=0.5, sup_location=0.0, n_x=2, n_y=2)
+        KsResult(d=0.9, raw_sup=0.5, n_x=2, n_y=2)
 
 
 def test_ksresult_rejects_out_of_range_sup():
     with pytest.raises(DataError):
-        KsResult(d=1.3, raw_sup=1.3, sup_location=0.0, n_x=2, n_y=2)
+        KsResult(d=1.3, raw_sup=1.3, n_x=2, n_y=2)
 
 
 def test_rescaled_rejects_bad_delta_tau():
