@@ -324,24 +324,58 @@ class ClockCalibration:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ClockCalibration":
+        """Rebuild a calibration from ``to_json_dict`` output.
+
+        A missing or malformed entry raises ``DataError`` naming the entry.
+        """
+        if not isinstance(payload, dict):
+            raise DataError("the calibration is not a JSON object")
+        entry = "search_config"
         try:
             sc = payload["search_config"]
-            d_values = payload["d_values"]
-            return cls(
-                intraday_durations=np.asarray(payload["delta_tau_intraday"], dtype=float),
-                overnight_duration=float(payload["delta_tau_night"]),
-                intraday_d=np.asarray(d_values[:-1], dtype=float),
-                overnight_d=float(d_values[-1]),
-                reference_label=payload["reference_class"],
-                search=SearchConfig(
-                    delta_tau_min=sc["delta_tau_min"],
-                    delta_tau_max=sc["delta_tau_max"],
-                ),
-                boundary_warnings=tuple(payload.get("boundary_warnings", [])),
-                cells=tuple((lo, hi) for lo, hi in payload.get("delta_tau_cells", [])),
-            )
+            search = SearchConfig(delta_tau_min=sc["delta_tau_min"], delta_tau_max=sc["delta_tau_max"])
+            entry = "delta_tau_intraday"
+            durations = _numbers(payload["delta_tau_intraday"])
+            entry = "delta_tau_night"
+            night = float(payload["delta_tau_night"])
+            if not math.isfinite(night):
+                raise ValueError(f"{night} is not finite")
+            entry = "d_values"
+            d_values = _numbers(payload["d_values"])
+            if d_values.size != durations.size + 1:
+                raise ValueError(f"{d_values.size} values for {durations.size} intervals and the night")
+            entry = "reference_class"
+            label = payload["reference_class"]
+            if not isinstance(label, str):
+                raise TypeError(f"expected a class label, got {type(label).__name__}")
+            entry = "boundary_warnings"
+            warnings = payload.get("boundary_warnings", [])
+            if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+                raise TypeError("expected a list of class labels")
+            entry = "delta_tau_cells"
+            cells = tuple((float(lo), float(hi)) for lo, hi in payload.get("delta_tau_cells", []))
         except KeyError as exc:
             raise DataError(f"the calibration has no {exc.args[0]!r} entry") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"the calibration's {entry!r} entry is malformed ({exc})") from None
+        return cls(
+            intraday_durations=durations,
+            overnight_duration=night,
+            intraday_d=d_values[:-1],
+            overnight_d=float(d_values[-1]),
+            reference_label=label,
+            search=search,
+            boundary_warnings=tuple(warnings),
+            cells=cells,
+        )
+
+
+def _numbers(v) -> np.ndarray:
+    """A non-empty JSON list of finite numbers as a float array."""
+    a = np.asarray(v, dtype=float)
+    if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all():
+        raise ValueError("expected a non-empty list of finite numbers")
+    return a
 
 
 def calibrate_clock(

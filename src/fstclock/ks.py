@@ -55,15 +55,26 @@ class KsResult:
 def ks_count(xs: np.ndarray, ys: np.ndarray) -> int:
     """The KS count sup_z |n_y C_x(z) - n_x C_y(z)| of sorted, non-empty xs and ys.
 
-    C counts the points <= z.  On each stretch between or beyond the x's,
-    n_y C_x is constant and n_x C_y rises, so both limits at each x_(i) give
-    the sup, ties included.
+    C counts the points <= z.  f = n_y C_x - n_x C_y rises only at the x's
+    and is 0 beyond both ends, so its largest value is a right limit at a
+    distinct x and its smallest a left limit at one.  The right limit is
+    searched at each distinct x; the left limit differs from it only where
+    a y ties that x, and is searched only there.
     """
     m, n = xs.size, ys.size
-    return int(max(
-        np.abs(n * xs.searchsorted(xs, "right") - m * ys.searchsorted(xs, "right")).max(),
-        np.abs(n * xs.searchsorted(xs, "left") - m * ys.searchsorted(xs, "left")).max(),
-    ))
+    # the runs of equal x's are xs[b[j]:b[j + 1]]
+    step = np.empty(m + 1, dtype=bool)
+    step[0] = step[m] = True
+    np.not_equal(xs[1:], xs[:-1], out=step[1:m])
+    b = np.flatnonzero(step)
+    ux = xs[b[:-1]]
+    c_y = ys.searchsorted(ux, "right")
+    peak = (n * b[1:] - m * c_y).max()
+    # c_y == 0 reads ys[-1], which lies above ux and so ties nothing
+    tie = ys[c_y - 1] == ux
+    if tie.any():
+        c_y[tie] = ys.searchsorted(ux[tie], "left")
+    return int(max(peak, (m * c_y - n * b[:-1]).max()))
 
 
 def _values(sample) -> np.ndarray:
@@ -78,6 +89,8 @@ def ks_distance(x, y) -> KsResult:
     ys = np.sort(_values(y))
     if xs.size == 0 or ys.size == 0:
         raise DataError("KS statistic needs non-empty samples on both sides")
+    if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # NaN sorts last
+        raise DataError("KS statistic needs samples without NaN")
     return KsResult.from_count(ks_count(xs, ys), xs.size, ys.size)
 
 

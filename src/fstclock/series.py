@@ -806,18 +806,32 @@ def save_cache(series: PriceSeries, path: str | Path) -> None:
         fh.write(b'"}}\n')
 
 
+def _iso_dates(v) -> tuple[date, ...]:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of ISO dates, got {type(v).__name__}")
+    return tuple(map(date.fromisoformat, v))
+
+
 def load_cache(path: str | Path) -> PriceSeries:
-    """Read a cache written by ``save_cache``."""
+    """Read a cache written by ``save_cache``.
+
+    A missing or malformed entry raises ``DataError`` naming the file and
+    the entry.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "log_prices" not in payload:
         raise DataError(f"{path} is not a cache this version reads; re-run ingest to rebuild it")
+    entry = "grid"
     try:
         g = payload["grid"]
         hh, mm = g["open_time"].split(":")
         grid = DayGrid(open_time=time(int(hh), int(mm)), bar_minutes=g["bar_minutes"], n_points=g["n_points"])
-        dates = tuple(map(date.fromisoformat, payload["dates"]))
-        dropped = tuple(map(date.fromisoformat, payload["dropped_dates"]))
+        entry = "dates"
+        dates = _iso_dates(payload["dates"])
+        entry = "dropped_dates"
+        dropped = _iso_dates(payload["dropped_dates"])
+        entry = "log_prices"
         lp = payload["log_prices"]
         shape = [len(dates), grid.n_points]
         if lp["dtype"] != _CACHE_DTYPE or lp["shape"] != shape:
@@ -834,6 +848,8 @@ def load_cache(path: str | Path) -> PriceSeries:
         matrix = np.frombuffer(raw, dtype=_CACHE_DTYPE).reshape(shape)
     except KeyError as exc:
         raise DataError(f"{path}: the cache has no {exc.args[0]!r} entry; re-run ingest") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path}: the cache's {entry!r} entry is malformed ({exc}); re-run ingest") from None
     return PriceSeries._adopt(grid, dates, matrix, dropped)
 
 

@@ -5,6 +5,7 @@ build one small synthetic universe per session and the later stages feed on
 the earlier stages' files, the same way a user would chain them.
 """
 import json
+import math
 import os
 import platform
 import subprocess
@@ -483,6 +484,58 @@ def test_calibration_without_an_entry_is_refused(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {cal}: the calibration has no 'search_config' entry\n"
     )
+
+
+@pytest.mark.parametrize("entry,value", [
+    ("dates", 5),
+    ("dates", {"2020-01-02": 1}),
+    ("dropped_dates", ["not a date"]),
+    ("grid", [1]),
+    ("grid", {"open_time": 940, "bar_minutes": 20, "n_points": 20}),
+    ("grid", {"open_time": "09:40", "bar_minutes": 0, "n_points": 20}),
+    ("log_prices", 5),
+    ("log_prices", {"dtype": "<f8", "shape": [120, 20], "base64": 5}),
+])
+def test_cache_with_a_malformed_entry_is_refused(pipeline, tmp_path, capsys, entry, value):
+    payload = json.loads((pipeline / "cache" / "cache.json").read_text())
+    payload[entry] = value
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps(payload))
+    assert main(["calibrate", "--input", str(cache), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cache}: the cache's {entry!r} entry is malformed (")
+    assert err.endswith("); re-run ingest\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry,value,message", [
+    (None, [1, 2], "the calibration is not a JSON object"),
+    ("search_config", 5, "the calibration's 'search_config' entry is malformed ("),
+    ("search_config", {"delta_tau_min": 1.0, "delta_tau_max": 0.5},
+     "the calibration's 'search_config' entry is malformed ("),
+    ("delta_tau_intraday", [], "the calibration's 'delta_tau_intraday' entry is malformed ("),
+    ("delta_tau_intraday", [math.nan] * 19, "the calibration's 'delta_tau_intraday' entry is malformed ("),
+    ("delta_tau_night", [1.0], "the calibration's 'delta_tau_night' entry is malformed ("),
+    ("delta_tau_night", math.inf, "the calibration's 'delta_tau_night' entry is malformed (inf is not"),
+    ("d_values", [], "the calibration's 'd_values' entry is malformed ("),
+    ("d_values", [0.1], "the calibration's 'd_values' entry is malformed (1 values for 19 intervals"),
+    ("d_values", [[0.1]], "the calibration's 'd_values' entry is malformed ("),
+    ("reference_class", 5, "the calibration's 'reference_class' entry is malformed ("),
+    ("boundary_warnings", "1-day", "the calibration's 'boundary_warnings' entry is malformed ("),
+    ("delta_tau_cells", [[1]], "the calibration's 'delta_tau_cells' entry is malformed ("),
+])
+def test_calibration_with_a_malformed_entry_is_refused(pipeline, tmp_path, capsys, entry, value, message):
+    payload = json.loads((pipeline / "cal" / "calibration.json").read_text())
+    if entry is None:
+        payload = value
+    else:
+        payload[entry] = value
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(payload))
+    code = main(["analyze", "--input", str(pipeline / "cache" / "cache.json"),
+                 "--out", str(tmp_path / "out"), "--clock", "fst", "--calibration", str(cal)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cal}: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("lags", ["10:0", "3:2"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fstclock import DataError, KsResult, ks_distance, rescaled_ks
+from fstclock.ks import ks_count
 
 from conftest import make_sample
 
@@ -24,12 +25,12 @@ def brute_force_count(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    z = np.concatenate([x, y])[:, None]  # one row per merged point
     n_x, n_y = x.size, y.size
-    return max(
-        max(abs(n_y * int((x <= z).sum()) - n_x * int((y <= z).sum())),
-            abs(n_y * int((x < z).sum()) - n_x * int((y < z).sum())))
-        for z in np.concatenate([x, y])
-    )
+    return int(max(
+        np.abs(n_y * (x <= z).sum(1) - n_x * (y <= z).sum(1)).max(),
+        np.abs(n_y * (x < z).sum(1) - n_x * (y < z).sum(1)).max(),
+    ))
 
 
 def brute_force_ks(x, y):
@@ -101,6 +102,34 @@ def test_merge_matches_brute_force_with_heavy_ties():
         assert ks_distance(x, y).raw_sup == brute_force_ks(x, y)
 
 
+def test_count_matches_brute_force_on_seeded_ticks():
+    rng = np.random.default_rng(13)
+    for case in range(20_000):
+        tick = (0.0, 0.5, 1.0)[case % 3]
+        x = rng.standard_normal(rng.integers(1, 41))
+        y = rng.standard_normal(rng.integers(1, 41)) * rng.choice([0.5, 1.0, 2.0])
+        if tick:
+            x, y = np.round(x / tick) * tick, np.round(y / tick) * tick
+        assert ks_count(np.sort(x), np.sort(y)) == brute_force_count(x, y), case
+
+
+@pytest.mark.parametrize(
+    "x, y, k",
+    [
+        ([1.0, 2.0, 3.0], [-1.0, 0.0], 6),  # every y below every x
+        ([1.0, 2.0, 3.0], [5.0, 6.0], 6),  # every y above: C_y(x) = 0 throughout
+        ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0], 4),  # all x equal
+        ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0, 1.0], 5),  # many y's tie one x
+        ([1.0, 1.0, 1.0, 2.0], [1.0], 1),  # one y ties a run of x's
+        ([0.5], [0.0, 1.0, 2.0], 2),  # m = 1
+        ([0.0, 1.0, 2.0], [1.0], 1),  # n = 1
+    ],
+    ids=["y-below", "y-above", "x-equal", "y-run-ties-x", "y-ties-x-run", "m-1", "n-1"],
+)
+def test_count_edge_cases(x, y, k):
+    assert ks_count(np.array(x), np.array(y)) == brute_force_count(x, y) == k
+
+
 # --- structural properties -------------------------------------------------
 
 @given(small_samples, small_samples)
@@ -162,3 +191,13 @@ def test_rescaled_rejects_bad_delta_tau():
 def test_empty_sample_rejected():
     with pytest.raises(DataError):
         ks_distance([], [1.0])
+
+
+@pytest.mark.parametrize(
+    "x, y", [([math.nan], [math.nan]), ([1.0, math.nan], [1.0, 2.0]), ([1.0, 2.0], [3.0, math.nan])]
+)
+def test_nan_rejected(x, y):
+    with pytest.raises(DataError, match="NaN"):
+        ks_distance(x, y)
+    with pytest.raises(DataError, match="NaN"):
+        rescaled_ks(x, y, 2.0)
