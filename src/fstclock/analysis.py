@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clock import ClockCalibration, TimeMap
+from .clock import ClockCalibration, TimeMap, class_duration
 from .errors import ClassSpecError, DataError
 from .series import (
     DayGrid,
@@ -118,46 +118,33 @@ def span_union_samples(
 
     For every span in ``spans`` all start positions contribute a row, so the
     physical axis shows the seasonal scatter of same-length intervals while
-    the clock axis spreads them by their calibrated durations (additive over
-    the partition by construction).  Physical durations are wall-clock
-    minutes; a day counts 1440 and the closure the night remainder.
+    the clock axis spreads them by their calibrated durations
+    (``class_duration``, additive over the partition by construction).
+    Physical durations are the wall-clock minutes of the class's window: a
+    day counts 1440 and the closure the night remainder.
     """
-    partition.check_grid(series.grid)
-    cal = calibration
-    if cal is not None and cal.m_max != partition.m_max:
-        raise ClassSpecError("calibration does not match the partition")
-    rows: list[MomentRow] = []
+    grid = series.grid
+    partition.check_grid(grid)
+    classes = []
     for span in spans:
         if not 1 <= span <= partition.m_max:
             raise ClassSpecError(f"span {span} outside 1..{partition.m_max}")
-        for a in range(partition.m_max - span + 1):
-            c = IntervalClass.intraday(a, a + span, partition)
-            fst = float(cal.intraday_durations[a : a + span].sum()) if cal else None
-            rows.append(
-                MomentRow(
-                    label=c.label,
-                    physical_duration=(c.bar_end - c.bar_start) * series.grid.bar_minutes,
-                    fst_duration=fst,
-                    sample=class_sample(series, c),
-                )
-            )
+        classes += [
+            IntervalClass.intraday(a, a + span, partition)
+            for a in range(partition.m_max - span + 1)
+        ]
     if include_overnight:
-        c = IntervalClass.overnight()
+        classes.append(IntervalClass.overnight())
+    classes += [IntervalClass.multiday(n) for n in multiday]
+    rows: list[MomentRow] = []
+    for c in classes:
+        start, end, days = c.window(grid)
+        fst = None if calibration is None else class_duration(c, calibration, partition)
         rows.append(
             MomentRow(
                 label=c.label,
-                physical_duration=24.0 * 60.0 - series.grid.session_minutes,
-                fst_duration=cal.overnight_duration if cal else None,
-                sample=class_sample(series, c),
-            )
-        )
-    for n in multiday:
-        c = IntervalClass.multiday(n)
-        rows.append(
-            MomentRow(
-                label=c.label,
-                physical_duration=n * 24.0 * 60.0,
-                fst_duration=n * cal.day_total if cal else None,
+                physical_duration=days * 1440.0 + (end - start) * grid.bar_minutes,
+                fst_duration=fst,
                 sample=class_sample(series, c),
             )
         )
@@ -394,10 +381,10 @@ def intraday_volatility_profile(
 
     if time_map is None:
         sigmas, pos, n_obs = [], [], []
-        for m in range(1, partition.m_max + 1):
-            s = class_sample(series, IntervalClass.intraday(m - 1, m, partition))
+        for c in partition.intervals():
+            s = class_sample(series, c)
             sigmas.append(float(np.mean(np.abs(s.values))))
-            pos.append(partition.midpoint_minutes(m))
+            pos.append(0.5 * (c.bar_start + c.bar_end) * partition.bar_minutes)
             n_obs.append(s.n)
         return VolatilityProfile(
             positions=np.asarray(pos),

@@ -50,6 +50,9 @@ from .series import (
     class_sample,
     filter_complete_days,
     load_series,
+    parse_class_spec,
+    parse_class_specs,
+    read_json,
     save_cache,
 )
 from .synthetic import (
@@ -298,8 +301,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
     """Defaults, then config file, then explicit flags; fully materialized."""
     file_cfg = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            payload = file_cfg = json.load(f)
+        payload = file_cfg = read_json(args.config)
         if isinstance(payload, dict) and "config" in payload and "command" in payload:  # a manifest
             if payload["command"] != command:
                 raise ClassSpecError(
@@ -371,52 +373,6 @@ def _num_list(text: str, typ=float) -> list:
     return [typ(v) for v in text.split(",")]
 
 
-def parse_class_spec(spec: str, partition: PartitionSpec, grid: DayGrid) -> list[IntervalClass]:
-    """One class DSL token -> the interval classes it names.
-
-    Tokens: ``intervals`` (every partition interval), ``intraday:a:b``,
-    ``bars:i:j``, ``overnight[:nights]``, ``multiday:N`` or ``N-day``,
-    ``morning``, ``afternoon``, ``trading-day``, ``first-interval``,
-    ``Kmin`` (day-pooled K-minute returns).  ``Kmin`` is the one token that
-    ``class_sample`` cannot build: it comes back as a ``sample`` class whose
-    bars ``0..K`` give the pooled window, and ``_class_sample`` pools it.
-    """
-    spec = spec.strip()
-    m_max = partition.m_max
-    if spec == "intervals":
-        return [IntervalClass.intraday(m - 1, m, partition) for m in range(1, m_max + 1)]
-    if m := re.fullmatch(r"intraday:(\d+):(\d+)", spec):
-        return [IntervalClass.intraday(int(m.group(1)), int(m.group(2)), partition)]
-    if m := re.fullmatch(r"bars:(\d+):(\d+)", spec):
-        return [IntervalClass.bars(int(m.group(1)), int(m.group(2)))]
-    if spec == "overnight":
-        return [IntervalClass.overnight()]
-    if m := re.fullmatch(r"overnight:(\d+)", spec):
-        return [IntervalClass.overnight(nights=int(m.group(1)))]
-    if m := re.fullmatch(r"multiday:(\d+)", spec) or re.fullmatch(r"(\d+)-day", spec):
-        return [IntervalClass.multiday(int(m.group(1)))]
-    if spec == "morning":
-        return [IntervalClass.intraday(0, (m_max + 1) // 2, partition, label="morning")]
-    if spec == "afternoon":
-        return [IntervalClass.intraday((m_max + 1) // 2, m_max, partition, label="afternoon")]
-    if spec == "trading-day":
-        return [IntervalClass.intraday(0, m_max, partition, label="trading-day")]
-    if spec == "first-interval":
-        return [IntervalClass.intraday(0, 1, partition)]
-    if m := re.fullmatch(r"(\d+(?:\.\d+)?)min", spec):
-        minutes = float(m.group(1))
-        k = grid.bars_in(minutes)
-        return [IntervalClass(kind="sample", label=f"{minutes:g}min", bar_start=0, bar_end=k)]
-    raise ClassSpecError(f"cannot parse class spec {spec!r}")
-
-
-def parse_class_specs(text: str, partition: PartitionSpec, grid: DayGrid) -> list[IntervalClass]:
-    out = []
-    for token in text.split(","):
-        out.extend(parse_class_spec(token, partition, grid))
-    return out
-
-
 def _class_sample(series, c: IntervalClass):
     if c.kind == "sample":
         return pooled_bar_sample(series, c.bar_end, label=c.label)
@@ -431,9 +387,8 @@ def _reference(spec: str, partition: PartitionSpec, grid: DayGrid) -> IntervalCl
     return classes[0]
 
 
-def _write_gate(path: str, series, partition: PartitionSpec, threshold: float) -> list[str]:
-    """Run the contiguous-correlation gate, write it to ``path``, return its warning."""
-    gate = cutoff_check(series, partition, threshold=threshold)
+def _write_gate(path: str, gate) -> list[str]:
+    """Write the contiguous-correlation gate to ``path``, return its warning."""
     _write_json(
         path,
         {
@@ -452,8 +407,7 @@ def _write_gate(path: str, series, partition: PartitionSpec, threshold: float) -
 
 
 def _load_calibration(path: str) -> ClockCalibration:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = read_json(path)
     try:
         return ClockCalibration.from_json_dict(payload)
     except DataError as exc:
@@ -534,21 +488,22 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
     search = _search_from(cfg)
     ref_class = _reference(cfg["reference"], partition, grid)
     cal = calibrate_clock(series, partition, cfg=search, reference=ref_class)
+    tmap = assemble_time_map(cal, partition, grid, dates=series)
+    gate = cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
+    rows = None
+    if not cfg["skip_additivity"]:
+        rows = additivity_report(series, partition, cal, cfg=search, reference=ref_class)
 
+    # every result is in hand, so a refused run has written nothing
     out = cfg["out"]
     cal_path = os.path.join(out, "calibration.json")
     _write_json(cal_path, cal.to_json_dict())
-
-    tmap = assemble_time_map(cal, partition, grid, dates=series)
     map_path = os.path.join(out, "timemap.csv")
     _write_csv(map_path, ["l", "m", "t_iso", "tau_fst"], [*tmap.anchor_columns(), tmap.anchor_tau])
-
     cut_path = os.path.join(out, "cutoff.json")
-    gate_warns = _write_gate(cut_path, series, partition, cfg["cutoff_threshold"])
-
+    gate_warns = _write_gate(cut_path, gate)
     files = [cal_path, map_path, cut_path]
-    if not cfg["skip_additivity"]:
-        rows = additivity_report(series, partition, cal, cfg=search, reference=ref_class)
+    if rows is not None:
         add_path = os.path.join(out, "additivity.csv")
         _write_csv(
             add_path,
@@ -597,73 +552,17 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         )
         duration_of = (lambda r: r.fst_duration) if fst else (lambda r: r.physical_duration)
         samples = [(duration_of(r), r.sample) for r in rows]
-        orders = _num_list(cfg["orders"])
-        table = moment_curve(samples, orders=orders, clock_tag=cfg["clock"])
-
-        out = cfg["out"]
-        moments_path = os.path.join(out, "moments.csv")
-        n_q = table.orders.size
-        _write_csv(
-            moments_path,
-            ["label", "duration", "clock", "q", "moment"],
-            [
-                Runs([r.label for r in rows], n_q),
-                Runs(table.durations, n_q),
-                Runs([cfg["clock"]], len(rows) * n_q),
-                np.tile(table.orders, len(rows)),
-                table.moments.ravel(),
-            ],
-        )
-
+        table = moment_curve(samples, orders=_num_list(cfg["orders"]), clock_tag=cfg["clock"])
         lo = cfg["fit_lo"] or float(table.durations.min())
         hi = cfg["fit_hi"] or float(table.durations.max())
         cfg["fit_lo"], cfg["fit_hi"] = lo, hi
         spectrum = hurst_slopes(table, fit_range=(lo, hi))
-        hurst_path = os.path.join(out, "hurst.csv")
-        _write_csv(
-            hurst_path,
-            ["q", "clock", "hurst", "slope", "intercept", "rms_residual"],
-            [
-                spectrum.orders,
-                Runs([cfg["clock"]], spectrum.orders.size),
-                spectrum.hurst,
-                spectrum.slopes,
-                spectrum.intercepts,
-                spectrum.rms_residuals,
-            ],
-        )
-
         collapse = pdf_collapse_export(
             samples, hurst=cfg["collapse_hurst"], n_bins=cfg["collapse_bins"]
         )
-        collapse_path = os.path.join(out, "collapse.csv")
-        bins = [row.density.size for row in collapse]
-        _write_csv(
-            collapse_path,
-            ["label", "duration", "x_rescaled", "density"],
-            [
-                Runs([row.label for row in collapse], bins),
-                Runs([row.duration for row in collapse], bins),
-                np.concatenate([row.bin_centers for row in collapse]),
-                np.concatenate([row.density for row in collapse]),
-            ],
-        )
-
         profile = intraday_volatility_profile(
             series, partition, time_map=tmap, n_bins=cfg["profile_bins"] if fst else None
         )
-        profile_path = os.path.join(out, "profile.csv")
-        _write_csv(
-            profile_path,
-            ["position", "clock", "sigma", "n_obs"],
-            [
-                profile.positions,
-                Runs([profile.clock_tag], profile.positions.size),
-                profile.sigma,
-                profile.n_obs,
-            ],
-        )
-
         curve = volatility_autocorrelation(
             series,
             cfg["delta"],
@@ -671,18 +570,69 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
             time_map=tmap,
             estimator=cfg["estimator"],
         )
-        autocorr_path = os.path.join(out, "autocorr.csv")
-        _write_csv(
-            autocorr_path,
-            ["lag", "clock", "corr", "n_pairs"],
-            [curve.lags, Runs([curve.clock_tag], curve.lags.size), curve.values, curve.n_pairs],
-        )
+        gate = cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
 
-        gate_path = os.path.join(out, "contiguous.json")
-        gate_warns = _write_gate(gate_path, series, partition, cfg["cutoff_threshold"])
-        caught = [str(w.message) for w in rec]
+    # every result is in hand, so a refused run has written nothing
+    out = cfg["out"]
+    moments_path = os.path.join(out, "moments.csv")
+    n_q = table.orders.size
+    _write_csv(
+        moments_path,
+        ["label", "duration", "clock", "q", "moment"],
+        [
+            Runs([r.label for r in rows], n_q),
+            Runs(table.durations, n_q),
+            Runs([cfg["clock"]], len(rows) * n_q),
+            np.tile(table.orders, len(rows)),
+            table.moments.ravel(),
+        ],
+    )
+    hurst_path = os.path.join(out, "hurst.csv")
+    _write_csv(
+        hurst_path,
+        ["q", "clock", "hurst", "slope", "intercept", "rms_residual"],
+        [
+            spectrum.orders,
+            Runs([cfg["clock"]], spectrum.orders.size),
+            spectrum.hurst,
+            spectrum.slopes,
+            spectrum.intercepts,
+            spectrum.rms_residuals,
+        ],
+    )
+    collapse_path = os.path.join(out, "collapse.csv")
+    bins = [row.density.size for row in collapse]
+    _write_csv(
+        collapse_path,
+        ["label", "duration", "x_rescaled", "density"],
+        [
+            Runs([row.label for row in collapse], bins),
+            Runs([row.duration for row in collapse], bins),
+            np.concatenate([row.bin_centers for row in collapse]),
+            np.concatenate([row.density for row in collapse]),
+        ],
+    )
+    profile_path = os.path.join(out, "profile.csv")
+    _write_csv(
+        profile_path,
+        ["position", "clock", "sigma", "n_obs"],
+        [
+            profile.positions,
+            Runs([profile.clock_tag], profile.positions.size),
+            profile.sigma,
+            profile.n_obs,
+        ],
+    )
+    autocorr_path = os.path.join(out, "autocorr.csv")
+    _write_csv(
+        autocorr_path,
+        ["lag", "clock", "corr", "n_pairs"],
+        [curve.lags, Runs([curve.clock_tag], curve.lags.size), curve.values, curve.n_pairs],
+    )
+    gate_path = os.path.join(out, "contiguous.json")
+    gate_warns = _write_gate(gate_path, gate)
 
-    warns = caught + gate_warns
+    warns = [str(w.message) for w in rec] + gate_warns
     return [moments_path, hurst_path, collapse_path, profile_path, autocorr_path, gate_path], warns
 
 
@@ -761,7 +711,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args, command)
         os.makedirs(cfg["out"], exist_ok=True)
         files, warns = COMMANDS[command](cfg)
-    except (FstError, ValueError) as e:  # ValueError: a value the library refuses
+    except (FstError, ValueError, OSError) as e:  # a refused value, a file not read or written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,8 @@ from .series import (
     day_numbers,
     dropped_between,
     next_weekday,
+    parse_class_spec,
+    parse_class_specs,
     synthetic_dates,
 )
 
@@ -290,8 +292,8 @@ class ClockCalibration:
         dvals = np.asarray(self.intraday_d, dtype=float)
         if dur.ndim != 1 or dur.size == 0 or dvals.shape != dur.shape:
             raise DataError("calibration arrays malformed")
-        if (dur <= 0).any() or self.overnight_duration <= 0:
-            raise DataError("calibrated durations must be positive")
+        _checked(np.append(dur, self.overnight_duration), "duration", zero_ok=False)
+        _checked(np.append(dvals, self.overnight_d), "D value", zero_ok=True)
         if self.cells and len(self.cells) != dur.size + 1:
             raise DataError("need one duration cell per interval plus the night")
         dur = dur.copy(); dur.setflags(write=False)
@@ -302,6 +304,12 @@ class ClockCalibration:
     @property
     def m_max(self) -> int:
         return int(self.intraday_durations.size)
+
+    def check_partition(self, partition: PartitionSpec) -> None:
+        if self.m_max != partition.m_max:
+            raise ClassSpecError(
+                f"calibration has {self.m_max} intervals, partition {partition.m_max}"
+            )
 
     @property
     def trading_total(self) -> float:
@@ -335,13 +343,12 @@ class ClockCalibration:
             sc = payload["search_config"]
             search = SearchConfig(delta_tau_min=sc["delta_tau_min"], delta_tau_max=sc["delta_tau_max"])
             entry = "delta_tau_intraday"
-            durations = _numbers(payload["delta_tau_intraday"])
+            durations = _checked(payload["delta_tau_intraday"], "duration", zero_ok=False)
             entry = "delta_tau_night"
             night = float(payload["delta_tau_night"])
-            if not math.isfinite(night):
-                raise ValueError(f"{night} is not finite")
+            _checked(night, "duration", zero_ok=False)
             entry = "d_values"
-            d_values = _numbers(payload["d_values"])
+            d_values = _checked(payload["d_values"], "D value", zero_ok=True)
             if d_values.size != durations.size + 1:
                 raise ValueError(f"{d_values.size} values for {durations.size} intervals and the night")
             entry = "reference_class"
@@ -356,7 +363,7 @@ class ClockCalibration:
             cells = tuple((float(lo), float(hi)) for lo, hi in payload.get("delta_tau_cells", []))
         except KeyError as exc:
             raise DataError(f"the calibration has no {exc.args[0]!r} entry") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, DataError) as exc:
             raise DataError(f"the calibration's {entry!r} entry is malformed ({exc})") from None
         return cls(
             intraday_durations=durations,
@@ -370,11 +377,15 @@ class ClockCalibration:
         )
 
 
-def _numbers(v) -> np.ndarray:
-    """A non-empty JSON list of finite numbers as a float array."""
-    a = np.asarray(v, dtype=float)
-    if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all():
-        raise ValueError("expected a non-empty list of finite numbers")
+def _checked(values, what: str, zero_ok: bool) -> np.ndarray:
+    """``values`` as a 1-d float array, all finite and > 0 (>= 0 if ``zero_ok``); else DataError."""
+    a = np.atleast_1d(np.asarray(values, dtype=float))
+    if a.ndim != 1 or a.size == 0:
+        raise DataError(f"expected a non-empty list of {what}s")
+    bad = ~np.isfinite(a) | ((a < 0) if zero_ok else (a <= 0))
+    if bad.any():
+        sign = "non-negative" if zero_ok else "positive"
+        raise DataError(f"{float(a[bad][0])} is not a finite {sign} {what}")
     return a
 
 
@@ -398,10 +409,7 @@ def calibrate_clock(
     ref_class = reference or IntervalClass.multiday(1)
     x_ref = class_sample(series, ref_class)
 
-    classes = [
-        IntervalClass.intraday(m - 1, m, partition) for m in range(1, partition.m_max + 1)
-    ]
-    classes.append(IntervalClass.overnight())
+    classes = partition.intervals() + [IntervalClass.overnight()]
     samples = [class_sample(series, c) for c in classes]
 
     results = [calibrate_interval(s, x_ref, cfg) for s in samples]
@@ -513,10 +521,7 @@ def assemble_time_map(
     last one closes the final overnight, so the map covers ``n_days``
     complete days of clock time plus the dropped sessions inside them.
     """
-    if calibration.m_max != partition.m_max:
-        raise ClassSpecError(
-            f"calibration has {calibration.m_max} intervals, partition {partition.m_max}"
-        )
+    calibration.check_partition(partition)
     if dates is None:
         if n_days is None:
             raise ValueError("need n_days or dates")
@@ -575,10 +580,24 @@ class AdditivityRow:
         return self.measured / self.parts_sum
 
 
-def _class_duration(c: IntervalClass, calibration: ClockCalibration) -> float:
-    """Duration a class inherits from the calibrated, additive clock."""
-    if c.kind == "intraday" and c.m_start is not None:
-        return float(calibration.intraday_durations[c.m_start : c.m_end].sum())
+def class_duration(
+    c: IntervalClass, calibration: ClockCalibration, partition: PartitionSpec
+) -> float:
+    """Duration a class inherits from the calibrated, additive clock.
+
+    An intraday class sums the durations of the partition intervals between
+    its bars, which must both sit on ``partition.boundaries``; the closure
+    takes the night's duration, whatever its calendar nights; n days take n
+    whole days.  A pooled ``sample`` class, a bar off the boundaries, or a
+    calibration of another number of intervals raises ``ClassSpecError``.
+    """
+    calibration.check_partition(partition)
+    if c.kind == "intraday":
+        b = partition.boundaries
+        if c.bar_start not in b or c.bar_end not in b:
+            raise ClassSpecError(f"class {c.label!r} does not run between partition boundaries")
+        m_start, m_end = b.index(c.bar_start), b.index(c.bar_end)
+        return float(calibration.intraday_durations[m_start:m_end].sum())
     if c.kind == "overnight":
         return calibration.overnight_duration
     if c.kind == "multiday":
@@ -586,41 +605,38 @@ def _class_duration(c: IntervalClass, calibration: ClockCalibration) -> float:
     raise ClassSpecError(f"class {c.label!r} has no clock-additive duration")
 
 
+# (row label, union token, part tokens) of the additivity report
+ADDITIVITY_UNIONS = (
+    ("trading-day vs intraday sum", "trading-day", "intervals"),
+    ("1-day vs morning+afternoon+night", "1-day", "morning,afternoon,overnight"),
+    ("2-day vs 2x1-day", "2-day", "1-day,1-day"),
+)
+
+
 def additivity_report(
     series: PriceSeries,
     partition: PartitionSpec,
     calibration: ClockCalibration,
     cfg: SearchConfig | None = None,
-    unions: Sequence[tuple[str, IntervalClass, Sequence[IntervalClass]]] | None = None,
     reference: IntervalClass | None = None,
 ) -> list[AdditivityRow]:
     """Directly calibrated union durations against sums of their parts.
 
-    Each row calibrates the union class from scratch and compares with the
-    sum the assembled clock assigns to its parts; a ratio above one means
-    the union carries more spread than its pieces, the signature of
-    positive dependence between them.
+    Each row of ``ADDITIVITY_UNIONS`` calibrates the union class from
+    scratch and compares with the sum the assembled clock assigns to its
+    parts (``class_duration``); a ratio above one means the union carries
+    more spread than its pieces, the signature of positive dependence
+    between them.
     """
     cfg = cfg or calibration.search
     x_ref = class_sample(series, reference or IntervalClass.multiday(1))
-
-    if unions is None:
-        m_mid = (partition.m_max + 1) // 2
-        morning = IntervalClass.intraday(0, m_mid, partition, label="morning")
-        afternoon = IntervalClass.intraday(m_mid, partition.m_max, partition, label="afternoon")
-        trading = IntervalClass.intraday(0, partition.m_max, partition, label="trading-day")
-        unions = [
-            ("trading-day vs intraday sum", trading,
-             [IntervalClass.intraday(m - 1, m, partition) for m in range(1, partition.m_max + 1)]),
-            ("1-day vs morning+afternoon+night", IntervalClass.multiday(1),
-             [morning, afternoon, IntervalClass.overnight()]),
-            ("2-day vs 2x1-day", IntervalClass.multiday(2),
-             [IntervalClass.multiday(1), IntervalClass.multiday(1)]),
-        ]
-
     rows = []
-    for label, union_class, parts in unions:
+    for label, union, parts in ADDITIVITY_UNIONS:
+        parts_sum = sum(
+            class_duration(p, calibration, partition)
+            for p in parse_class_specs(parts, partition, series.grid)
+        )
+        (union_class,) = parse_class_spec(union, partition, series.grid)
         measured = calibrate_interval(class_sample(series, union_class), x_ref, cfg).delta_tau
-        parts_sum = sum(_class_duration(p, calibration) for p in parts)
         rows.append(AdditivityRow(label=label, measured=measured, parts_sum=parts_sum))
     return rows

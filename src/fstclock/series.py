@@ -16,10 +16,11 @@ import itertools
 import json
 import logging
 import operator
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -219,9 +220,9 @@ class PartitionSpec:
         lo, hi = self.boundaries[m - 1], self.boundaries[m]
         return (hi - lo) * self.bar_minutes
 
-    def midpoint_minutes(self, m: int) -> float:
-        lo, hi = self.boundaries[m - 1], self.boundaries[m]
-        return 0.5 * (lo + hi) * self.bar_minutes
+    def intervals(self) -> list["IntervalClass"]:
+        """One intraday class per partition interval, in order."""
+        return [IntervalClass.intraday(m - 1, m, self) for m in range(1, self.m_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -242,8 +243,6 @@ class IntervalClass:
     label: str
     bar_start: int | None = None
     bar_end: int | None = None
-    m_start: int | None = None
-    m_end: int | None = None
     nights: int | None = None
     n_days: int | None = None
 
@@ -261,8 +260,6 @@ class IntervalClass:
             label=label or f"intraday[{m_start}..{m_end}]",
             bar_start=partition.boundaries[m_start],
             bar_end=partition.boundaries[m_end],
-            m_start=m_start,
-            m_end=m_end,
         )
 
     @classmethod
@@ -293,6 +290,63 @@ class IntervalClass:
     @classmethod
     def sample(cls, label: str) -> "IntervalClass":
         return cls(kind="sample", label=label)
+
+    def window(self, grid: DayGrid) -> tuple[int, int, int]:
+        """(start bar, end bar, span in retained days) of the returns ``raw_returns`` takes."""
+        if self.kind == "intraday":
+            return self.bar_start, self.bar_end, 0
+        if self.kind == "overnight":
+            return grid.close_index, 0, 1
+        if self.kind == "multiday":
+            return 0, 0, self.n_days
+        raise ClassSpecError(f"cannot build returns for class kind {self.kind!r}")
+
+
+def parse_class_spec(spec: str, partition: PartitionSpec, grid: DayGrid) -> list[IntervalClass]:
+    """One class token -> the interval classes it names.
+
+    Tokens: ``intervals`` (every partition interval), ``intraday:a:b``
+    (partition boundaries a to b), ``bars:i:j``, ``overnight[:nights]``,
+    ``multiday:N`` or ``N-day``, ``morning`` and ``afternoon`` (the
+    partition cut at interval (m_max + 1) // 2), ``trading-day``,
+    ``first-interval``, and ``Kmin`` (day-pooled K-minute returns).  ``Kmin``
+    is the one token that ``class_sample`` cannot build: it comes back as a
+    ``sample`` class whose bars ``0..K`` give the pooled window.
+    """
+    spec = spec.strip()
+    m_max = partition.m_max
+    if spec == "intervals":
+        return partition.intervals()
+    if m := re.fullmatch(r"intraday:(\d+):(\d+)", spec):
+        return [IntervalClass.intraday(int(m.group(1)), int(m.group(2)), partition)]
+    if m := re.fullmatch(r"bars:(\d+):(\d+)", spec):
+        return [IntervalClass.bars(int(m.group(1)), int(m.group(2)))]
+    if spec == "overnight":
+        return [IntervalClass.overnight()]
+    if m := re.fullmatch(r"overnight:(\d+)", spec):
+        return [IntervalClass.overnight(nights=int(m.group(1)))]
+    if m := re.fullmatch(r"multiday:(\d+)", spec) or re.fullmatch(r"(\d+)-day", spec):
+        return [IntervalClass.multiday(int(m.group(1)))]
+    if spec == "morning":
+        return [IntervalClass.intraday(0, (m_max + 1) // 2, partition, label="morning")]
+    if spec == "afternoon":
+        return [IntervalClass.intraday((m_max + 1) // 2, m_max, partition, label="afternoon")]
+    if spec == "trading-day":
+        return [IntervalClass.intraday(0, m_max, partition, label="trading-day")]
+    if spec == "first-interval":
+        return [IntervalClass.intraday(0, 1, partition)]
+    if m := re.fullmatch(r"(\d+(?:\.\d+)?)min", spec):
+        minutes = float(m.group(1))
+        k = grid.bars_in(minutes)
+        return [IntervalClass(kind="sample", label=f"{minutes:g}min", bar_start=0, bar_end=k)]
+    raise ClassSpecError(f"cannot parse class spec {spec!r}")
+
+
+def parse_class_specs(text: str, partition: PartitionSpec, grid: DayGrid) -> list[IntervalClass]:
+    out = []
+    for token in text.split(","):
+        out.extend(parse_class_spec(token, partition, grid))
+    return out
 
 
 @dataclass(frozen=True)
@@ -676,49 +730,32 @@ def dropped_between(series: PriceSeries, span: int = 1) -> np.ndarray:
     )
 
 
-def _column(series: PriceSeries, bar: int, rows: np.ndarray | slice, label: str) -> np.ndarray:
-    if bar >= series.grid.n_points:
-        raise ClassSpecError(f"class {label!r} needs bar {bar}, grid ends at {series.grid.close_index}")
-    col = series.log_prices[rows, bar]
-    if np.isnan(col).any():
-        raise DataError(
-            f"class {label!r} touches missing bars; run filter_complete_days first"
-        )
-    return col
-
-
 def raw_returns(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
     """Collect the raw (non-detrended) log-returns of one interval class.
 
-    Overnight and multi-day windows skip any pair of retained days with a
-    filter-dropped day strictly between their dates (``dropped_between``).
-    Multi-day windows run open to open and do not overlap.
+    One rule serves every kind.  The class's ``window`` gives a start bar,
+    an end bar and a span in retained days; windows start on retained days
+    0, s, 2s, ... with s = max(span, 1), so multi-day windows do not
+    overlap.  A window across days (span > 0) is skipped when a
+    filter-dropped session lies strictly between its first and last day
+    (``dropped_between``), and a class with ``nights`` keeps only windows
+    that many calendar nights long.  Each return is the end log-price minus
+    the start log-price; a NaN return (a missing bar) raises ``DataError``.
     """
-    label = iclass.label
-    if iclass.kind == "intraday":
-        rows = slice(None)
-        a = _column(series, iclass.bar_start, rows, label)
-        b = _column(series, iclass.bar_end, rows, label)
-        return ReturnSample(values=b - a, interval=iclass)
-
-    if iclass.kind == "overnight":
-        keep = dropped_between(series) == 0
-        if iclass.nights is not None:
-            nights = np.diff(day_numbers(series.dates))
-            keep &= nights == iclass.nights
-        starts = np.flatnonzero(keep)
-        opens = _column(series, 0, starts + 1, label)
-        closes = _column(series, series.grid.close_index, starts, label)
-        return ReturnSample(values=opens - closes, interval=iclass)
-
-    if iclass.kind == "multiday":
-        span = iclass.n_days
-        starts = np.arange(0, series.n_days - span, span)
+    grid, label = series.grid, iclass.label
+    start_bar, end_bar, span = iclass.window(grid)
+    if (bar := max(start_bar, end_bar)) > grid.close_index:
+        raise ClassSpecError(f"class {label!r} needs bar {bar}, grid ends at {grid.close_index}")
+    starts = np.arange(0, series.n_days - span, max(span, 1))
+    if span:
         starts = starts[dropped_between(series, span)[starts] == 0]
-        values = _column(series, 0, starts + span, label) - _column(series, 0, starts, label)
-        return ReturnSample(values=values, interval=iclass)
-
-    raise ClassSpecError(f"cannot build returns for class kind {iclass.kind!r}")
+    if iclass.nights is not None:
+        days = day_numbers(series.dates)
+        starts = starts[days[starts + span] - days[starts] == iclass.nights]
+    values = series.log_prices[starts + span, end_bar] - series.log_prices[starts, start_bar]
+    if np.isnan(values).any():
+        raise DataError(f"class {label!r} touches missing bars; run filter_complete_days first")
+    return ReturnSample(values=values, interval=iclass)
 
 
 def demean(a: np.ndarray) -> np.ndarray:
@@ -812,14 +849,22 @@ def _iso_dates(v) -> tuple[date, ...]:
     return tuple(map(date.fromisoformat, v))
 
 
+def read_json(path: str | Path):
+    """The JSON value in a file; a file that holds no JSON raises ``DataError`` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{path} is not a JSON file ({exc})") from None
+
+
 def load_cache(path: str | Path) -> PriceSeries:
     """Read a cache written by ``save_cache``.
 
     A missing or malformed entry raises ``DataError`` naming the file and
     the entry.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, dict) or "log_prices" not in payload:
         raise DataError(f"{path} is not a cache this version reads; re-run ingest to rebuild it")
     entry = "grid"

@@ -111,9 +111,8 @@ class GroundTruthClock:
         return float(self.bar_tau.sum()) + self.overnight_tau
 
     def interval_durations(self, partition: PartitionSpec) -> np.ndarray:
-        b = partition.boundaries
         return np.asarray(
-            [self.bar_tau[b[m - 1] : b[m]].sum() for m in range(1, partition.m_max + 1)]
+            [self.bar_tau[c.bar_start : c.bar_end].sum() for c in partition.intervals()]
         )
 
     def calibration_for(self, partition: PartitionSpec) -> ClockCalibration:

@@ -547,6 +547,55 @@ def test_backward_lag_range_is_refused(pipeline, tmp_path, capsys, lags):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+@pytest.mark.parametrize("flag", ["--input", "--calibration", "--config"])
+def test_unreadable_input_file_ends_in_one_error_line(pipeline, tmp_path, capsys, flag, damage):
+    bad = tmp_path / "in.json"
+    if damage == "truncated":
+        bad.write_text('{"log_prices": ')
+    cache = str(pipeline / "cache" / "cache.json")
+    argv = {
+        "--input": ["calibrate", "--input", str(bad)],
+        "--calibration": ["analyze", "--input", cache, "--clock", "fst", "--calibration", str(bad)],
+        "--config": ["calibrate", "--config", str(bad)],
+    }[flag]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_missing_csv_input_ends_in_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "prices.csv"
+    assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(bad)!r}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lags=-1,2"],
+    ["--collapse-bins", "2"],
+    ["--delta", "30"],
+    ["--fit-lo", "100", "--fit-hi", "50"],
+])
+def test_refused_analyze_writes_nothing(pipeline, tmp_path, flags):
+    code = main(["analyze", "--input", str(pipeline / "cache" / "cache.json"),
+                 "--out", str(tmp_path), *flags])
+    assert code == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_refused_calibrate_writes_nothing(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--days", "2", "--points", "20"]) == 0
+    out = tmp_path / "cal"
+    code = main(["calibrate", "--input", str(tmp_path / "synth" / "prices.csv"), "--points", "20",
+                 "--out", str(out)])
+    assert code == 2
+    assert "class '2-day' produced no returns" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 # --- class DSL ---------------------------------------------------------------
 
 PARTITION = PartitionSpec.equal_spacing(GRID, 20.0)

@@ -27,7 +27,8 @@ from fstclock import (
     rescaled_ks,
 )
 import fstclock.clock
-from fstclock.clock import _first_divisor, _optimal_cell
+from fstclock.clock import ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, class_duration
+from fstclock.series import parse_class_spec, parse_class_specs
 from fstclock.ks import ks_count
 
 from conftest import brownian_series, make_sample
@@ -479,6 +480,25 @@ def test_calibration_validation():
         )
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"intraday_durations": np.array([math.nan, 0.25])}, "nan is not a finite positive duration"),
+    ({"overnight_duration": math.inf}, "inf is not a finite positive duration"),
+    ({"intraday_d": np.array([0.1, math.nan])}, "nan is not a finite non-negative D value"),
+    ({"overnight_d": -0.5}, "-0.5 is not a finite non-negative D value"),
+])
+def test_calibration_refuses_non_finite_values(fields, message):
+    base = dict(
+        intraday_durations=np.array([0.25, 0.25]),
+        overnight_duration=0.5,
+        intraday_d=np.zeros(2),
+        overnight_d=0.0,
+        reference_label="1-day",
+        search=SearchConfig(),
+    )
+    with pytest.raises(DataError, match=message):
+        ClockCalibration(**{**base, **fields})
+
+
 # --- time map ---------------------------------------------------------------
 
 def unit_day_calibration():
@@ -623,3 +643,58 @@ def test_additivity_flags_dependent_increments():
     trading = rows[0]
     # adjacent bars reinforce each other, so the whole session outweighs its tiles
     assert trading.ratio > 1.5
+
+
+def test_additivity_refuses_a_partition_the_calibration_does_not_match(
+    noisy_series, noisy_calibration
+):
+    coarse = PartitionSpec(boundaries=(0, 3, 19), bar_minutes=20)
+    with pytest.raises(ClassSpecError, match="calibration has 19 intervals, partition 2"):
+        additivity_report(noisy_series, coarse, noisy_calibration)
+
+
+def test_additivity_unions_are_the_parsers_classes(
+    noisy_series, noisy_partition, noisy_calibration
+):
+    # on the 20-minute partition boundary m sits at bar m
+    intervals = [(f"intraday[{m}..{m + 1}]", "intraday", m, m + 1) for m in range(19)]
+    day = ("1-day", "multiday", None, None)
+    want = [
+        (("trading-day", "intraday", 0, 19), intervals),
+        (day, [("morning", "intraday", 0, 10), ("afternoon", "intraday", 10, 19),
+               ("overnight", "overnight", None, None)]),
+        (("2-day", "multiday", None, None), [day, day]),
+    ]
+
+    def fields(c):
+        return (c.label, c.kind, c.bar_start, c.bar_end)
+
+    grid = noisy_series.grid
+    for (_, union, parts), (want_union, want_parts) in zip(ADDITIVITY_UNIONS, want, strict=True):
+        assert [fields(c) for c in parse_class_spec(union, noisy_partition, grid)] == [want_union]
+        assert [fields(c) for c in parse_class_specs(parts, noisy_partition, grid)] == want_parts
+
+    cal = noisy_calibration
+    dur = cal.intraday_durations
+    rows = additivity_report(noisy_series, noisy_partition, cal)
+    assert [r.parts_sum for r in rows] == [
+        sum(map(float, dur)),
+        float(dur[:10].sum()) + float(dur[10:].sum()) + cal.overnight_duration,
+        cal.day_total + cal.day_total,
+    ]
+
+
+def test_class_duration_of_bars_on_the_boundaries_is_the_intervals_duration():
+    cal = unit_day_calibration()  # boundaries (0, 2, 4, 6)
+    for (i, j), (a, b) in [((0, 2), (0, 1)), ((2, 6), (1, 3)), ((0, 6), (0, 3))]:
+        by_bars = class_duration(IntervalClass.bars(i, j), cal, MAP_PARTITION)
+        by_intervals = class_duration(IntervalClass.intraday(a, b, MAP_PARTITION), cal, MAP_PARTITION)
+        assert by_bars == by_intervals == float(cal.intraday_durations[a:b].sum())
+    assert class_duration(IntervalClass.overnight(nights=3), cal, MAP_PARTITION) == 0.375
+    assert class_duration(IntervalClass.multiday(2), cal, MAP_PARTITION) == 2.0
+    for off in [IntervalClass.bars(1, 4), IntervalClass.bars(2, 5), IntervalClass.bars(4, 8),
+                IntervalClass.sample("60min")]:
+        with pytest.raises(ClassSpecError):
+            class_duration(off, cal, MAP_PARTITION)
+    with pytest.raises(ClassSpecError):
+        class_duration(IntervalClass.overnight(), cal, PartitionSpec(boundaries=(0, 3, 6), bar_minutes=20))

@@ -548,12 +548,13 @@ def test_gap_rule_matches_pairwise_scan(default_grid, default_partition, seed):
             gone, days[:-span], side="right")
         assert dropped_between(s, span).tolist() == formula.tolist()
 
-    cases = [(IntervalClass.overnight(nights=n), 1, 1, n) for n in (None, 1, 3, 4)]
-    cases += [(IntervalClass.multiday(n), n, n, None) for n in (1, 2, 3)]
-    for iclass, span, step, nights in cases:
+    # (class, start bar, end bar, span, step, nights)
+    cases = [(IntervalClass.bars(3, 7), 3, 7, 0, 1, None)]
+    cases += [(IntervalClass.overnight(nights=n), close, 0, 1, 1, n) for n in (None, 1, 3, 4)]
+    cases += [(IntervalClass.multiday(n), 0, 0, n, n, None) for n in (1, 2, 3)]
+    for iclass, start_bar, end_bar, span, step, nights in cases:
         starts = scan_windows(s, span, step, nights)
-        bar = 0 if iclass.kind == "multiday" else close
-        want = [lp[i + span, 0] - lp[i, bar] for i in starts]
+        want = [lp[i + span, end_bar] - lp[i, start_bar] for i in starts]
         if want:
             assert raw_returns(s, iclass).values.tolist() == want, iclass.label
         else:
