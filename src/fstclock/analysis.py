@@ -190,6 +190,8 @@ def moment_curve(
     q = np.asarray(list(orders), dtype=float)
     if (q <= 0).any():
         raise ValueError("moment orders must be positive")
+    if not np.isfinite(q).all():
+        raise ValueError("moment orders must be finite")
     durations = np.asarray([d for d, _ in samples], dtype=float)
     rows = np.empty((len(samples), q.size))
     for i, (_, sample) in enumerate(samples):

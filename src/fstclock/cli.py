@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -18,7 +19,6 @@ import sys
 import warnings
 from collections.abc import Callable, Sequence
 from datetime import time as dtime
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,17 +80,6 @@ def _write_json(path: str, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-class Runs(NamedTuple):
-    """A CSV column of ``values``, each held for ``length`` consecutive rows.
-
-    ``length`` is one count for every value or one count per value, as for
-    ``np.repeat``.  Each value is formatted once, however long its run.
-    """
-
-    values: Sequence
-    length: int | Sequence[int]
-
-
 def _str_cells(a: np.ndarray) -> list[str]:
     return list(map(str, a.tolist()))
 
@@ -107,24 +96,52 @@ def _formatter(a: np.ndarray) -> Callable[[np.ndarray], list[str]]:
     return _CELL_FORMATTERS.get(a.dtype.kind, _str_cells)
 
 
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``a`` by bit pattern, and each entry's index
+    among them, so ``-0.0`` and ``0.0`` and NaN payloads stay apart.
+
+    A sort, not ``np.unique``, which imports ``numpy.ma`` on its first call.
+    """
+    bits = a.view(f"u{a.itemsize}")
+    order = np.argsort(bits)
+    s = bits[order]
+    first = np.empty(s.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    inverse = np.empty(s.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return a[order[first]], inverse
+
+
+def _indexed_text(text: list[str]) -> Callable[[np.ndarray], list[str]]:
+    cells = np.array(text, dtype=object)
+    return lambda idx: cells[idx].tolist()
+
+
+def _repeated_text(values: Sequence[str], counts) -> np.ndarray:
+    """A text column of ``values``, each repeated ``counts`` times as in
+    ``np.repeat``; its rows share the strings instead of copying them."""
+    return np.repeat(np.array(values, dtype=object), counts)
+
+
 def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     """Write a header line, then one row per index of ``columns``.
 
-    Each column is a sequence with one value per row, or ``Runs``.  Its
-    formatter is picked once from its dtype: ``true``/``false`` for bools,
-    ``str`` for integers, ``repr`` for floats (so text round-trips exactly),
-    ISO seconds for ``datetime64``, ``str`` for anything else.  Nothing is
-    quoted.  Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time.
+    Each column is a sequence with one value per row.  Its formatter is
+    picked once from its dtype: ``true``/``false`` for bools, ``str`` for
+    integers, ``repr`` for floats (so text round-trips exactly), ISO seconds
+    for ``datetime64``, ``str`` for anything else.  A numeric column formats
+    each of its distinct values once and indexes that text by row.  Nothing
+    is quoted.  Rows are written ``CSV_BLOCK_ROWS`` at a time.
     """
     cols = []
     for col in columns:
-        if isinstance(col, Runs):  # format the runs, then repeat the text
-            values = np.asarray(col.values)
-            text = np.array(_formatter(values)(values), dtype=object)
-            cols.append((np.repeat(text, col.length), np.ndarray.tolist))
-        else:
-            a = np.asarray(col)
-            cols.append((a, _formatter(a)))
+        a = np.asarray(col)
+        fmt = _formatter(a)
+        if a.dtype.kind in "fiu":
+            distinct, a = _distinct(a)
+            fmt = _indexed_text(fmt(distinct))
+        cols.append((a, fmt))
     sizes = {len(a) for a, _ in cols}
     if len(sizes) > 1:
         raise ValueError(f"{path}: columns of unequal length {sorted(sizes)}")
@@ -252,27 +269,35 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMAND_HELP = {
+    "synth": "generate a synthetic price series",
+    "ingest": "parse a prices CSV into a cache file",
+    "calibrate": "fit interval durations and assemble the time map",
+    "analyze": "moments, scaling exponents, collapse, profiles, correlations",
+    "compare-clocks": "fitted durations against moment-clock durations",
+    "pairwise-d": "matrix of KS distances between class samples",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    A parser built for one command parses its arguments as the full parser
+    does, and its usage line still names every command.
+    """
     parser = argparse.ArgumentParser(
         prog="fstclock",
         description="Calibrate and apply a diffusive trading clock.",
     )
     parser.add_argument("--version", action="version", version=f"fstclock {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "synth": "generate a synthetic price series",
-        "ingest": "parse a prices CSV into a cache file",
-        "calibrate": "fit interval durations and assemble the time map",
-        "analyze": "moments, scaling exponents, collapse, profiles, correlations",
-        "compare-clocks": "fitted durations against moment-clock durations",
-        "pairwise-d": "matrix of KS distances between class samples",
-    }
-    for cmd, opts in OPTIONS.items():
-        p = sub.add_parser(cmd, help=helps[cmd])
+    every = "{" + ",".join(OPTIONS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for cmd in [command] if command else OPTIONS:
+        p = sub.add_parser(cmd, help=COMMAND_HELP[cmd])
         p.add_argument("--config", default=None, help="JSON config or a previous manifest")
         p.add_argument("--strict", action="store_true",
                        help="exit nonzero when any warning fires")
-        for o in opts:
+        for o in OPTIONS[cmd]:
             if o.typ is bool:
                 p.add_argument(_flag(o.name), action="store_true", default=None, help=o.help)
             else:
@@ -323,7 +348,11 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
             v = file_cfg.get(o.name, o.default)
         if v is None:
             raise ClassSpecError(f"{_flag(o.name)} is required")
-        out[o.name] = o.typ(v)
+        v = o.typ(v)
+        # the search window's own check refuses non-finite edges
+        if o.typ is float and not math.isfinite(v) and o not in SEARCH_OPTS:
+            raise ClassSpecError(f"{_flag(o.name)} must be finite, not {v!r}")
+        out[o.name] = v
     return out
 
 
@@ -535,6 +564,8 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
             cfg["delta"] = cal.trading_total / partition.m_max
     elif not cfg["delta"]:
         cfg["delta"] = cfg["interval_minutes"]
+    if cfg["profile_bins"] < 0:
+        raise ClassSpecError("--profile-bins must be positive, or 0 for one bin per interval")
     if not cfg["profile_bins"]:
         cfg["profile_bins"] = partition.m_max
 
@@ -580,9 +611,9 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         moments_path,
         ["label", "duration", "clock", "q", "moment"],
         [
-            Runs([r.label for r in rows], n_q),
-            Runs(table.durations, n_q),
-            Runs([cfg["clock"]], len(rows) * n_q),
+            _repeated_text([r.label for r in rows], n_q),
+            np.repeat(table.durations, n_q),
+            _repeated_text([cfg["clock"]], len(rows) * n_q),
             np.tile(table.orders, len(rows)),
             table.moments.ravel(),
         ],
@@ -593,7 +624,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         ["q", "clock", "hurst", "slope", "intercept", "rms_residual"],
         [
             spectrum.orders,
-            Runs([cfg["clock"]], spectrum.orders.size),
+            _repeated_text([cfg["clock"]], spectrum.orders.size),
             spectrum.hurst,
             spectrum.slopes,
             spectrum.intercepts,
@@ -606,8 +637,8 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         collapse_path,
         ["label", "duration", "x_rescaled", "density"],
         [
-            Runs([row.label for row in collapse], bins),
-            Runs([row.duration for row in collapse], bins),
+            _repeated_text([row.label for row in collapse], bins),
+            np.repeat([row.duration for row in collapse], bins),
             np.concatenate([row.bin_centers for row in collapse]),
             np.concatenate([row.density for row in collapse]),
         ],
@@ -618,7 +649,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         ["position", "clock", "sigma", "n_obs"],
         [
             profile.positions,
-            Runs([profile.clock_tag], profile.positions.size),
+            _repeated_text([profile.clock_tag], profile.positions.size),
             profile.sigma,
             profile.n_obs,
         ],
@@ -627,7 +658,12 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
     _write_csv(
         autocorr_path,
         ["lag", "clock", "corr", "n_pairs"],
-        [curve.lags, Runs([curve.clock_tag], curve.lags.size), curve.values, curve.n_pairs],
+        [
+            curve.lags,
+            _repeated_text([curve.clock_tag], curve.lags.size),
+            curve.values,
+            curve.n_pairs,
+        ],
     )
     gate_path = os.path.join(out, "contiguous.json")
     gate_warns = _write_gate(gate_path, gate)
@@ -705,7 +741,9 @@ INPUT_KEYS = ("input", "calibration")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command needs only its own subparser; anything else gets all
+    args = build_parser(argv[0] if argv and argv[0] in OPTIONS else None).parse_args(argv)
     command = args.command
     try:
         cfg = resolve_config(args, command)

@@ -905,4 +905,8 @@ def load_series(path: str | Path, grid: DayGrid | None = None) -> PriceSeries:
         return load_cache(p)
     if grid is None:
         raise DataError("ingesting a CSV needs an explicit grid")
-    return ingest_csv(p, grid)
+    try:
+        return ingest_csv(p, grid)
+    except (ParseError, DataError) as exc:  # name the file, as load_cache does
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -1,6 +1,7 @@
 """Moments, Hurst slopes, collapse, profiles, correlation estimators."""
 from __future__ import annotations
 
+import math
 from datetime import time
 
 import numpy as np
@@ -95,6 +96,16 @@ def test_moment_curve_invariances():
     flip = moment_curve([(1.0, make_sample(-v))]).moments
     np.testing.assert_allclose(perm, base, rtol=1e-12)
     np.testing.assert_allclose(flip, base, rtol=0)
+
+
+@pytest.mark.parametrize("orders,message", [
+    ((1.0, 0.0), "moment orders must be positive"),
+    ((1.0, math.nan), "moment orders must be finite"),
+    ((math.inf,), "moment orders must be finite"),
+])
+def test_moment_curve_refuses_orders_that_are_not_positive_and_finite(orders, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        moment_curve([(1.0, make_sample([1.0, -2.0, 3.0]))], orders=orders)
 
 
 def power_law_table(hurst, lambda2=0.0):

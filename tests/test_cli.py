@@ -8,6 +8,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -155,12 +156,9 @@ def _write_csv_rows(path, header, rows) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _per_row(column) -> list:
-    """A column as one value per row, each of the type it has inside the column."""
-    if isinstance(column, cli.Runs):
-        return [v for v, k in zip(column.values, np.broadcast_to(column.length, len(column.values)))
-                for _ in range(k)]
-    return list(column)
+def _nans(bits: list[int], dtype) -> np.ndarray:
+    """NaNs with the given payloads, which the writer must keep apart."""
+    return np.array(bits, dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)
 
 
 def _typed_columns(seed: int, n_runs: int) -> dict:
@@ -174,6 +172,9 @@ def _typed_columns(seed: int, n_runs: int) -> dict:
     int64 = rng.integers(-2**62, 2**62, n)
     int64[: min(n, 1)] = 2**63 - 1
     labels = [f"class[{j}..{j + 1}]" for j in range(n_runs)]
+    f32 = np.concatenate([np.float32([0.0, -0.0, np.inf, 1.1]),
+                          _nans([0x7FC00000, 0x7FC00001, 0xFFC00000], np.float32)])
+    f64 = np.concatenate([special, _nans([0x7FF8000000000001, 0xFFF8000000000000], np.float64)])
     return {
         "py_bool": [bool(b) for b in rng.integers(0, 2, n)],
         "np_bool": rng.integers(0, 2, n).astype(bool),
@@ -187,10 +188,16 @@ def _typed_columns(seed: int, n_runs: int) -> dict:
         "np_float_list": list(floats),
         "datetime": (1_600_000_000 + np.sort(rng.integers(0, 10**8, n))).astype("datetime64[s]"),
         "label": [labels[j] for j in rng.integers(0, n_runs, n)],
-        "const": cli.Runs(["fst"], n),
-        "label_runs": cli.Runs(labels, lengths),
-        "float_runs": cli.Runs(rng.choice(special, n_runs), lengths),
-        "int_runs": cli.Runs(rng.integers(-9, 9, n_runs), lengths),
+        # runs of repeated values, as the analyze files hold them
+        "const": ["fst"] * n,
+        "label_runs": np.repeat(labels, lengths),
+        "shared_label_runs": cli._repeated_text(labels, lengths),
+        "float_runs": np.repeat(rng.choice(special, n_runs), lengths),
+        "int_runs": np.repeat(rng.integers(-9, 9, n_runs), lengths),
+        # few distinct values scattered over every block
+        "float32_few": rng.choice(f32, n),
+        "float64_few": rng.choice(f64, n),
+        "uint16_few": rng.integers(0, 3, n, dtype=np.uint16),
     }
 
 
@@ -200,16 +207,36 @@ def test_csv_writer_matches_row_by_row_writer(tmp_path, monkeypatch, block_rows,
     columns = _typed_columns(seed, n_runs)
     header = list(columns)
     want, got = tmp_path / "rows.csv", tmp_path / "columns.csv"
-    _write_csv_rows(str(want), header, zip(*map(_per_row, columns.values())))
+    _write_csv_rows(str(want), header, zip(*map(list, columns.values())))
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
     cli._write_csv(str(got), header, list(columns.values()))
     assert got.read_bytes() == want.read_bytes()
     assert len(got.read_text().splitlines()) == 1 + len(columns["float64"])
 
 
+def test_csv_writer_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    # 9 bit patterns, 4 of them NaN and 2 of them zeros, over 3 blocks of rows
+    values = np.concatenate([[0.0, -0.0, 0.1, 1e300, -np.inf],
+                             _nans([0x7FF8000000000000, 0x7FF8000000000001,
+                                    0xFFF8000000000000, 0x7FF0000000000001], np.float64)])
+    column = np.random.default_rng(8).choice(values, 2 * cli.CSV_BLOCK_ROWS + 5)
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return repr(v)
+
+    monkeypatch.setattr(cli, "repr", spy, raising=False)
+    got, want = tmp_path / "columns.csv", tmp_path / "rows.csv"
+    cli._write_csv(str(got), ["x", "n"], [column, column.view(np.int64) % 7])
+    assert len(calls) == len(values)
+    _write_csv_rows(str(want), ["x", "n"], zip(column, column.view(np.int64) % 7))
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_csv_writer_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="unequal length"):
-        cli._write_csv(str(tmp_path / "x.csv"), ["a", "b"], [[1, 2], cli.Runs([0.5], 3)])
+        cli._write_csv(str(tmp_path / "x.csv"), ["a", "b"], [[1, 2], [0.5] * 3])
 
 
 def test_every_csv_goes_through_the_writer(tmp_path, monkeypatch):
@@ -434,6 +461,12 @@ def test_interval_minutes_must_be_whole_bars(pipeline, tmp_path, capsys, minutes
     ("calibrate", ["--bar-minutes", "0"], "bar_minutes must be positive"),
     ("analyze", ["--orders=-1"], "moment orders must be positive"),
     ("calibrate", ["--tau-max", "inf"], "need finite delta_tau_min and delta_tau_max"),
+    ("calibrate", ["--cutoff-threshold", "nan"], "--cutoff-threshold must be finite, not nan"),
+    ("analyze", ["--collapse-hurst", "nan"], "--collapse-hurst must be finite, not nan"),
+    ("analyze", ["--delta=-inf"], "--delta must be finite, not -inf"),
+    ("analyze", ["--orders", "nan"], "moment orders must be finite"),
+    ("analyze", ["--orders", "1,inf"], "moment orders must be finite"),
+    ("analyze", ["--profile-bins=-1"], "--profile-bins must be positive, or 0 for one bin per interval"),
 ])
 def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, command, flags, message):
     code = main([command, "--input", str(pipeline / "synth" / "prices.csv"), "--points", "20",
@@ -442,6 +475,15 @@ def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not (tmp_path / "resolved_config.json").exists()
+
+
+def test_config_refuses_non_finite_float_values(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoff_threshold": math.nan}))
+    assert main(["calibrate", "--config", str(cfg), "--input", "prices.csv",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: --cutoff-threshold must be finite, not nan\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_for_other_command_is_refused(pipeline, tmp_path, capsys):
@@ -566,6 +608,22 @@ def test_unreadable_input_file_ends_in_one_error_line(pipeline, tmp_path, capsys
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command", ["ingest", "calibrate"])
+@pytest.mark.parametrize("body,message", [
+    ('{"log_prices": ', "line 1: expected header 'timestamp,price', got '{\"log_prices\": '"),
+    ("timestamp,price\n2020-01-02T09:40:00,100\n2020-01-02T10:00:00,abc\n", "line 3: bad price 'abc'"),
+    ("timestamp,price\n2020-01-02T09:40:00,-1\n", "line 2: non-positive price '-1'"),
+    ("timestamp,price\n", "input holds no data rows"),
+])
+def test_malformed_csv_input_names_the_file(tmp_path, capsys, command, body, message):
+    bad = tmp_path / "t.csv"
+    bad.write_text(body)
+    out = tmp_path / "out"
+    assert main([command, "--input", str(bad), "--out", str(out), "--points", "20"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert os.listdir(out) == []
+
+
 def test_missing_csv_input_ends_in_one_error_line(tmp_path, capsys):
     bad = tmp_path / "prices.csv"
     assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "out")]) == 2
@@ -594,6 +652,54 @@ def test_refused_calibrate_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert "class '2-day' produced no returns" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+# --- the parser ----------------------------------------------------------------
+
+def _argv_setting_every_option(command: str) -> list[str]:
+    argv = [command, "--config", "c.json", "--strict"]
+    for o in cli.OPTIONS[command]:
+        if o.typ is bool:
+            argv.append(cli._flag(o.name))
+        else:
+            value = o.choices[-1] if o.choices else {int: "3", float: "0.5", str: "x"}[o.typ]
+            argv += [cli._flag(o.name), value]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    for argv in ([command], _argv_setting_every_option(command)):
+        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+    assert vars(build_parser().parse_args(_argv_setting_every_option(command))).keys() == {
+        "command", "config", "strict", *(o.name for o in cli.OPTIONS[command])}
+
+
+def _exit_text(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+@pytest.mark.parametrize("tail", [["--help"], ["--threads", "1"], ["--points", "x"], ["extra"]])
+def test_command_help_and_errors_read_as_the_full_parsers(command, tail, capsys):
+    argv = [command, *tail]
+    want = _exit_text(build_parser().parse_args, argv, capsys)
+    assert _exit_text(main, argv, capsys) == want
+    assert want[0] == (0 if tail == ["--help"] else 2)
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["cal"]])
+def test_top_level_help_and_errors_name_every_command(argv, capsys):
+    code, out, err = _exit_text(main, argv, capsys)
+    assert code == (0 if argv == ["--help"] else 2)
+    assert "{" + ",".join(cli.OPTIONS) + "}" in out + err
+    if argv == ["--help"]:
+        for command in cli.OPTIONS:  # one line per command, then its help
+            assert re.search(rf"^    {command}\s", out, re.M), command
+    assert (code, out, err) == _exit_text(build_parser().parse_args, argv, capsys)
 
 
 # --- class DSL ---------------------------------------------------------------
