@@ -23,26 +23,7 @@ from datetime import time as dtime
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    hurst_slopes,
-    intraday_volatility_profile,
-    moment_curve,
-    pdf_collapse_export,
-    pooled_bar_sample,
-    span_union_samples,
-    cutoff_check,
-    volatility_autocorrelation,
-)
-from .clock import (
-    ClockCalibration,
-    SearchConfig,
-    additivity_report,
-    assemble_time_map,
-    calibrate_clock,
-)
 from .errors import ClassSpecError, DataError, FstError
-from .ks import ks_distance
-from .momentclock import compare_clocks
 from .series import (
     DayGrid,
     IntervalClass,
@@ -55,13 +36,32 @@ from .series import (
     read_json,
     save_cache,
 )
-from .synthetic import (
-    ActivityProfile,
-    GeneratorConfig,
-    generate_multifractal,
-    generate_seasonal,
-    write_prices_csv,
-)
+
+
+def __getattr__(name: str):
+    """A package name this module has not used yet, imported now (PEP 562)."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
+
+
+class _Names:
+    """This module's names as attributes, each package name imported on first use.
+
+    The commands call every name from outside ``series`` and ``errors``
+    through ``cli`` (``cli.calibrate_clock``): each command loads only the
+    modules it runs, and a wrapper set on this module with ``setattr`` is
+    the function that runs.
+    """
+
+    def __getattr__(self, name: str):
+        return globals()[name] if name in globals() else __getattr__(name)
+
+
+cli = _Names()
+
 
 STRICT_EXIT = 3
 # Rows formatted per write to a CSV file.
@@ -84,11 +84,23 @@ def _str_cells(a: np.ndarray) -> list[str]:
     return list(map(str, a.tolist()))
 
 
+def _iso_seconds(a: np.ndarray) -> list[str]:
+    """ISO seconds of ``datetime64`` values.  Each distinct day and each
+    distinct time of day is formatted once, and the two are joined by ``T``."""
+    if a.dtype != "datetime64[s]" or np.isnat(a).any():
+        return np.datetime_as_string(a, unit="s").tolist()
+    days = a.astype("datetime64[D]")
+    (day, day_of), (tod, tod_of) = _distinct(days), _distinct(a - days)
+    times = [t[11:] for t in np.datetime_as_string(np.datetime64(0, "s") + tod).tolist()]
+    dates = _indexed_text(np.datetime_as_string(day).tolist())(day_of)
+    return list(map("T".join, zip(dates, _indexed_text(times)(tod_of))))
+
+
 # Cell formatters by dtype kind; integers and everything else go through str.
 _CELL_FORMATTERS = {
     "b": lambda a: np.where(a, "true", "false").tolist(),
     "f": lambda a: list(map(repr, a.tolist())),
-    "M": lambda a: np.datetime_as_string(a, unit="s").tolist(),
+    "M": _iso_seconds,
 }
 
 
@@ -265,6 +277,10 @@ OPTIONS: dict[str, list[Opt]] = {
 }
 
 
+# options refused below zero, from a flag or a config alike
+NON_NEGATIVE = ("max_missing", "cutoff_threshold")
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -352,6 +368,8 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
         # the search window's own check refuses non-finite edges
         if o.typ is float and not math.isfinite(v) and o not in SEARCH_OPTS:
             raise ClassSpecError(f"{_flag(o.name)} must be finite, not {v!r}")
+        if o.name in NON_NEGATIVE and v < 0:
+            raise ClassSpecError(f"{_flag(o.name)} must be at least 0, not {v!r}")
         out[o.name] = v
     return out
 
@@ -386,7 +404,7 @@ def _partition_from(cfg: dict, grid: DayGrid) -> PartitionSpec:
 
 
 def _search_from(cfg: dict) -> SearchConfig:
-    return SearchConfig(delta_tau_min=cfg["tau_min"], delta_tau_max=cfg["tau_max"])
+    return cli.SearchConfig(delta_tau_min=cfg["tau_min"], delta_tau_max=cfg["tau_max"])
 
 
 def _num_list(text: str, typ=float) -> list:
@@ -404,7 +422,7 @@ def _num_list(text: str, typ=float) -> list:
 
 def _class_sample(series, c: IntervalClass):
     if c.kind == "sample":
-        return pooled_bar_sample(series, c.bar_end, label=c.label)
+        return cli.pooled_bar_sample(series, c.bar_end, label=c.label)
     return class_sample(series, c)
 
 
@@ -438,7 +456,7 @@ def _write_gate(path: str, gate) -> list[str]:
 def _load_calibration(path: str) -> ClockCalibration:
     payload = read_json(path)
     try:
-        return ClockCalibration.from_json_dict(payload)
+        return cli.ClockCalibration.from_json_dict(payload)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -448,7 +466,7 @@ def _load_calibration(path: str) -> ClockCalibration:
 
 def cmd_synth(cfg: dict) -> tuple[list[str], list[str]]:
     grid = _grid_from(cfg)
-    gen = GeneratorConfig(
+    gen = cli.GeneratorConfig(
         n_days=cfg["days"],
         seed=cfg["seed"],
         innovation=cfg["innovation"],
@@ -459,42 +477,40 @@ def cmd_synth(cfg: dict) -> tuple[list[str], list[str]]:
     if cfg["mode"] == "seasonal":
         n_bars = grid.n_bars
         if cfg["profile"] == "flat":
-            profile = ActivityProfile.flat(n_bars, overnight_mass=cfg["overnight_mass"])
+            profile = cli.ActivityProfile.flat(n_bars, overnight_mass=cfg["overnight_mass"])
         elif cfg["profile"] == "u-shape":
-            profile = ActivityProfile.u_shape(
+            profile = cli.ActivityProfile.u_shape(
                 n_bars, edge_boost=cfg["edge_boost"], overnight_mass_ratio=cfg["overnight_mass"]
             )
         else:
             steps = cfg["steps"] or n_bars
-            profile = ActivityProfile.u_steps(
+            profile = cli.ActivityProfile.u_steps(
                 n_bars,
                 steps,
                 edge_boost=cfg["edge_boost"],
                 overnight_mass_ratio=cfg["overnight_mass"],
             )
-        series, truth = generate_seasonal(profile, gen, grid)
+        series, truth = cli.generate_seasonal(profile, gen, grid)
         truth_payload = {
             "kind": "seasonal",
             "bar_tau": [float(x) for x in truth.bar_tau],
             "overnight_tau": float(truth.overnight_tau),
         }
     else:
-        series = generate_multifractal(
+        series = cli.generate_multifractal(
             gen, grid, overnight_mass_ratio=cfg["overnight_mass"]
         )
-        from .synthetic import cascade_hurst
-
         truth_payload = {
             "kind": "multifractal",
             "lambda2": cfg["lambda2"],
             "depth": cfg["depth"],
             "hurst_by_order": {
-                str(q): cascade_hurst(q, cfg["lambda2"]) for q in (1.0, 2.0, 3.0, 4.0)
+                str(q): cli.cascade_hurst(q, cfg["lambda2"]) for q in (1.0, 2.0, 3.0, 4.0)
             },
         }
     prices = os.path.join(cfg["out"], "prices.csv")
     truth_path = os.path.join(cfg["out"], "truth.json")
-    write_prices_csv(series, prices)
+    cli.write_prices_csv(series, prices)
     _write_json(truth_path, truth_payload)
     return [prices, truth_path], []
 
@@ -516,12 +532,12 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
     partition = _partition_from(cfg, grid)
     search = _search_from(cfg)
     ref_class = _reference(cfg["reference"], partition, grid)
-    cal = calibrate_clock(series, partition, cfg=search, reference=ref_class)
-    tmap = assemble_time_map(cal, partition, grid, dates=series)
-    gate = cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
+    cal = cli.calibrate_clock(series, partition, cfg=search, reference=ref_class)
+    tmap = cli.assemble_time_map(cal, partition, grid, dates=series)
+    gate = cli.cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
     rows = None
     if not cfg["skip_additivity"]:
-        rows = additivity_report(series, partition, cal, cfg=search, reference=ref_class)
+        rows = cli.additivity_report(series, partition, cal, cfg=search, reference=ref_class)
 
     # every result is in hand, so a refused run has written nothing
     out = cfg["out"]
@@ -559,7 +575,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
                 "the fst clock needs --calibration pointing at a calibration.json"
             )
         cal = _load_calibration(cfg["calibration"])
-        tmap = assemble_time_map(cal, partition, grid, dates=series)
+        tmap = cli.assemble_time_map(cal, partition, grid, dates=series)
         if not cfg["delta"]:
             cfg["delta"] = cal.trading_total / partition.m_max
     elif not cfg["delta"]:
@@ -573,7 +589,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
 
-        rows = span_union_samples(
+        rows = cli.span_union_samples(
             series,
             partition,
             spans=[int(s) for s in _num_list(cfg["spans"], int)],
@@ -583,25 +599,25 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         )
         duration_of = (lambda r: r.fst_duration) if fst else (lambda r: r.physical_duration)
         samples = [(duration_of(r), r.sample) for r in rows]
-        table = moment_curve(samples, orders=_num_list(cfg["orders"]), clock_tag=cfg["clock"])
+        table = cli.moment_curve(samples, orders=_num_list(cfg["orders"]), clock_tag=cfg["clock"])
         lo = cfg["fit_lo"] or float(table.durations.min())
         hi = cfg["fit_hi"] or float(table.durations.max())
         cfg["fit_lo"], cfg["fit_hi"] = lo, hi
-        spectrum = hurst_slopes(table, fit_range=(lo, hi))
-        collapse = pdf_collapse_export(
+        spectrum = cli.hurst_slopes(table, fit_range=(lo, hi))
+        collapse = cli.pdf_collapse_export(
             samples, hurst=cfg["collapse_hurst"], n_bins=cfg["collapse_bins"]
         )
-        profile = intraday_volatility_profile(
+        profile = cli.intraday_volatility_profile(
             series, partition, time_map=tmap, n_bins=cfg["profile_bins"] if fst else None
         )
-        curve = volatility_autocorrelation(
+        curve = cli.volatility_autocorrelation(
             series,
             cfg["delta"],
             lags,
             time_map=tmap,
             estimator=cfg["estimator"],
         )
-        gate = cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
+        gate = cli.cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
 
     # every result is in hand, so a refused run has written nothing
     out = cfg["out"]
@@ -686,7 +702,7 @@ def cmd_compare_clocks(cfg: dict) -> tuple[list[str], list[str]]:
 
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        comp = compare_clocks(classes, x_ref, orders=orders, cfg=search)
+        comp = cli.compare_clocks(classes, x_ref, orders=orders, cfg=search)
     warns = [str(w.message) for w in rec]
 
     header = ["class", "fst_dtau", "fst_D"]
@@ -720,7 +736,7 @@ def cmd_pairwise_d(cfg: dict) -> tuple[list[str], list[str]]:
     matrix = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = ks_distance(labeled[i][1], labeled[j][1]).d
+            d = cli.ks_distance(labeled[i][1], labeled[j][1]).d
             matrix[i, j] = matrix[j, i] = d
     path = os.path.join(cfg["out"], "pairwise.csv")
     labels = [label for label, _ in labeled]

@@ -810,6 +810,8 @@ def synthetic_dates(n_days: int) -> tuple[date, ...]:
 # blocks concatenate into one unpadded string.
 CACHE_BLOCK_ROWS = 3 * 256
 _CACHE_DTYPE = "<f8"
+# The payload's key and the quote opening its string, JSON whitespace allowed.
+_PAYLOAD_KEY = re.compile(rb'"base64"[ \t\n\r]*:[ \t\n\r]*"')
 
 
 def save_cache(series: PriceSeries, path: str | Path) -> None:
@@ -861,10 +863,22 @@ def read_json(path: str | Path):
 def load_cache(path: str | Path) -> PriceSeries:
     """Read a cache written by ``save_cache``.
 
-    A missing or malformed entry raises ``DataError`` naming the file and
-    the entry.
+    The file is read as bytes.  ``json`` parses every byte of it but those
+    of the first ``"base64"`` string, which go as they are to validating
+    base64 decoding, so a JSON escape in the payload is refused like any
+    other byte outside the alphabet.  A missing or malformed entry raises
+    ``DataError`` naming the file and the entry.
     """
-    payload = read_json(path)
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    key = _PAYLOAD_KEY.search(buf)
+    lo = key.end() if key else len(buf)
+    hi = buf.find(b'"', lo)
+    cut = memoryview(buf)[lo:hi] if hi >= 0 else None
+    try:  # json sees the payload as ""
+        payload = json.loads((buf[:lo] + buf[hi:] if cut is not None else buf).decode())
+    except ValueError:  # not JSON, or a payload holding a quote: the whole file's verdict
+        payload, cut = read_json(path), None
     if not isinstance(payload, dict) or "log_prices" not in payload:
         raise DataError(f"{path} is not a cache this version reads; re-run ingest to rebuild it")
     entry = "grid"
@@ -884,8 +898,11 @@ def load_cache(path: str | Path) -> PriceSeries:
                 f"{path}: matrix {lp['dtype']} {lp['shape']} does not match "
                 f"{_CACHE_DTYPE} {shape}"
             )
+        data = lp.pop("base64")
+        if data == "" and cut is not None:  # the string the cut emptied
+            data = cut
         try:
-            raw = base64.b64decode(lp.pop("base64"), validate=True)
+            raw = base64.b64decode(data, validate=True)
         except binascii.Error as exc:
             raise DataError(f"{path}: corrupt matrix payload ({exc})") from None
         if len(raw) != shape[0] * shape[1] * 8:

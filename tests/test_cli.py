@@ -234,6 +234,34 @@ def test_csv_writer_formats_each_distinct_value_once(tmp_path, monkeypatch):
     assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("block_rows", [1, 5, cli.CSV_BLOCK_ROWS])
+def test_csv_writer_formats_each_day_and_time_of_day_once(tmp_path, monkeypatch, block_rows):
+    rng = np.random.default_rng(11)
+    # 300 days from before 1970 to past 9999, each at a few of 20 times of day
+    days = np.sort(rng.choice(np.arange(-800_000, 3_000_000), 300, replace=False))
+    times = rng.choice(86_400, 20, replace=False)
+    stamps = (86_400 * rng.choice(days, 3000) + rng.choice(times, 3000)).astype("datetime64[s]")
+    want = np.datetime_as_string(stamps, unit="s").tolist()
+    real = np.datetime_as_string
+    formatted = []
+
+    def spy(a, *args, **kwargs):
+        formatted.append(np.size(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "datetime_as_string", spy)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), ["t"], [stamps])
+    assert path.read_text().splitlines() == ["t", *want]
+    if block_rows >= stamps.size:  # one block: each of 300 days and 20 times once
+        assert sum(formatted) <= 320
+    # NaT and other units keep the per-value formatting
+    odd = np.array(["2020-01-02T03:04:05", "NaT"], dtype="datetime64[s]")
+    assert cli._iso_seconds(odd) == ["2020-01-02T03:04:05", "NaT"]
+    assert cli._iso_seconds(odd[:1].astype("datetime64[ms]")) == ["2020-01-02T03:04:05"]
+
+
 def test_csv_writer_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="unequal length"):
         cli._write_csv(str(tmp_path / "x.csv"), ["a", "b"], [[1, 2], [0.5] * 3])
@@ -273,19 +301,32 @@ def test_every_csv_goes_through_the_writer(tmp_path, monkeypatch):
     assert len(written) == len(set(written)) == len(csvs) - 1
 
 
-def test_commands_never_import_numpy_ma(pipeline, tmp_path):
-    # np.unique and np.median import numpy.ma on their first call (16-18 ms)
-    cache = str(pipeline / "cache" / "cache.json")
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this fstclock."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _loaded_modules(argv: list[str]) -> set[str]:
+    """Run one command in a fresh interpreter; the modules it had loaded at the end."""
     script = (
         "import sys\n"
         "from fstclock.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print(' '.join(sys.modules))\n"
         "sys.exit(code)\n"
     )
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_commands_never_import_numpy_ma(pipeline, tmp_path):
+    # np.unique and np.median import numpy.ma on their first call (16-18 ms)
+    cache = str(pipeline / "cache" / "cache.json")
     for argv in (
         ["calibrate", "--input", cache, "--out", str(tmp_path / "cal")],
         ["analyze", "--input", cache, "--out", str(tmp_path / "physical")],
@@ -293,10 +334,83 @@ def test_commands_never_import_numpy_ma(pipeline, tmp_path):
          "--calibration", str(pipeline / "cal" / "calibration.json")],
         ["compare-clocks", "--input", cache, "--out", str(tmp_path / "cmp")],
     ):
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False", argv
+        assert "numpy.ma" not in _loaded_modules(argv), argv
+
+
+def test_each_command_loads_only_its_modules(pipeline, tmp_path):
+    cache = str(pipeline / "cache" / "cache.json")
+    base = {"fstclock", "fstclock.cli", "fstclock.errors", "fstclock.series"}
+    fits = base | {"fstclock.ks", "fstclock.clock"}
+    for argv, modules in [
+        (["synth", "--out", str(tmp_path / "synth"), "--days", "30", "--points", "20"],
+         fits | {"fstclock.synthetic"}),
+        (["ingest", "--input", str(pipeline / "synth" / "prices.csv"),
+          "--out", str(tmp_path / "ingest"), "--points", "20"], base),
+        (["calibrate", "--input", cache, "--out", str(tmp_path / "cal")],
+         fits | {"fstclock.analysis"}),
+        (["analyze", "--input", cache, "--out", str(tmp_path / "fst"), "--clock", "fst",
+          "--calibration", str(pipeline / "cal" / "calibration.json")],
+         fits | {"fstclock.analysis"}),
+        (["compare-clocks", "--input", cache, "--out", str(tmp_path / "cmp")],
+         fits | {"fstclock.momentclock"}),
+    ]:
+        loaded = {m for m in _loaded_modules(argv) if m.split(".")[0] == "fstclock"}
+        assert loaded == modules, argv[0]
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, fstclock; print(sorted(m for m in sys.modules if 'fstclock.' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves():
+    import fstclock
+
+    assert "__version__" in fstclock.__all__
+    for name in set(fstclock.__all__) - {"__version__"}:
+        value = getattr(fstclock, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(fstclock.__all__) <= set(dir(fstclock))
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        fstclock.nothing  # noqa: B018
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        cli.nothing  # noqa: B018
+
+
+def test_commands_call_what_is_set_on_the_module(pipeline, tmp_path, monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("calibrate_clock", "cutoff_check", "compare_clocks"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    cache = str(pipeline / "cache" / "cache.json")
+    assert main(["calibrate", "--input", cache, "--out", str(tmp_path / "cal"),
+                 "--skip-additivity"]) == 0
+    assert main(["compare-clocks", "--input", cache, "--out", str(tmp_path / "cmp")]) == 0
+    assert calls == ["calibrate_clock", "cutoff_check", "compare_clocks"]
+
+
+@pytest.mark.filterwarnings("ignore:'fstclock.cli' found in sys.modules:RuntimeWarning")
+def test_module_run_in_a_fresh_namespace_resolves_its_names(pipeline, tmp_path, monkeypatch):
+    # runpy.run_module, as `python -m cProfile -m fstclock.cli` uses it, runs
+    # the module's code in a dict that no module in sys.modules owns
+    import runpy
+
+    out = tmp_path / "cmp"
+    monkeypatch.setattr(sys, "argv", ["fstclock", "compare-clocks", "--input",
+                                      str(pipeline / "cache" / "cache.json"), "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fstclock.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert (out / "comparison.csv").exists()
 
 
 def test_analyze_rerun_from_manifest_is_byte_identical(pipeline, tmp_path):
@@ -467,6 +581,13 @@ def test_interval_minutes_must_be_whole_bars(pipeline, tmp_path, capsys, minutes
     ("analyze", ["--orders", "nan"], "moment orders must be finite"),
     ("analyze", ["--orders", "1,inf"], "moment orders must be finite"),
     ("analyze", ["--profile-bins=-1"], "--profile-bins must be positive, or 0 for one bin per interval"),
+    ("calibrate", ["--cutoff-threshold", "-1"], "--cutoff-threshold must be at least 0, not -1.0"),
+    ("analyze", ["--cutoff-threshold=-1e-9"], "--cutoff-threshold must be at least 0, not -1e-09"),
+    ("ingest", ["--max-missing=-1"], "--max-missing must be at least 0, not -1"),
+    ("calibrate", ["--max-missing=-1"], "--max-missing must be at least 0, not -1"),
+    ("analyze", ["--max-missing=-2"], "--max-missing must be at least 0, not -2"),
+    ("compare-clocks", ["--max-missing=-1"], "--max-missing must be at least 0, not -1"),
+    ("pairwise-d", ["--max-missing=-1"], "--max-missing must be at least 0, not -1"),
 ])
 def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, command, flags, message):
     code = main([command, "--input", str(pipeline / "synth" / "prices.csv"), "--points", "20",
@@ -483,6 +604,21 @@ def test_config_refuses_non_finite_float_values(tmp_path, capsys):
     assert main(["calibrate", "--config", str(cfg), "--input", "prices.csv",
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: --cutoff-threshold must be finite, not nan\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    ("ingest", "max_missing", -1, "--max-missing must be at least 0, not -1"),
+    ("calibrate", "cutoff_threshold", -0.5, "--cutoff-threshold must be at least 0, not -0.5"),
+    ("analyze", "cutoff_threshold", -1, "--cutoff-threshold must be at least 0, not -1.0"),
+    ("analyze", "max_missing", -3, "--max-missing must be at least 0, not -3"),
+])
+def test_config_refuses_negative_values(tmp_path, capsys, command, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([command, "--config", str(cfg), "--input", "prices.csv",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -790,6 +790,75 @@ def test_cache_refuses_old_and_damaged_files(tmp_path, default_grid):
             load_cache(path)
 
 
+def _payload_span(buf: bytes) -> tuple[int, int]:
+    """Where the base64 text of a cache written by ``save_cache`` starts and ends."""
+    lo = buf.index(b'"base64":"') + len(b'"base64":"')
+    return lo, buf.index(b'"', lo)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_cache_rewritten_with_other_json_spacing_loads_bit_for_bit(tmp_path, indent):
+    s = _holed_series(tmp_path, n_days=9)
+    path = tmp_path / "cache.json"
+    save_cache(s, path)
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
+    assert b'"base64": "' in path.read_bytes()
+    back = load_cache(path)
+    assert (back.grid, back.dates, back.dropped_dates) == (s.grid, s.dates, s.dropped_dates)
+    assert back.log_prices.tobytes() == s.log_prices.tobytes()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda p: p[:8] + b"\\u%04x" % p[8] + p[9:],  # the same character, escaped
+    lambda p: p[:8] + b'\\"' + p[8:],
+    lambda p: p[:8] + b"\\\\" + p[8:],
+    lambda p: p[:8] + b"\xff" + p[9:],
+    lambda p: p[:8] + b" " + p[9:],
+    lambda p: p[:8] + b"=" + p[9:],
+])
+def test_cache_payload_with_an_escape_or_a_foreign_byte_is_corrupt(tmp_path, default_grid, damage):
+    path = tmp_path / "cache.json"
+    save_cache(series_from_matrix(np.ones((4, default_grid.n_points)), grid=default_grid), path)
+    buf = path.read_bytes()
+    lo, hi = _payload_span(buf)
+    path.write_bytes(buf[:lo] + damage(buf[lo:hi]) + buf[hi:])
+    with pytest.raises(DataError, match="corrupt matrix payload"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("tail", [b"x", b"{}", b"\n\n]"])
+def test_cache_with_bytes_after_the_object_is_refused(tmp_path, default_grid, tail):
+    path = tmp_path / "cache.json"
+    save_cache(series_from_matrix(np.ones((4, default_grid.n_points)), grid=default_grid), path)
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(DataError, match="is not a JSON file") as got:
+        load_cache(path)
+    with pytest.raises(DataError) as whole:  # the message names the place in the whole file
+        series_module.read_json(path)
+    assert str(got.value) == str(whole.value)
+
+
+def test_cache_payload_never_reaches_json(tmp_path, monkeypatch):
+    s = _holed_series(tmp_path, n_days=9)
+    path = tmp_path / "cache.json"
+    save_cache(s, path)
+    buf = path.read_bytes()
+    lo, hi = _payload_span(buf)
+    parsed = []
+    real = json.loads
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    monkeypatch.setattr(json, "load", None)  # nor is the file read whole as JSON
+    back = load_cache(path)
+    assert back.log_prices.tobytes() == s.log_prices.tobytes()
+    assert len(parsed) == 1 and len(parsed[0]) == len(buf) - (hi - lo)
+    assert buf[lo:hi].decode() not in parsed[0]
+
+
 def test_load_series_dispatch(tmp_path, default_grid):
     m = np.zeros((2, default_grid.n_points))
     s = series_from_matrix(m, grid=default_grid)
