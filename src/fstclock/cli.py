@@ -87,8 +87,7 @@ def _str_cells(a: np.ndarray) -> list[str]:
 def _iso_seconds(a: np.ndarray) -> list[str]:
     """ISO seconds of ``datetime64`` values.  Each distinct day and each
     distinct time of day is formatted once, and the two are joined by ``T``."""
-    if a.dtype != "datetime64[s]" or np.isnat(a).any():
-        return np.datetime_as_string(a, unit="s").tolist()
+    assert a.dtype == "datetime64[s]", a.dtype
     days = a.astype("datetime64[D]")
     (day, day_of), (tod, tod_of) = _distinct(days), _distinct(a - days)
     times = [t[11:] for t in np.datetime_as_string(np.datetime64(0, "s") + tod).tolist()]

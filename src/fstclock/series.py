@@ -16,7 +16,10 @@ import itertools
 import json
 import logging
 import operator
+import os
 import re
+import signal
+import threading
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -383,6 +386,11 @@ class ReturnSample:
 # runs in C, few enough that a long history never sits in memory as Python
 # objects.
 INGEST_CHUNK_ROWS = 8192
+# A file of at least this many bytes has the second half of its lines
+# decoded by a forked helper process while this one decodes the first half,
+# where the platform forks, no other thread runs, and two CPUs are free.
+# Below about 1 MiB the fork costs about what the helper saves.
+INGEST_SPLIT_BYTES = 2 << 20
 
 _EPOCH = datetime(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH.toordinal()
@@ -419,11 +427,19 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     under a ``timestamp,price`` header are decoded by array operations.  The
     first batch that departs from it, or in which a check fires, and every
     later line go through ``csv`` and ``datetime.fromisoformat``; both paths
-    give the same series and the same errors.
+    give the same series and the same errors.  A file named by its path may
+    have the batches of its second half decoded by a forked helper
+    (``_SecondHalf``), again with the same series and errors.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            return ingest_csv(fh, grid)
+            return _ingest(fh, grid, source)
+    return _ingest(source, grid, None)
+
+
+def _ingest(source: IO[str] | IO[bytes], grid: DayGrid, path: str | Path | None) -> PriceSeries:
+    """``ingest_csv`` of an open stream; ``path`` names the file when the
+    stream was opened from one, so that a helper can read it too."""
     binary = isinstance(source, io.BufferedIOBase) or (
         hasattr(source, "read") and "b" in getattr(source, "mode", "")
     )
@@ -435,12 +451,15 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     last_us: dict[int, int] = {}
     line, batch = 1, [first] if first else []
     if first == header:
-        line = 2
-        while batch := list(itertools.islice(lines, INGEST_CHUNK_ROWS)):
-            decoded = _decode_strict(batch)
-            if decoded is None or _place(*decoded, grid, days, last_us) is not None:
-                break
-            line += len(batch)
+        helper = _SecondHalf.start(source, path) if path is not None else None
+        try:
+            head = lines if helper is None else itertools.islice(lines, helper.first_lines)
+            line, batch = _place_strict(head, 2, grid, days, last_us)
+            if helper is not None and not batch:
+                line, batch = helper.place(lines, line, grid, days, last_us)
+        finally:
+            if helper is not None:
+                helper.close()
 
     # the general path: the whole input under any other header, or the batch
     # the strict path handed on and every line after it
@@ -480,6 +499,111 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     matrix = np.vstack([days[d] for d in order])
     dates = tuple(date.fromordinal(_EPOCH_ORDINAL + d) for d in order)
     return PriceSeries._adopt(grid, dates, matrix)
+
+
+def _place_strict(lines, line: int, grid: DayGrid, days: dict[int, np.ndarray],
+                  last_us: dict[int, int]) -> tuple[int, list]:
+    """Decode and place batches of ``lines`` in the strict layout, the first
+    at line number ``line``.  Returns the next line number and the first
+    batch that departs from the layout or fails a check (empty if none)."""
+    while batch := list(itertools.islice(lines, INGEST_CHUNK_ROWS)):
+        decoded = _decode_strict(batch)
+        if decoded is None or _place(*decoded, grid, days, last_us) is not None:
+            return line, batch
+        line += len(batch)
+    return line, []
+
+
+class _SecondHalf:
+    """A forked process decoding the strict batches of a file's second half.
+
+    The second half starts at the first line that starts at or after the
+    middle of the bytes left to read.  The helper decodes its lines with
+    ``_decode_strict`` and sends back their timestamps and prices, or
+    nothing if any batch departs from the strict layout; this process checks
+    and places them a batch at a time.  Whatever the helper does, the series
+    and the errors are those of decoding every line here.
+    """
+
+    def __init__(self, pid: int, pipe: int, first_lines: int) -> None:
+        self.pid, self.pipe, self.first_lines = pid, pipe, first_lines
+
+    @classmethod
+    def start(cls, source: IO[bytes], path: str | Path) -> _SecondHalf | None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (not hasattr(os, "fork") or threading.active_count() > 1 or (cpus or 1) < 2
+                or not source.seekable()):
+            return None
+        fd, start = source.fileno(), source.tell()
+        middle = (start + os.fstat(fd).st_size) // 2
+        if middle - start < INGEST_SPLIT_BYTES // 2:
+            return None
+        first_lines, pos = 0, start
+        while pos < middle:
+            block = os.pread(fd, min(1 << 20, middle - pos), pos)
+            if not block:
+                return None
+            first_lines, pos = first_lines + block.count(b"\n"), pos + len(block)
+        end = os.pread(fd, 1 << 16, middle).find(b"\n")
+        if end < 0:
+            return None
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the helper: it never returns
+            status = 1
+            try:
+                os.close(read)
+                with open(path, "rb") as fh:
+                    fh.seek(middle + end + 1)
+                    lines = iter(fh)
+                    decoded = []
+                    while batch := list(itertools.islice(lines, INGEST_CHUNK_ROWS)):
+                        decoded.append(_decode_strict(batch))
+                        if decoded[-1] is None:
+                            break
+                with open(write, "wb") as out:
+                    if decoded and decoded[-1] is not None:  # every timestamp, then every price
+                        for part in (0, 1):
+                            for arrays in decoded:
+                                out.write(arrays[part])
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        return cls(pid, read, first_lines + 1)
+
+    def place(self, lines, line: int, grid: DayGrid, days: dict[int, np.ndarray],
+              last_us: dict[int, int]) -> tuple[int, list]:
+        """``_place_strict`` of the second half's ``lines``, the first at line
+        number ``line``, from the helper's rows.  From the first batch of rows
+        that fails a check, or all of them if the helper sent none, the lines
+        are decoded here."""
+        with open(self.pipe, "rb") as fh:
+            self.pipe = None
+            payload = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        n = len(payload) // 16 if status == 0 and len(payload) % 16 == 0 else 0
+        us = np.frombuffer(payload, dtype=np.int64, count=n)
+        price = np.frombuffer(payload, dtype=np.float64, count=n, offset=8 * n)
+        placed = 0
+        while placed < n:
+            rows = slice(placed, placed + INGEST_CHUNK_ROWS)
+            if _place(us[rows], price[rows], grid, days, last_us) is not None:
+                break
+            placed = min(n, placed + INGEST_CHUNK_ROWS)
+        if n and placed == n:
+            return line + n, []
+        next(itertools.islice(lines, placed, placed), None)  # the lines of the rows placed
+        return _place_strict(lines, line + placed, grid, days, last_us)
+
+    def close(self) -> None:
+        """Stop and reap the helper, unless its result was read."""
+        if self.pipe is not None:
+            os.close(self.pipe)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def _decode_strict(lines: list[bytes] | list[str]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -874,7 +998,8 @@ def load_cache(path: str | Path) -> PriceSeries:
     key = _PAYLOAD_KEY.search(buf)
     lo = key.end() if key else len(buf)
     hi = buf.find(b'"', lo)
-    cut = memoryview(buf)[lo:hi] if hi >= 0 else None
+    # a quote after a backslash may be escaped: then only the whole file can say
+    cut = memoryview(buf)[lo:hi] if hi >= 0 and buf[hi - 1] != ord("\\") else None
     try:  # json sees the payload as ""
         payload = json.loads((buf[:lo] + buf[hi:] if cut is not None else buf).decode())
     except ValueError:  # not JSON, or a payload holding a quote: the whole file's verdict

@@ -256,10 +256,6 @@ def test_csv_writer_formats_each_day_and_time_of_day_once(tmp_path, monkeypatch,
     assert path.read_text().splitlines() == ["t", *want]
     if block_rows >= stamps.size:  # one block: each of 300 days and 20 times once
         assert sum(formatted) <= 320
-    # NaT and other units keep the per-value formatting
-    odd = np.array(["2020-01-02T03:04:05", "NaT"], dtype="datetime64[s]")
-    assert cli._iso_seconds(odd) == ["2020-01-02T03:04:05", "NaT"]
-    assert cli._iso_seconds(odd[:1].astype("datetime64[ms]")) == ["2020-01-02T03:04:05"]
 
 
 def test_csv_writer_refuses_ragged_columns(tmp_path):

@@ -6,6 +6,8 @@ import gc
 import io
 import json
 import math
+import os
+import signal
 from datetime import date, datetime, time
 
 import numpy as np
@@ -401,6 +403,89 @@ def test_ingest_leaves_a_callers_byte_stream_open(newline, last):
         assert not last.endswith("abc")
     gc.collect()  # a text wrapper left on the stream closes it when collected
     assert not stream.closed
+
+
+@pytest.fixture
+def split_every_file(monkeypatch) -> list[bool]:
+    """Every file ingested from a path has its second half decoded by a
+    forked helper; the list records, per file, whether a helper started."""
+    monkeypatch.setattr(series_module, "INGEST_SPLIT_BYTES", 0)
+    started = []
+    start = series_module._SecondHalf.start
+
+    def spy(source, path):
+        helper = start(source, path)
+        started.append(helper is not None)
+        return helper
+
+    monkeypatch.setattr(series_module._SecondHalf, "start", spy)
+    return started
+
+
+def test_ingest_split_with_a_helper_process_matches_the_row_by_row_parser(
+        tmp_path, monkeypatch, split_every_file):
+    """Errors in either half, or across the middle, are those of one process."""
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", 3)
+    rng = np.random.default_rng(808)
+    path = tmp_path / "prices.csv"
+    outcomes = set()
+    for _ in range(150):
+        text = _parity_corpus(rng)
+        path.write_bytes(text.encode())
+        expected = _outcome(lambda t: _reference_ingest(t, GRID3), text)
+        assert _outcome(lambda t: ingest_csv(path, GRID3), text) == expected, text
+        outcomes.add(isinstance(expected[0], tuple))
+    assert outcomes == {True, False}
+    assert sum(split_every_file) > 100
+
+
+class _ExitingWith3:
+    """``os`` for a helper that sends all its rows and then fails."""
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    @staticmethod
+    def _exit(status):
+        os._exit(3)
+
+
+def test_ingest_gives_the_same_series_whatever_the_helper_does(tmp_path, monkeypatch, split_every_file):
+    s = _holed_series(tmp_path, n_days=40)
+    path = tmp_path / "prices.csv"
+    passes = []
+    place_strict = series_module._place_strict
+    monkeypatch.setattr(series_module, "_place_strict", lambda *a: passes.append(1) or place_strict(*a))
+    whole = ingest_csv(path, s.grid)
+    assert split_every_file == [True, True] and len(passes) == 1  # the helper's rows placed
+    parent, decode = os.getpid(), series_module._decode_strict
+    for fault in ("raise", "kill", "refuse", "exit"):
+        def helper_decode(lines, fault=fault):
+            if os.getpid() != parent and fault != "exit":
+                if fault == "raise":
+                    raise MemoryError
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return None
+            return decode(lines)
+
+        monkeypatch.setattr(series_module, "_decode_strict", helper_decode)
+        if fault == "exit":
+            monkeypatch.setattr(series_module, "os", _ExitingWith3())
+        passes.clear()
+        back = ingest_csv(path, s.grid)
+        assert len(passes) == 2, fault  # this process decoded the second half too
+        assert back.dates == whole.dates and back.log_prices.tobytes() == whole.log_prices.tobytes()
+    monkeypatch.setattr(series_module, "os", os)
+    assert split_every_file == [True] * 6
+    monkeypatch.setattr(series_module, "INGEST_SPLIT_BYTES", 1 << 40)
+    unsplit = ingest_csv(path, s.grid)
+    assert split_every_file[-1] is False
+    assert unsplit.log_prices.tobytes() == whole.log_prices.tobytes()
+    # a stream handed in open is read in this process only
+    with open(path, "rb") as fh:
+        assert ingest_csv(fh, s.grid).log_prices.tobytes() == whole.log_prices.tobytes()
+    assert len(split_every_file) == 7
 
 
 # --- filtering -------------------------------------------------------------
@@ -834,6 +919,20 @@ def test_cache_with_bytes_after_the_object_is_refused(tmp_path, default_grid, ta
     with pytest.raises(DataError, match="is not a JSON file") as got:
         load_cache(path)
     with pytest.raises(DataError) as whole:  # the message names the place in the whole file
+        series_module.read_json(path)
+    assert str(got.value) == str(whole.value)
+
+
+def test_cache_whose_payload_never_closes_is_refused(tmp_path, default_grid):
+    # the payload's last quote is escaped, so its string runs to the end of the file
+    path = tmp_path / "cache.json"
+    save_cache(series_from_matrix(np.ones((4, default_grid.n_points)), grid=default_grid), path)
+    buf = path.read_bytes()
+    lo, hi = _payload_span(buf)
+    path.write_bytes(buf[:hi] + b"\\" + buf[hi:])
+    with pytest.raises(DataError, match="is not a JSON file") as got:
+        load_cache(path)
+    with pytest.raises(DataError) as whole:
         series_module.read_json(path)
     assert str(got.value) == str(whole.value)
 
