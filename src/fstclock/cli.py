@@ -31,6 +31,7 @@ from .series import (
     class_sample,
     filter_complete_days,
     load_series,
+    open_new,
     parse_class_spec,
     parse_class_specs,
     read_json,
@@ -72,7 +73,7 @@ CSV_BLOCK_ROWS = 4096
 # Deterministic file plumbing
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with open_new(path) as f:
         f.write(text)
 
 
@@ -157,7 +158,7 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     if len(sizes) > 1:
         raise ValueError(f"{path}: columns of unequal length {sorted(sizes)}")
     n_rows = sizes.pop() if sizes else 0
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with open_new(path) as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, n_rows, CSV_BLOCK_ROWS):
             block = [fmt(a[lo : lo + CSV_BLOCK_ROWS]) for a, fmt in cols]

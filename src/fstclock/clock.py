@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ClassSpecError, DataError, MapRangeError
-from .ks import KsResult, ks_count
+from .ks import KsResult, Sorted, ks_count
 from .series import (
     DayGrid,
     IntervalClass,
@@ -86,26 +86,36 @@ class CalibrationResult:
     cell: tuple[float, float]
 
 
+# Near pairs up to which a Python loop settles faster than numpy's masks
+# (about 64 on a 2-vCPU VM; a fit has one to three, identical samples thousands).
+_SCALAR_SETTLE = 64
+
+
 def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
     """Largest (or smallest) over pairs a, b > 0 of the first float q with fl(a/q) <= b.
 
     fl(a/q) never rises with q, and a/b is within an ulp or two of each
-    answer, so only pairs near the extreme a/b can hold it; one-ulp steps
-    settle those.
+    answer, so only pairs near the extreme a/b (inf included) can hold it;
+    one-ulp steps settle those, in Python floats (IEEE doubles too) unless
+    ties leave more than ``_SCALAR_SETTLE`` of them, as identical samples do.
     """
     q = a / b
-    if largest:  # q - edge is <= 0 here and >= 0 below: no abs needed
-        edge = q.max()
-        near = np.flatnonzero(q - edge >= -1e-14 * edge)
-    else:
-        edge = q.min()
-        near = np.flatnonzero(q - edge <= 1e-14 * edge)
+    near = np.flatnonzero(q >= q.max() * (1 - 1e-14) if largest else q <= q.min() * (1 + 1e-14))
     a, b, q = a[near], b[near], q[near]
-    while (up := a / q > b).any():
-        q[up] = np.nextafter(q[up], np.inf)
-    while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
-        q[down] = below[down]
-    return float(q.max() if largest else q.min())
+    if near.size > _SCALAR_SETTLE:
+        while (up := a / q > b).any():
+            q[up] = np.nextafter(q[up], np.inf)
+        while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
+            q[down] = below[down]
+        return float(q.max() if largest else q.min())
+    firsts = []
+    for a_t, b_t, q_t in zip(a.tolist(), b.tolist(), q.tolist()):
+        while a_t / q_t > b_t:
+            q_t = math.nextafter(q_t, math.inf)
+        while a_t / (below := math.nextafter(q_t, 0.0)) <= b_t:
+            q_t = below
+        firsts.append(q_t)
+    return max(firsts) if largest else min(firsts)
 
 
 class _HalfLines(NamedTuple):
@@ -115,48 +125,62 @@ class _HalfLines(NamedTuple):
     fall, so both members ascend along the family.  ``neg_y`` is -y and
     ``prev_neg_x`` the float before -x toward 0, for the pairs that bound q
     from above; ``y_neg``, ``y_nonpos`` and ``x_neg`` count the entries of y
-    below 0 and up to 0, and of x below 0.
+    below 0 and up to 0, and of x below 0.  The x fields are ``_Reference``'s.
     """
 
     y: np.ndarray
-    x: np.ndarray
     neg_y: np.ndarray
-    prev_neg_x: np.ndarray
     y_neg: int
     y_nonpos: int
+    x: np.ndarray
+    prev_neg_x: np.ndarray
     x_neg: int
 
-    @classmethod
-    def of(cls, x: np.ndarray, y: np.ndarray, neg_y: np.ndarray) -> "_HalfLines":
-        return cls(y, x, neg_y, np.nextafter(-x, 0.0), int(y.searchsorted(0.0, "left")),
-                   int(y.searchsorted(0.0, "right")), int(x.searchsorted(0.0, "left")))
+
+class _Reference(Sorted):
+    """The reference sorted once per call, with both families' ``_HalfLines`` x fields."""
+
+    def __init__(self, sample):
+        super().__init__(sample)
+        self.first, self.second = (
+            (x, np.nextafter(-x, 0.0), int(x.searchsorted(0.0))) for x in (self.xs, -self.xs[::-1]))
 
 
-def _divisor_bounds(
-    h: _HalfLines, iy: np.ndarray, ix: np.ndarray, lo: float, hi: float
-) -> tuple[float, float]:
+def _pick(a: np.ndarray, idx, start: int, stop: int) -> np.ndarray:
+    # a[idx[start:stop]]; an int idx is the run idx, idx + 1, ..., read as a slice
+    return a[idx + start : idx + stop] if isinstance(idx, int) else a[idx[start:stop]]
+
+
+def _rank(idx, v: int, size: int) -> int:
+    # entries of the index sequence idx, of length size, below v
+    return min(max(v - idx, 0), size) if isinstance(idx, int) else int(idx.searchsorted(v))
+
+
+def _divisor_bounds(h: _HalfLines, iy, ix, lo: float, hi: float) -> tuple[float, float]:
     """Narrow [lo, hi] to the floats q > 0 with fl(y/q) <= x for every pair of ``h``.
 
     Each pair is a half-line: q >= a bound if y > 0 (none if x <= 0), q <= a
     bound if y < 0 and x < 0, else all q or none.  Along the family the
     pairs with y > 0 form a suffix, those with y < 0 and those with x < 0
-    prefixes, so each test reads the one pair at a slice's edge.  lo > hi
+    prefixes, so each test reads the one pair at a slice's edge.  One of
+    ``iy`` and ``ix`` is an index array, the other an int run start.  lo > hi
     means empty.
     """
-    z, p = iy.searchsorted(h.y_neg), iy.searchsorted(h.y_nonpos)
-    if (p < iy.size and h.x[ix[p]] <= 0) or (z < p and h.x[ix[z]] < 0):
+    size = ix.size if isinstance(iy, int) else iy.size
+    z, p = _rank(iy, h.y_neg, size), _rank(iy, h.y_nonpos, size)
+    if (p < size and _pick(h.x, ix, p, p + 1)[0] <= 0) or (z < p and _pick(h.x, ix, z, z + 1)[0] < 0):
         return lo, -math.inf
-    if p < iy.size:
-        lo = max(lo, _first_divisor(h.y[iy[p:]], h.x[ix[p:]], largest=True))
-    if (w := min(z, ix.searchsorted(h.x_neg))) > 0:
+    if p < size:
+        lo = max(lo, _first_divisor(_pick(h.y, iy, p, size), _pick(h.x, ix, p, size), largest=True))
+    if (w := min(z, _rank(ix, h.x_neg, size))) > 0:
         # fl(|y|/q) >= |x| up to the float before fl(|y|/q) <= prev(|x|)
-        out = _first_divisor(h.neg_y[iy[:w]], h.prev_neg_x[ix[:w]], largest=False)
+        out = _first_divisor(_pick(h.neg_y, iy, 0, w), _pick(h.prev_neg_x, ix, 0, w), largest=False)
         hi = min(hi, math.nextafter(out, 0.0))
     return lo, hi
 
 
-def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int, int]:
-    """Smallest KS count of sorted xs against ys / q over the window, with its cell.
+def _optimal_cell(ref, ys, q_min: float, q_max: float) -> tuple[float, float, int, int]:
+    """Smallest KS count of ``ref`` (a ``_Reference`` or sorted values) against sorted ys / q.
 
     Returns the divisor cell (lo, hi), the count k_hi and the checks made.
 
@@ -173,25 +197,27 @@ def _optimal_cell(xs, ys, q_min: float, q_max: float) -> tuple[float, float, int
     counts, so the search ends at the same smallest count as that
     bisection, and its cell comes from the same check.
     """
+    xs = (ref := _Reference.of(ref)).xs
     m, n = xs.size, ys.size
     i_n = np.arange(1, m + 1, dtype=np.int64) * n
     j_m = np.arange(n, 0, -1, dtype=np.int64) * m
-    at_x, at_y = np.arange(m), np.arange(n)
     # the second family's pairs (-y_(j), -x_(i)) fall with j; reversed, they
     # rise.  Each family's -y is the other's y read backwards.
-    nxs, nys = -xs[::-1], -ys[::-1]
-    first, second = _HalfLines.of(xs, ys, nys[::-1]), _HalfLines.of(nxs, nys, ys[::-1])
+    nys = -ys[::-1]
+    y_neg, y_nonpos = int(ys.searchsorted(0.0, "left")), int(ys.searchsorted(0.0, "right"))
+    first = _HalfLines(ys, nys[::-1], y_neg, y_nonpos, *ref.first)
+    second = _HalfLines(nys, ys[::-1], n - y_nonpos, n - y_neg, *ref.second)
 
     def cell(k: int) -> tuple[float, float]:
         """Divisors in the window whose count is at most k; lo > hi means none."""
         a, b = k // n, k // m  # the half-lines start at x_(a+1) and y_(b+1)
         # 0-based: ceil((i n_y - k) / n_x) - 1 = (i n_y - k - 1) // n_x for i > a
         j = (i_n[a:] - (k + 1)) // m
-        c = _divisor_bounds(first, j, at_x[a:], q_min, q_max)
+        c = _divisor_bounds(first, j, a, q_min, q_max)
         if c[0] <= c[1]:  # an empty cell stays empty
             # for j = n_y down to b + 1, where x_(i) sits in the reversed table
             i = (m - 1) - (j_m[: n - b] - (k + 1)) // n
-            c = _divisor_bounds(second, at_y[: n - b], i, *c)
+            c = _divisor_bounds(second, 0, i, *c)
         return c
 
     # interquartile ranges, as Python floats, whose ratio overflows to inf silently
@@ -232,8 +258,8 @@ def calibrate_interval(
     (C counts the points <= z) is at most k exactly when q lies on every
     half-line x_(i) <= y_(j) / q, i = ceil((j n_x - k) / n_y), and
     y_(j) / q <= x_(i), j = ceil((i n_y - k) / n_x), for indices >= 1.  So
-    the objective is quasi-convex.  After one sort, a search on k (see
-    ``_optimal_cell``), one vectorised check per step, finds the smallest
+    the objective is quasi-convex.  After one sort of each sample, a search
+    on k (see ``_optimal_cell``), one vectorised check per step, finds the smallest
     count whose cell of q meets the window.  It starts from the exact count
     at the ratio of interquartile ranges and lowers it by the exact counts
     inside the cells it finds: 2 to 7 checks for classes of 2,499 to 96,000
@@ -244,22 +270,25 @@ def calibrate_interval(
     ``rescaled_ks`` (``y / sqrt(delta_tau)``) and sqrt(q * q) == q, so
     ``rescaled_ks`` at ``delta_tau`` measures that same count, and a cell
     that is one point on tied data is reproduced.  ``boundary_warning``
-    means the window bounds the cell.
+    means the window bounds the cell.  ``x_ref`` may be a ``_Reference``
+    that a caller of many fits built once; every caller fits through ``_fit``.
     """
-    cfg = cfg or SearchConfig()
-    xs = np.sort(x_ref.values)
-    ys = np.sort(y.values)
+    return _fit(np.sort(y.values), _Reference.of(x_ref), cfg or SearchConfig())
+
+
+def _fit(ys: np.ndarray, ref: _Reference, cfg: SearchConfig) -> CalibrationResult:
+    """``calibrate_interval`` of the sorted class values ``ys`` against ``ref``."""
     # the divisors whose squares fall inside the duration window
     q_min, q_max = math.sqrt(cfg.delta_tau_min), math.sqrt(cfg.delta_tau_max)
     if q_min * q_min < cfg.delta_tau_min:
         q_min = math.nextafter(q_min, math.inf)
     if q_max * q_max > cfg.delta_tau_max:
         q_max = math.nextafter(q_max, 0.0)
-    lo, hi, k, checks = _optimal_cell(xs, ys, q_min, q_max)
+    lo, hi, k, checks = _optimal_cell(ref, ys, q_min, q_max)
     q = math.sqrt(lo * hi)
     return CalibrationResult(
         delta_tau=q * q,
-        ks=KsResult.from_count(k, xs.size, ys.size),
+        ks=KsResult.from_count(k, ref.xs.size, ys.size),
         boundary_warning=lo == q_min or hi == q_max,
         n_evaluations=checks,
         cell=(
@@ -399,20 +428,18 @@ def calibrate_clock(
     """Calibrate every partition interval and the closure against a reference.
 
     The classes are fitted one after another on the calling thread, night
-    last.  ``threads`` is accepted and ignored: each exact fit takes a few
-    milliseconds, less than a thread pool costs to spread them, and the
-    keyword stays only because the benchmark in ``perfbench/`` still passes
-    it.
+    last, against one ``_Reference`` sorted and tabulated once.  ``threads``
+    is accepted and ignored: each exact fit takes a few milliseconds, less
+    than a thread pool costs to spread them, and the keyword stays only
+    because the benchmark in ``perfbench/`` still passes it.
     """
     cfg = cfg or SearchConfig()
     partition.check_grid(series.grid)
     ref_class = reference or IntervalClass.multiday(1)
-    x_ref = class_sample(series, ref_class)
+    x_ref = _Reference(class_sample(series, ref_class))
 
     classes = partition.intervals() + [IntervalClass.overnight()]
-    samples = [class_sample(series, c) for c in classes]
-
-    results = [calibrate_interval(s, x_ref, cfg) for s in samples]
+    results = [calibrate_interval(class_sample(series, c), x_ref, cfg) for c in classes]
 
     warnings = tuple(c.label for c, r in zip(classes, results) if r.boundary_warning)
     return ClockCalibration(
@@ -629,7 +656,7 @@ def additivity_report(
     between them.
     """
     cfg = cfg or calibration.search
-    x_ref = class_sample(series, reference or IntervalClass.multiday(1))
+    x_ref = _Reference(class_sample(series, reference or IntervalClass.multiday(1)))
     rows = []
     for label, union, parts in ADDITIVITY_UNIONS:
         parts_sum = sum(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .series import ReturnSample
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,29 @@ def ks_count(xs: np.ndarray, ys: np.ndarray) -> int:
     return int(max(peak, (m * c_y - n * b[:-1]).max()))
 
 
-def _values(sample) -> np.ndarray:
-    if isinstance(sample, ReturnSample):
-        return sample.values
-    return np.asarray(sample, dtype=float).ravel()
+class Sorted:
+    """A sample sorted once (``xs``) for every KS count of one call; ``values`` keeps its order."""
+
+    def __init__(self, sample):  # a ReturnSample, a Sorted or an array
+        self.values = np.asarray(getattr(sample, "values", sample), dtype=float).ravel()
+        self.xs, self.moments = np.sort(self.values), {}
+
+    @classmethod
+    def of(cls, sample):
+        return sample if isinstance(sample, cls) else cls(sample)
+
+    def abs_moment(self, q: float) -> float:
+        if q not in self.moments:  # E|v|^q, taken once per order
+            self.moments[q] = float(np.mean(np.abs(self.values) ** q))
+        return self.moments[q]
 
 
 def ks_distance(x, y) -> KsResult:
     """Rescaled KS statistic between two samples.  O((n_x + n_y) log(n_x + n_y))."""
-    xs = np.sort(_values(x))
-    ys = np.sort(_values(y))
+    return _distance(Sorted.of(x).xs, Sorted.of(y).xs)
+
+
+def _distance(xs: np.ndarray, ys: np.ndarray) -> KsResult:
     if xs.size == 0 or ys.size == 0:
         raise DataError("KS statistic needs non-empty samples on both sides")
     if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # NaN sorts last
@@ -103,5 +115,4 @@ def rescaled_ks(x_ref, y, delta_tau: float) -> KsResult:
     """
     if not (delta_tau > 0) or not math.isfinite(delta_tau):
         raise ValueError(f"delta_tau must be positive and finite, got {delta_tau}")
-    ys = _values(y) / math.sqrt(delta_tau)
-    return ks_distance(_values(x_ref), ys)
+    return _distance(Sorted.of(x_ref).xs, Sorted.of(y).xs / math.sqrt(delta_tau))  # still sorted

@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .clock import CalibrationResult, SearchConfig, calibrate_interval
+from .clock import CalibrationResult, SearchConfig, _fit, _Reference
+from .clock import calibrate_interval  # noqa: F401  (perfbench's tracer wraps this name)
 from .errors import DataError
-from .ks import KsResult, rescaled_ks
+from .ks import KsResult, Sorted, rescaled_ks
 from .series import ReturnSample
 
 
@@ -38,12 +39,13 @@ def moment_time(y: ReturnSample, x_ref: ReturnSample, q: float) -> MomentClockRe
     """Duration of y under the order-q moment clock, KS-scored.
 
     Raises when the moment vanishes on either side (an all-zero ensemble has
-    no moment duration) or when q is not positive.
+    no moment duration) or when q is not positive.  Either sample may be
+    ``Sorted`` once by a caller scoring many orders.
     """
     if q <= 0 or not math.isfinite(q):
         raise ValueError(f"moment order must be positive and finite, got {q}")
-    my = float(np.mean(np.abs(y.values) ** q))
-    mx = float(np.mean(np.abs(x_ref.values) ** q))
+    y, x_ref = Sorted.of(y), Sorted.of(x_ref)
+    my, mx = y.abs_moment(q), x_ref.abs_moment(q)
     if my <= 0 or mx <= 0 or not (math.isfinite(my) and math.isfinite(mx)):
         raise DataError(f"order-{q:g} moment degenerate (y: {my}, ref: {mx})")
     delta_tau = (my / mx) ** (2.0 / q)
@@ -81,12 +83,14 @@ def compare_clocks(
     The fitted duration minimises the KS objective exactly over the search
     window, so it dominates every moment duration inside the window.  A
     violation means a moment duration lies outside the window; it is warned
-    about rather than hidden.
+    about rather than hidden.  Each sample is sorted, and each reference table built, once.
     """
     rows = []
+    ref = _Reference(x_ref)
     for label, sample in classes:
-        moments = tuple(moment_time(sample, x_ref, q) for q in orders)
-        fst = calibrate_interval(sample, x_ref, cfg)
+        ys = Sorted(sample)
+        moments = tuple(moment_time(ys, ref, q) for q in orders)
+        fst = _fit(ys.xs, ref, cfg or SearchConfig())
         rows.append(ComparisonRow(label=label, fst=fst, moments=moments))
     comparison = ClockComparison(rows=tuple(rows), orders=tuple(float(q) for q in orders))
     if not comparison.dominance_ok:

@@ -396,6 +396,7 @@ _EPOCH = datetime(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH.toordinal()
 _US = timedelta(microseconds=1)
 _US_PER_DAY = 86_400_000_000
+_INT64_MIN = np.iinfo(np.int64).min
 
 # The one layout decoded by array operations: a header line of exactly
 # ``timestamp,price`` and data lines of ``YYYY-MM-DDTHH:MM:SS,<price>\n``.
@@ -782,7 +783,7 @@ def _place(
     first_days = day_s[starts].tolist()
     prev = np.empty_like(us_s)
     prev[1:] = us_s[:-1]
-    prev[starts] = [last_us.get(d, np.iinfo(np.int64).min) for d in first_days]
+    prev[starts] = [last_us.get(d, _INT64_MIN) for d in first_days]
     bad_order = np.empty(n, dtype=bool)
     bad_order[by_day] = us_s <= prev
 
@@ -961,7 +962,7 @@ def save_cache(series: PriceSeries, path: str | Path) -> None:
         separators=(",", ":"),
     )
     lp = series.log_prices
-    with open(path, "wb") as fh:
+    with open_new(path, "wb") as fh:
         fh.write(head[:-2].encode() + b',"base64":"')
         for lo in range(0, lp.shape[0], CACHE_BLOCK_ROWS):
             block = np.ascontiguousarray(lp[lo : lo + CACHE_BLOCK_ROWS], dtype=_CACHE_DTYPE)
@@ -973,6 +974,14 @@ def _iso_dates(v) -> tuple[date, ...]:
     if not isinstance(v, list):
         raise TypeError(f"expected a list of ISO dates, got {type(v).__name__}")
     return tuple(map(date.fromisoformat, v))
+
+
+def open_new(path: str | Path, mode: str = "w") -> IO:
+    """``path`` opened to write a new file (text: UTF-8, ``\n`` line ends).  An
+    existing file is unlinked: on ext4, closing a truncated rewrite waits on the disk."""
+    if os.path.lexists(path):
+        os.unlink(path)  # a directory raises IsADirectoryError, as open would
+    return open(path, mode) if "b" in mode else open(path, mode, encoding="utf-8", newline="\n")
 
 
 def read_json(path: str | Path):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clock import ClockCalibration, SearchConfig
 from .errors import DataError
-from .series import DayGrid, IntervalClass, PartitionSpec, PriceSeries, ReturnSample, synthetic_dates
+from .series import DayGrid, IntervalClass, PartitionSpec, PriceSeries, ReturnSample, open_new, synthetic_dates
 
 LOG_PRICE_START = math.log(100.0)
 
@@ -279,7 +279,7 @@ def cascade_hurst(q: float, lambda2: float) -> float:
 def write_prices_csv(series: PriceSeries, path) -> None:
     """Emit the ``timestamp,price`` CSV form of a series (missing bars skipped)."""
     tods = [f"T{series.grid.bar_time(b).isoformat()}," for b in range(series.grid.n_points)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_new(path) as fh:
         fh.write("timestamp,price\n")
         for d, row in zip(series.dates, series.log_prices):
             day = d.isoformat()

@@ -6,7 +6,7 @@ from datetime import time
 import numpy as np
 import pytest
 
-from fstclock import DayGrid, IntervalClass, PartitionSpec, PriceSeries, ReturnSample
+from fstclock import DayGrid, IntervalClass, PartitionSpec, PriceSeries, ReturnSample, SearchConfig
 from fstclock.series import synthetic_dates
 
 
@@ -86,3 +86,20 @@ def default_grid() -> DayGrid:
 @pytest.fixture(scope="session")
 def default_partition(default_grid) -> PartitionSpec:
     return PartitionSpec.equal_spacing(default_grid, interval_minutes=20)
+
+
+def shared_path_world(name: str):
+    """A (series, partition, search window) on which every fit of a call shares one reference.
+
+    ``ticks``: log prices on a 0.05 grid, so most returns are 0 and the rest
+    few distinct values (heavy ties).  ``clipped``: a window of [0.5, 0.8]
+    that clips every 20-minute class at its low edge and the loud closure at
+    its high edge.
+    """
+    if name == "ticks":
+        series = brownian_series(n_days=300, n_bars=19, seed=31, sigma=0.03, night_sigma=0.05)
+        series = series_from_matrix(np.round(series.log_prices / 0.05) * 0.05)
+        return series, PartitionSpec.equal_spacing(series.grid, interval_minutes=20), None
+    series = brownian_series(n_days=300, n_bars=19, seed=32, night_sigma=12.0)
+    cfg = SearchConfig(delta_tau_min=0.5, delta_tau_max=0.8)
+    return series, PartitionSpec.equal_spacing(series.grid, interval_minutes=20), cfg

@@ -75,6 +75,38 @@ def test_synth_same_seed_is_byte_identical(tmp_path):
     assert (a / "truth.json").read_bytes() == (b / "truth.json").read_bytes()
 
 
+def _tree_bytes(root):
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def test_rerun_into_its_own_output_directory_is_byte_identical(tmp_path):
+    # every writer unlinks the file it replaces and creates it anew
+    chain = [
+        ["synth", "--out", str(tmp_path / "synth"), "--days", "30", "--seed", "5", "--points", "20"],
+        ["ingest", "--input", str(tmp_path / "synth" / "prices.csv"), "--out",
+         str(tmp_path / "cache"), "--points", "20"],
+        ["calibrate", "--input", str(tmp_path / "cache" / "cache.json"), "--out",
+         str(tmp_path / "cal")],
+        ["analyze", "--input", str(tmp_path / "cache" / "cache.json"), "--out",
+         str(tmp_path / "an"), "--clock", "fst", "--calibration",
+         str(tmp_path / "cal" / "calibration.json")],
+    ]
+    for argv in chain:
+        assert main(argv) == 0
+    first = _tree_bytes(tmp_path)
+    for argv in chain:
+        assert main(argv) == 0
+    assert _tree_bytes(tmp_path) == first
+
+
+def test_a_directory_at_an_output_path_ends_in_one_error_line(tmp_path, capsys):
+    out = tmp_path / "synth"
+    (out / "prices.csv").mkdir(parents=True)
+    assert main(["synth", "--out", str(out), "--days", "2", "--points", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: {str(out / 'prices.csv')!r}\n"
+
+
 def test_manifest_records_input_hashes(pipeline):
     manifest = json.loads((pipeline / "cal" / "manifest.json").read_text())
     assert manifest["tool"] == "fstclock"

@@ -23,15 +23,18 @@ from fstclock import (
     assemble_time_map,
     calibrate_clock,
     calibrate_interval,
+    class_sample,
     filter_complete_days,
     rescaled_ks,
 )
 import fstclock.clock
-from fstclock.clock import ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, class_duration
+from fstclock.clock import (
+    _SCALAR_SETTLE, ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, class_duration,
+)
 from fstclock.series import parse_class_spec, parse_class_specs
 from fstclock.ks import ks_count
 
-from conftest import brownian_series, make_sample
+from conftest import brownian_series, make_sample, shared_path_world
 
 
 def gauss(n, seed=0):
@@ -379,13 +382,35 @@ def test_first_divisor_refines_every_near_tied_pair(a, b, largest, want):
 
 def test_first_divisor_matches_scalar_refinement_on_near_ties():
     rng = np.random.default_rng(3)
-    for _ in range(500):
-        # a = q0 * b rounds differently per pair: every a/b is within an ulp
-        # or two of q0
-        b = rng.uniform(0.1, 10.0, size=32)
+    # near sets settled in Python floats and, past _SCALAR_SETTLE, by numpy masks
+    for size in (_SCALAR_SETTLE // 2, 3 * _SCALAR_SETTLE):
+        for _ in range(500):
+            # a = q0 * b rounds differently per pair: every a/b is within an ulp
+            # or two of q0
+            b = rng.uniform(0.1, 10.0, size=size)
+            a = rng.uniform(0.5, 4.0) * b
+            for largest in (True, False):
+                assert _first_divisor(a, b, largest) == _scalar_first_divisor(a, b, largest)
+
+
+@pytest.mark.parametrize("overflowing", [4, 16, 2 * _SCALAR_SETTLE])
+def test_first_divisor_matches_scalar_refinement_where_ratios_overflow(overflowing):
+    # a subnormal b sends a/b past the largest double: such a pair admits no
+    # finite divisor, so its first divisor is inf, the extreme of a
+    # ``largest`` search and ignored by a ``smallest`` one with finite pairs
+    rng = np.random.default_rng(overflowing)
+    tiny = np.nextafter(0.0, 1.0)
+    for _ in range(200):
+        b = rng.uniform(0.1, 10.0, size=max(16, overflowing))
         a = rng.uniform(0.5, 4.0) * b
-        for largest in (True, False):
-            assert _first_divisor(a, b, largest) == _scalar_first_divisor(a, b, largest)
+        b[:overflowing] = tiny * rng.integers(1, 1000, size=overflowing)
+        a[:overflowing] = rng.uniform(1e-3, 1e300, size=overflowing)
+        with np.errstate(over="ignore"):
+            assert np.isinf(a / b).sum() == overflowing
+            for largest in (True, False):
+                want = _scalar_first_divisor(a, b, largest)
+                assert _first_divisor(a, b, largest) == want
+                assert math.isinf(want) == (largest or overflowing == a.size)
 
 
 # --- whole-day calibration --------------------------------------------------
@@ -422,7 +447,7 @@ def test_clock_shape_and_scale(noisy_calibration):
 def test_clock_fits_on_the_calling_thread(
     threads, noisy_series, noisy_partition, noisy_calibration, monkeypatch
 ):
-    fit = fstclock.clock.calibrate_interval
+    fit = fstclock.clock._fit
     seen = []
 
     def recording(*args, **kwargs):
@@ -430,7 +455,7 @@ def test_clock_fits_on_the_calling_thread(
         seen.append((threading.get_ident(), threading.active_count()))
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(fstclock.clock, "calibrate_interval", recording)
+    monkeypatch.setattr(fstclock.clock, "_fit", recording)
     before = threading.active_count()
     cal = calibrate_clock(noisy_series, noisy_partition, threads=threads)
     assert threading.active_count() == before
@@ -615,6 +640,37 @@ def test_map_rejects_mismatched_partition():
     other = PartitionSpec(boundaries=(0, 3, 6), bar_minutes=20)
     with pytest.raises(ClassSpecError):
         assemble_time_map(cal, other, MAP_GRID, n_days=1)
+
+
+# --- one reference per call -------------------------------------------------
+
+def _fit_bits(r):
+    return (r.delta_tau.hex(), r.ks.d.hex(), r.ks.raw_sup.hex(), r.ks.n_x, r.ks.n_y,
+            r.cell[0].hex(), r.cell[1].hex(), r.n_evaluations, r.boundary_warning)
+
+
+@pytest.mark.parametrize("world", ["ticks", "clipped"])
+def test_clock_and_additivity_match_one_shot_fits_bit_for_bit(world):
+    series, partition, cfg = shared_path_world(world)
+    x_ref = class_sample(series, IntervalClass.multiday(1))
+    classes = partition.intervals() + [IntervalClass.overnight()]
+    want = [calibrate_interval(class_sample(series, c), x_ref, cfg) for c in classes]
+    cal = calibrate_clock(series, partition, cfg)
+    assert [d.hex() for d in cal.intraday_durations] == [r.delta_tau.hex() for r in want[:-1]]
+    assert cal.overnight_duration.hex() == want[-1].delta_tau.hex()
+    assert [d.hex() for d in cal.intraday_d] == [r.ks.d.hex() for r in want[:-1]]
+    assert cal.overnight_d.hex() == want[-1].ks.d.hex()
+    assert [(lo.hex(), hi.hex()) for lo, hi in cal.cells] == [
+        (r.cell[0].hex(), r.cell[1].hex()) for r in want]
+    assert cal.boundary_warnings == tuple(
+        c.label for c, r in zip(classes, want) if r.boundary_warning)
+    if world == "clipped":
+        assert want[0].cell[0] == 0.5 and want[-1].cell[1] == 0.8
+    rows = additivity_report(series, partition, cal, cfg)
+    for row, (_, union, _) in zip(rows, ADDITIVITY_UNIONS):
+        (c,) = parse_class_spec(union, partition, series.grid)
+        assert row.measured.hex() == calibrate_interval(
+            class_sample(series, c), x_ref, cfg).delta_tau.hex()
 
 
 # --- additivity -------------------------------------------------------------

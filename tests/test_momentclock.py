@@ -4,16 +4,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import warnings
+
 from fstclock import (
     DataError,
     GeneratorConfig,
+    IntervalClass,
+    calibrate_interval,
+    class_sample,
     compare_clocks,
     generate_selfsimilar,
     moment_time,
     nonadditivity_demo,
 )
 
-from conftest import make_sample
+from conftest import make_sample, shared_path_world
 
 
 def gauss(n, seed):
@@ -97,6 +102,29 @@ def test_comparison_records_moment_durations():
     assert row.label == "double"
     assert row.moments[0].delta_tau == pytest.approx(4.0, rel=1e-12)
     assert row.fst.ks.d == 0.0  # the exact optimum is among the candidates
+
+
+@pytest.mark.parametrize("world", ["ticks", "clipped"])
+def test_comparison_rows_match_one_shot_fits_and_moments_bit_for_bit(world):
+    series, partition, cfg = shared_path_world(world)
+    x_ref = class_sample(series, IntervalClass.multiday(1))
+    classes = [(c.label, class_sample(series, c)) for c in
+               partition.intervals() + [IntervalClass.overnight(), IntervalClass.multiday(2)]]
+    orders = (0.5, 1.0, 2.0, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a clipped window lets moment clocks win
+        comp = compare_clocks(classes, x_ref, orders=orders, cfg=cfg)
+
+    def bits(r):
+        return (r.delta_tau.hex(), r.ks.d.hex(), r.ks.raw_sup.hex(), r.ks.n_x, r.ks.n_y)
+
+    for row, (label, sample) in zip(comp.rows, classes, strict=True):
+        fst = calibrate_interval(sample, x_ref, cfg)
+        assert row.label == label
+        assert bits(row.fst) + (row.fst.cell, row.fst.n_evaluations) == bits(fst) + (
+            fst.cell, fst.n_evaluations)
+        assert [bits(m) for m in row.moments] == [
+            bits(moment_time(sample, x_ref, q)) for q in orders]
 
 
 # --- additivity gap ---------------------------------------------------------
