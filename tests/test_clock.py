@@ -391,26 +391,22 @@ def test_first_divisor_matches_scalar_refinement_on_near_ties():
             a = rng.uniform(0.5, 4.0) * b
             for largest in (True, False):
                 assert _first_divisor(a, b, largest) == _scalar_first_divisor(a, b, largest)
-
-
-@pytest.mark.parametrize("overflowing", [4, 16, 2 * _SCALAR_SETTLE])
-def test_first_divisor_matches_scalar_refinement_where_ratios_overflow(overflowing):
-    # a subnormal b sends a/b past the largest double: such a pair admits no
-    # finite divisor, so its first divisor is inf, the extreme of a
-    # ``largest`` search and ignored by a ``smallest`` one with finite pairs
-    rng = np.random.default_rng(overflowing)
-    tiny = np.nextafter(0.0, 1.0)
-    for _ in range(200):
-        b = rng.uniform(0.1, 10.0, size=max(16, overflowing))
-        a = rng.uniform(0.5, 4.0) * b
-        b[:overflowing] = tiny * rng.integers(1, 1000, size=overflowing)
-        a[:overflowing] = rng.uniform(1e-3, 1e300, size=overflowing)
-        with np.errstate(over="ignore"):
-            assert np.isinf(a / b).sum() == overflowing
-            for largest in (True, False):
-                want = _scalar_first_divisor(a, b, largest)
-                assert _first_divisor(a, b, largest) == want
-                assert math.isinf(want) == (largest or overflowing == a.size)
+        # a subnormal b sends a/b past the largest double: that pair admits no
+        # finite divisor, so its first divisor is inf, the extreme of a
+        # largest search and ignored by a smallest one while a finite pair is left
+        tiny = np.nextafter(0.0, 1.0)
+        for overflowing in (4, size):
+            for _ in range(100):
+                b = rng.uniform(0.1, 10.0, size=size)
+                a = rng.uniform(0.5, 4.0) * b
+                b[:overflowing] = tiny * rng.integers(1, 1000, size=overflowing)
+                a[:overflowing] = rng.uniform(1e-3, 1e300, size=overflowing)
+                with np.errstate(over="ignore"):
+                    assert np.isinf(a / b).sum() == overflowing
+                    for largest in (True, False):
+                        want = _scalar_first_divisor(a, b, largest)
+                        assert _first_divisor(a, b, largest) == want
+                        assert math.isinf(want) == (largest or overflowing == size)
 
 
 # --- whole-day calibration --------------------------------------------------
