@@ -461,7 +461,7 @@ def _magnitude_matrix(
     starts = np.flatnonzero(dropped_between(series) == 0)
     nights = np.full(series.n_days, np.nan)
     nights[starts] = demean(z[starts + 1, 0] - z[starts, grid.close_index])
-    nights *= math.sqrt(delta / cal.overnight_duration)
+    nights *= math.sqrt(delta / cal.classes[-1].delta_tau)
 
     out = np.empty((series.n_days, n_bins + 1))
     out[:, :n_bins] = np.abs(intraday)

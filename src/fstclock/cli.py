@@ -453,12 +453,12 @@ def _write_gate(path: str, gate) -> list[str]:
     ]
 
 
-def _load_calibration(path: str) -> ClockCalibration:
+def _load_calibration(path: str, partition: PartitionSpec) -> ClockCalibration:
     payload = read_json(path)
     try:
-        return cli.ClockCalibration.from_json_dict(payload)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        return cli.ClockCalibration.from_json_dict(payload, partition)
+    except (DataError, ClassSpecError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +558,8 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
         )
         files.append(add_path)
 
-    warns = [f"the optimal cell touches the window edge for {c}" for c in cal.boundary_warnings]
+    warns = [f"the optimal cell touches the window edge for {c.label}"
+             for c in cal.classes if c.boundary_warning]
     return files, warns + gate_warns
 
 
@@ -574,7 +575,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
             raise ClassSpecError(
                 "the fst clock needs --calibration pointing at a calibration.json"
             )
-        cal = _load_calibration(cfg["calibration"])
+        cal = _load_calibration(cfg["calibration"], partition)
         tmap = cli.assemble_time_map(cal, partition, grid, dates=series)
         if not cfg["delta"]:
             cfg["delta"] = cal.trading_total / partition.m_max

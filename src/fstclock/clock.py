@@ -89,6 +89,7 @@ class CalibrationResult:
 # Near pairs up to which a Python loop settles faster than numpy's masks
 # (about 64 on a 2-vCPU VM; a fit has one to three, identical samples thousands).
 _SCALAR_SETTLE = 64
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
@@ -98,8 +99,13 @@ def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
     answer, so only pairs near the extreme a/b (inf included) can hold it;
     one-ulp steps settle those, in Python floats (IEEE doubles too) unless
     ties leave more than ``_SCALAR_SETTLE`` of them, as identical samples do.
+    Below the normal range b's spacing is 2**-1074 whatever its size, so
+    there the answer is a / (b + 2**-1075), not a/b: scaled by 2**54, both
+    terms are exact.
     """
     q = a / b
+    if (sub := b < _TINY).any():
+        q[sub] = a[sub] * 2.0**54 / (b[sub] * 2.0**54 + 2.0**-1021)
     near = np.flatnonzero(q >= q.max() * (1 - 1e-14) if largest else q <= q.min() * (1 + 1e-14))
     a, b, q = a[near], b[near], q[near]
     if near.size > _SCALAR_SETTLE:
@@ -298,41 +304,64 @@ def _fit(ys: np.ndarray, ref: _Reference, cfg: SearchConfig) -> CalibrationResul
     )
 
 
+class ClassFit(NamedTuple):
+    """One calibrated class: its duration, KS distance, optimal cell and window flag.
+
+    ``cell`` is None for a duration that was not fitted (a ground-truth
+    clock, a hand-built one).
+    """
+
+    label: str
+    delta_tau: float
+    d: float
+    cell: tuple[float, float] | None = None
+    boundary_warning: bool = False
+
+
+def calibrated_classes(partition: PartitionSpec) -> list[IntervalClass]:
+    """The classes a clock calibrates, in order: the partition's intervals, then the night."""
+    return partition.intervals() + [IntervalClass.overnight()]
+
+
 @dataclass(frozen=True)
 class ClockCalibration:
     """Calibrated durations for every partition interval plus the closure.
 
-    ``cells`` holds each fitted duration's optimal cell (delta_tau_lo,
-    delta_tau_hi) in class order, night last; it is empty for durations that
-    were not fitted (a ground-truth clock, a hand-built one).
+    ``classes`` holds one ``ClassFit`` per class of ``calibrated_classes``:
+    the intervals in order, the night last.  Their cells are all given or
+    all None, and a given cell lies in the search window and holds its
+    duration.
     """
 
-    intraday_durations: np.ndarray
-    overnight_duration: float
-    intraday_d: np.ndarray
-    overnight_d: float
+    classes: tuple[ClassFit, ...]
     reference_label: str
     search: SearchConfig
-    boundary_warnings: tuple[str, ...] = ()
-    cells: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        dur = np.asarray(self.intraday_durations, dtype=float)
-        dvals = np.asarray(self.intraday_d, dtype=float)
-        if dur.ndim != 1 or dur.size == 0 or dvals.shape != dur.shape:
-            raise DataError("calibration arrays malformed")
-        _checked(np.append(dur, self.overnight_duration), "duration", zero_ok=False)
-        _checked(np.append(dvals, self.overnight_d), "D value", zero_ok=True)
-        if self.cells and len(self.cells) != dur.size + 1:
-            raise DataError("need one duration cell per interval plus the night")
-        dur = dur.copy(); dur.setflags(write=False)
-        dvals = dvals.copy(); dvals.setflags(write=False)
-        object.__setattr__(self, "intraday_durations", dur)
-        object.__setattr__(self, "intraday_d", dvals)
+        classes = tuple(self.classes)
+        if len(classes) < 2 or not all(isinstance(c, ClassFit) for c in classes):
+            raise DataError("need a ClassFit per interval, then one for the night")
+        _checked([c.delta_tau for c in classes], "duration", zero_ok=False)
+        _checked([c.d for c in classes], "D value", zero_ok=True)
+        if len({c.cell is None for c in classes}) > 1:
+            raise DataError("need a cell for every class or for none")
+        lo, hi = self.search.delta_tau_min, self.search.delta_tau_max
+        for c in classes:
+            if c.cell is not None and not lo <= c.cell[0] <= c.delta_tau <= c.cell[1] <= hi:
+                raise DataError(
+                    f"cell {list(c.cell)} of {c.label!r} does not hold {c.delta_tau} in the window")
+        object.__setattr__(self, "classes", classes)
+
+    # read-only views of ``classes`` for the benchmark in ``perfbench/``, which reads these names
+    intraday_durations = property(lambda self: np.array([c.delta_tau for c in self.classes[:-1]]))
+    overnight_duration = property(lambda self: self.classes[-1].delta_tau)
+    intraday_d = property(lambda self: np.array([c.d for c in self.classes[:-1]]))
+    overnight_d = property(lambda self: self.classes[-1].d)
+    boundary_warnings = property(lambda self: tuple(c.label for c in self.classes if c.boundary_warning))
 
     @property
     def m_max(self) -> int:
-        return int(self.intraday_durations.size)
+        return len(self.classes) - 1
 
     def check_partition(self, partition: PartitionSpec) -> None:
         if self.m_max != partition.m_max:
@@ -342,37 +371,42 @@ class ClockCalibration:
 
     @property
     def trading_total(self) -> float:
-        return float(self.intraday_durations.sum())
+        return float(np.sum([c.delta_tau for c in self.classes[:-1]]))
 
     @property
     def day_total(self) -> float:
-        return self.trading_total + self.overnight_duration
+        return self.trading_total + self.classes[-1].delta_tau
 
     def to_json_dict(self) -> dict:
         return {
             "reference_class": self.reference_label,
-            "delta_tau_intraday": [float(x) for x in self.intraday_durations],
-            "delta_tau_night": float(self.overnight_duration),
-            "d_values": [float(x) for x in self.intraday_d] + [float(self.overnight_d)],
+            "delta_tau_intraday": [float(c.delta_tau) for c in self.classes[:-1]],
+            "delta_tau_night": float(self.classes[-1].delta_tau),
+            "d_values": [float(c.d) for c in self.classes],
             "search_config": asdict(self.search),
-            "delta_tau_cells": [[float(lo), float(hi)] for lo, hi in self.cells],
-            "boundary_warnings": list(self.boundary_warnings),
+            "delta_tau_cells": [[float(c.cell[0]), float(c.cell[1])] for c in self.classes if c.cell],
+            "boundary_warnings": [c.label for c in self.classes if c.boundary_warning],
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "ClockCalibration":
-        """Rebuild a calibration from ``to_json_dict`` output.
+    def from_json_dict(cls, payload: dict, partition: PartitionSpec) -> "ClockCalibration":
+        """Rebuild a calibration from ``to_json_dict`` output, labelled by ``partition``'s classes.
 
-        A missing or malformed entry raises ``DataError`` naming the entry.
+        A missing or malformed entry raises ``DataError`` naming the entry;
+        a calibration of another number of intervals, ``ClassSpecError``.
         """
         if not isinstance(payload, dict):
             raise DataError("the calibration is not a JSON object")
+        classes = calibrated_classes(partition)
         entry = "search_config"
         try:
             sc = payload["search_config"]
             search = SearchConfig(delta_tau_min=sc["delta_tau_min"], delta_tau_max=sc["delta_tau_max"])
             entry = "delta_tau_intraday"
             durations = _checked(payload["delta_tau_intraday"], "duration", zero_ok=False)
+            if durations.size != partition.m_max:
+                raise ClassSpecError(
+                    f"calibration has {durations.size} intervals, partition {partition.m_max}")
             entry = "delta_tau_night"
             night = float(payload["delta_tau_night"])
             _checked(night, "duration", zero_ok=False)
@@ -388,22 +422,20 @@ class ClockCalibration:
             warnings = payload.get("boundary_warnings", [])
             if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
                 raise TypeError("expected a list of class labels")
+            if unknown := set(warnings) - {c.label for c in classes}:
+                raise ValueError(f"{sorted(unknown)[0]!r} names no class")
             entry = "delta_tau_cells"
-            cells = tuple((float(lo), float(hi)) for lo, hi in payload.get("delta_tau_cells", []))
+            cells = [(float(lo), float(hi)) for lo, hi in payload.get("delta_tau_cells", [])]
+            if len(cells) not in (0, len(classes)):
+                raise ValueError(f"{len(cells)} cells for {partition.m_max} intervals and the night")
+            rows = zip(classes, [*durations.tolist(), night], d_values.tolist(),
+                       cells or [None] * len(classes))
+            fits = (ClassFit(c.label, t, d, cell, c.label in warnings) for c, t, d, cell in rows)
+            return cls(tuple(fits), label, search)
         except KeyError as exc:
             raise DataError(f"the calibration has no {exc.args[0]!r} entry") from None
         except (TypeError, ValueError, DataError) as exc:
             raise DataError(f"the calibration's {entry!r} entry is malformed ({exc})") from None
-        return cls(
-            intraday_durations=durations,
-            overnight_duration=night,
-            intraday_d=d_values[:-1],
-            overnight_d=float(d_values[-1]),
-            reference_label=label,
-            search=search,
-            boundary_warnings=tuple(warnings),
-            cells=cells,
-        )
 
 
 def _checked(values, what: str, zero_ok: bool) -> np.ndarray:
@@ -438,19 +470,12 @@ def calibrate_clock(
     ref_class = reference or IntervalClass.multiday(1)
     x_ref = _Reference(class_sample(series, ref_class))
 
-    classes = partition.intervals() + [IntervalClass.overnight()]
-    results = [calibrate_interval(class_sample(series, c), x_ref, cfg) for c in classes]
-
-    warnings = tuple(c.label for c, r in zip(classes, results) if r.boundary_warning)
+    classes = calibrated_classes(partition)
+    fits = [(c, calibrate_interval(class_sample(series, c), x_ref, cfg)) for c in classes]
     return ClockCalibration(
-        intraday_durations=np.asarray([r.delta_tau for r in results[:-1]]),
-        overnight_duration=results[-1].delta_tau,
-        intraday_d=np.asarray([r.ks.d for r in results[:-1]]),
-        overnight_d=results[-1].ks.d,
+        tuple(ClassFit(c.label, r.delta_tau, r.ks.d, r.cell, r.boundary_warning) for c, r in fits),
         reference_label=ref_class.label,
         search=cfg,
-        boundary_warnings=warnings,
-        cells=tuple(r.cell for r in results),
     )
 
 
@@ -514,7 +539,8 @@ class TimeMap:
         """
         if not 0 <= tau_in_day <= self.calibration.trading_total + 1e-12:
             raise MapRangeError(f"tau_in_day={tau_in_day} outside the trading session")
-        bounds_tau = np.concatenate([[0.0], np.cumsum(self.calibration.intraday_durations)])
+        # day 0's anchors are the boundaries' running sums of the durations
+        bounds_tau = self.anchor_tau[: self.partition.m_max + 1]
         bounds_min = np.asarray(
             [b * self.grid.bar_minutes for b in self.partition.boundaries], dtype=float
         )
@@ -575,7 +601,7 @@ def assemble_time_map(
     open_s = grid.open_time.hour * 3600 + grid.open_time.minute * 60
     opens = ((day_numbers(all_dates) - _EPOCH.toordinal()) * 86400 + open_s).astype(float)
     offsets = np.asarray(partition.boundaries) * grid.bar_minutes * 60.0
-    bounds_tau = np.concatenate([[0.0], np.cumsum(calibration.intraday_durations)])
+    bounds_tau = np.concatenate([[0.0], np.cumsum([c.delta_tau for c in calibration.classes[:-1]])])
     anchor_seconds = np.append((opens[:-1, None] + offsets).ravel(), opens[-1])
     anchor_tau = np.append(
         (day_index[:, None] * day_total + bounds_tau).ravel(), (day_index[-1] + 1) * day_total
@@ -624,9 +650,9 @@ def class_duration(
         if c.bar_start not in b or c.bar_end not in b:
             raise ClassSpecError(f"class {c.label!r} does not run between partition boundaries")
         m_start, m_end = b.index(c.bar_start), b.index(c.bar_end)
-        return float(calibration.intraday_durations[m_start:m_end].sum())
+        return float(np.sum([c.delta_tau for c in calibration.classes[m_start:m_end]]))
     if c.kind == "overnight":
-        return calibration.overnight_duration
+        return calibration.classes[-1].delta_tau
     if c.kind == "multiday":
         return c.n_days * calibration.day_total
     raise ClassSpecError(f"class {c.label!r} has no clock-additive duration")

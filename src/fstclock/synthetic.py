@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import ClockCalibration, SearchConfig
+from .clock import ClassFit, ClockCalibration, SearchConfig, calibrated_classes
 from .errors import DataError
 from .series import DayGrid, IntervalClass, PartitionSpec, PriceSeries, ReturnSample, open_new, synthetic_dates
 
@@ -117,12 +117,10 @@ class GroundTruthClock:
 
     def calibration_for(self, partition: PartitionSpec) -> ClockCalibration:
         """Package the exact durations in calibration form (zero KS values)."""
-        dur = self.interval_durations(partition)
+        durations = [*self.interval_durations(partition).tolist(), self.overnight_tau]
+        fits = zip(calibrated_classes(partition), durations)
         return ClockCalibration(
-            intraday_durations=dur,
-            overnight_duration=self.overnight_tau,
-            intraday_d=np.zeros_like(dur),
-            overnight_d=0.0,
+            tuple(ClassFit(c.label, t, 0.0) for c, t in fits),
             reference_label="ground-truth",
             search=SearchConfig(),
         )

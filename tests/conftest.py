@@ -1,13 +1,70 @@
 """Shared fixtures and independent helpers used across the test suite."""
 from __future__ import annotations
 
+import json
+import os
 from datetime import time
 
 import numpy as np
 import pytest
 
-from fstclock import DayGrid, IntervalClass, PartitionSpec, PriceSeries, ReturnSample, SearchConfig
+import fstclock
+from fstclock import (
+    ClassFit, ClockCalibration, DayGrid, IntervalClass, PartitionSpec, PriceSeries, ReturnSample,
+    SearchConfig,
+)
 from fstclock.series import synthetic_dates
+
+
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this fstclock."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fstclock.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def calibration_from(durations, d=None) -> ClockCalibration:
+    """A hand-built calibration: ``durations`` of the intervals in order, then of the night.
+
+    Each record carries the label a partition's class gets, the D value of
+    ``d`` (0 by default) and no cell.
+    """
+    labels = [f"intraday[{m}..{m + 1}]" for m in range(len(durations) - 1)] + ["overnight"]
+    d = [0.0] * len(labels) if d is None else d
+    fits = (ClassFit(*f) for f in zip(labels, map(float, durations), map(float, d), strict=True))
+    return ClockCalibration(tuple(fits), reference_label="1-day", search=SearchConfig())
+
+
+def json_roundtrip(cal: ClockCalibration) -> ClockCalibration:
+    """``cal`` sent through ``json.dumps(to_json_dict())`` and ``from_json_dict``.
+
+    The partition only labels the records, so any one of ``cal.m_max``
+    intervals serves; the result must serialise to the same bytes.
+    """
+    text = json.dumps(cal.to_json_dict())
+    partition = PartitionSpec(boundaries=tuple(range(cal.m_max + 1)), bar_minutes=20)
+    back = ClockCalibration.from_json_dict(json.loads(text), partition)
+    assert json.dumps(back.to_json_dict()) == text
+    return back
+
+
+@pytest.fixture(autouse=True)
+def every_calibration_roundtrips():
+    """Every calibration a test builds comes back equal from its own JSON."""
+    built, post_init = [], ClockCalibration.__post_init__
+
+    def recording(self):
+        post_init(self)
+        built.append(self)
+
+    ClockCalibration.__post_init__ = recording
+    try:
+        yield
+    finally:
+        ClockCalibration.__post_init__ = post_init
+    for cal in built:
+        assert json_roundtrip(cal) == cal
 
 
 def make_sample(values, label="test") -> ReturnSample:

@@ -28,7 +28,9 @@ import fstclock.analysis as analysis_module
 from fstclock.analysis import CorrelationCurve
 from fstclock.synthetic import ActivityProfile, GeneratorConfig, generate_seasonal
 
-from conftest import ar1_block_correlation, brownian_series, make_sample, series_from_matrix
+from conftest import (
+    ar1_block_correlation, brownian_series, calibration_from, make_sample, series_from_matrix,
+)
 
 
 GRID18 = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=19)
@@ -64,17 +66,8 @@ def test_span_union_rows(default_grid, default_partition):
 
 
 def test_span_union_fst_durations_are_additive(default_grid, default_partition):
-    from fstclock import ClockCalibration, SearchConfig
-
     s = brownian_series(n_days=30, n_bars=19, seed=42, night_sigma=1.0)
-    cal = ClockCalibration(
-        intraday_durations=np.linspace(0.01, 0.1, 19),
-        overnight_duration=0.2,
-        intraday_d=np.zeros(19),
-        overnight_d=0.0,
-        reference_label="1-day",
-        search=SearchConfig(),
-    )
+    cal = calibration_from([*np.linspace(0.01, 0.1, 19), 0.2])
     rows = span_union_samples(s, default_partition, spans=(2,), calibration=cal)
     for a, row in enumerate(rows[:-1]):
         assert row.fst_duration == float(cal.intraday_durations[a : a + 2].sum())

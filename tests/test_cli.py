@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import fstclock.cli as cli
-from fstclock.clock import ClockCalibration, SearchConfig, assemble_time_map
+from fstclock.clock import ClockCalibration, assemble_time_map
 from fstclock.cli import (
     _reference,
     build_parser,
@@ -30,6 +30,8 @@ from fstclock.errors import ClassSpecError
 from fstclock.series import DayGrid, PartitionSpec
 
 from datetime import time as dtime
+
+from conftest import calibration_from, child_env
 
 GRID = DayGrid(open_time=dtime(9, 40), bar_minutes=20, n_points=20)
 
@@ -118,10 +120,14 @@ def test_manifest_records_input_hashes(pipeline):
     assert digest.startswith("sha256:") and len(digest) == 7 + 64
 
 
-def test_calibration_file_roundtrips(pipeline):
+def test_calibration_file_roundtrips(pipeline, tmp_path):
     payload = json.loads((pipeline / "cal" / "calibration.json").read_text())
     assert payload["reference_class"] == "1-day"
     assert len(payload["delta_tau_intraday"]) == 19
+    # the file re-serialises to its own bytes through the records
+    cal = ClockCalibration.from_json_dict(payload, PartitionSpec.equal_spacing(GRID, 20.0))
+    cli._write_json(str(tmp_path / "again.json"), cal.to_json_dict())
+    assert (tmp_path / "again.json").read_bytes() == (pipeline / "cal" / "calibration.json").read_bytes()
     # timemap covers every anchor of every day plus the terminal one
     lines = (pipeline / "cal" / "timemap.csv").read_text().splitlines()
     assert lines[0] == "l,m,t_iso,tau_fst"
@@ -147,14 +153,7 @@ def test_calibrate_from_csv_and_from_cache_writes_identical_files(pipeline, tmp_
 
 
 def test_timemap_file_matches_row_by_row_formatting(tmp_path, monkeypatch):
-    calibration = ClockCalibration(
-        intraday_durations=np.array([0.1, 0.2, 0.3]),
-        overnight_duration=0.4000000000000001,
-        intraday_d=np.zeros(3),
-        overnight_d=0.0,
-        reference_label="1-day",
-        search=SearchConfig(),
-    )
+    calibration = calibration_from([0.1, 0.2, 0.3, 0.4000000000000001])
     grid = DayGrid(open_time=dtime(9, 40), bar_minutes=20, n_points=7)
     partition = PartitionSpec(boundaries=(0, 2, 4, 6), bar_minutes=20)
     tmap = assemble_time_map(calibration, partition, grid, n_days=5)
@@ -329,14 +328,6 @@ def test_every_csv_goes_through_the_writer(tmp_path, monkeypatch):
     assert len(written) == len(set(written)) == len(csvs) - 1
 
 
-def _child_env() -> dict:
-    """The environment of a fresh interpreter that imports this fstclock."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def _loaded_modules(argv: list[str]) -> set[str]:
     """Run one command in a fresh interpreter; the modules it had loaded at the end."""
     script = (
@@ -346,7 +337,7 @@ def _loaded_modules(argv: list[str]) -> set[str]:
         "print(' '.join(sys.modules))\n"
         "sys.exit(code)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(),
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -388,7 +379,7 @@ def test_each_command_loads_only_its_modules(pipeline, tmp_path):
 
 def test_importing_the_package_loads_no_submodule():
     code = "import sys, fstclock; print(sorted(m for m in sys.modules if 'fstclock.' in m))"
-    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -728,6 +719,18 @@ def test_cache_with_a_malformed_entry_is_refused(pipeline, tmp_path, capsys, ent
     ("reference_class", 5, "the calibration's 'reference_class' entry is malformed ("),
     ("boundary_warnings", "1-day", "the calibration's 'boundary_warnings' entry is malformed ("),
     ("delta_tau_cells", [[1]], "the calibration's 'delta_tau_cells' entry is malformed ("),
+    ("delta_tau_cells", [[math.nan, 1.0]] * 20,
+     "the calibration's 'delta_tau_cells' entry is malformed (cell [nan, 1.0] of 'intraday[0..1]'"),
+    ("delta_tau_cells", [[0.5, 0.01]] * 20,
+     "the calibration's 'delta_tau_cells' entry is malformed (cell [0.5, 0.01] of 'intraday[0..1]'"),
+    ("delta_tau_cells", [[1e-4, 1e-3]] * 20,
+     "the calibration's 'delta_tau_cells' entry is malformed (cell [0.0001, 0.001] of 'intraday[0..1]'"),
+    ("delta_tau_cells", [[1e-5, 1e3]] * 20,
+     "the calibration's 'delta_tau_cells' entry is malformed (cell [1e-05, 1000.0] of 'intraday[0..1]'"),
+    ("delta_tau_cells", [[0.01, 0.5]] * 3,
+     "the calibration's 'delta_tau_cells' entry is malformed (3 cells for 19 intervals and the night)"),
+    ("boundary_warnings", ["overnight", "lunch"],
+     "the calibration's 'boundary_warnings' entry is malformed ('lunch' names no class)"),
 ])
 def test_calibration_with_a_malformed_entry_is_refused(pipeline, tmp_path, capsys, entry, value, message):
     payload = json.loads((pipeline / "cal" / "calibration.json").read_text())
@@ -742,6 +745,16 @@ def test_calibration_with_a_malformed_entry_is_refused(pipeline, tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cal}: {message}") and err.count("\n") == 1
+
+
+def test_calibration_of_another_partition_is_refused(pipeline, tmp_path, capsys):
+    code = main(["analyze", "--input", str(pipeline / "cache" / "cache.json"),
+                 "--out", str(tmp_path), "--interval-minutes", "380", "--clock", "fst",
+                 "--calibration", str(pipeline / "cal" / "calibration.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {pipeline / 'cal' / 'calibration.json'}: calibration has 19 intervals, partition 1\n")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("lags", ["10:0", "3:2"])

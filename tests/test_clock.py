@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 import threading
 from datetime import date, datetime, time
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from fstclock import (
+    ClassFit,
     ClassSpecError,
     ClockCalibration,
     DataError,
@@ -29,12 +32,13 @@ from fstclock import (
 )
 import fstclock.clock
 from fstclock.clock import (
-    _SCALAR_SETTLE, ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, class_duration,
+    _SCALAR_SETTLE, ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, calibrated_classes,
+    class_duration,
 )
 from fstclock.series import parse_class_spec, parse_class_specs
 from fstclock.ks import ks_count
 
-from conftest import brownian_series, make_sample, shared_path_world
+from conftest import brownian_series, calibration_from, child_env, make_sample, shared_path_world
 
 
 def gauss(n, seed=0):
@@ -409,6 +413,49 @@ def test_first_divisor_matches_scalar_refinement_on_near_ties():
                         assert math.isinf(want) == (largest or overflowing == size)
 
 
+# Below the normal range one ulp of q moves fl(a/q) by far less than b's
+# spacing, so one-ulp steps from fl(a/b) would take up to about 2**52 of
+# them.  Each case's first divisor q must pass and nextafter(q, 0) fail: for
+# every pair at the largest, for none at the smallest.  The checks run in a
+# child process, so that a settle that does not end fails the test instead
+# of hanging the suite.
+_SUBNORMAL_CHECKS = """
+import numpy as np
+from fstclock import IntervalClass, ReturnSample, calibrate_interval, rescaled_ks
+from fstclock.clock import _SCALAR_SETTLE, _first_divisor
+
+def check(a, b):
+    for largest in (True, False):
+        q = _first_divisor(a, b, largest)
+        passes, below = a / q <= b, a / np.nextafter(q, 0.0) <= b
+        assert (passes.all() and not below.all()) if largest else (passes.any() and not below.any())
+
+tiny = np.nextafter(0.0, 1.0)
+reps = _SCALAR_SETTLE + 6  # tied pairs past _SCALAR_SETTLE settle in the numpy loop
+check(np.array([1e-17]), np.array([3 * tiny]))
+check(np.full(reps, 1e-17), np.full(reps, 3 * tiny))
+# the subnormal pair has the largest a/b, the normal pair the largest first divisor
+check(np.array([1e-17, 6e305]), np.array([3 * tiny, 1.0]))
+rng = np.random.default_rng(17)
+for r in (1, reps):
+    for _ in range(200):
+        # ratios a/b near a common scale, half of them against subnormal b
+        b = np.append(np.floor(2 ** rng.uniform(0, 52, size=3)) * tiny, rng.uniform(0.1, 10.0, size=3))
+        a = 10 ** rng.uniform(290, 306) * b * rng.uniform(1 - 1e-3, 1 + 1e-3, size=6)
+        check(np.repeat(a, r), np.repeat(b, r))
+
+x, y = (ReturnSample(np.array(v), IntervalClass.sample("t")) for v in ([3 * tiny, 1.0], [1e-17, 1.0]))
+fit = calibrate_interval(y, x)
+assert fit.ks == rescaled_ks(x, y, fit.delta_tau)
+"""
+
+
+def test_first_divisor_settles_against_subnormal_references():
+    proc = subprocess.run([sys.executable, "-c", _SUBNORMAL_CHECKS], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # --- whole-day calibration --------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -456,16 +503,16 @@ def test_clock_fits_on_the_calling_thread(
     cal = calibrate_clock(noisy_series, noisy_partition, threads=threads)
     assert threading.active_count() == before
     assert seen == [(threading.get_ident(), before)] * (noisy_partition.m_max + 1)
-    assert cal.intraday_durations.tobytes() == noisy_calibration.intraday_durations.tobytes()
-    assert cal.overnight_duration.hex() == noisy_calibration.overnight_duration.hex()
-    assert cal.intraday_d.tobytes() == noisy_calibration.intraday_d.tobytes()
-    assert cal.overnight_d.hex() == noisy_calibration.overnight_d.hex()
-    assert [(lo.hex(), hi.hex()) for lo, hi in cal.cells] == [
-        (lo.hex(), hi.hex()) for lo, hi in noisy_calibration.cells
-    ]
+    assert _record_bits(cal) == _record_bits(noisy_calibration)
 
 
-def test_calibration_json_roundtrip(noisy_calibration):
+def _record_bits(cal):
+    """Each record of ``cal`` with its floats as hex, so that equal means bit-identical."""
+    return [(c.label, c.delta_tau.hex(), c.d.hex(), c.cell and (c.cell[0].hex(), c.cell[1].hex()),
+             c.boundary_warning) for c in cal.classes]
+
+
+def test_calibration_json_roundtrip(noisy_calibration, noisy_partition):
     payload = noisy_calibration.to_json_dict()
     assert list(payload.keys()) == [
         "reference_class",
@@ -478,60 +525,52 @@ def test_calibration_json_roundtrip(noisy_calibration):
     ]
     assert len(payload["d_values"]) == noisy_calibration.m_max + 1
     # one cell per class, night last, each holding its fitted duration
-    durations = [*noisy_calibration.intraday_durations, noisy_calibration.overnight_duration]
-    assert len(payload["delta_tau_cells"]) == len(durations)
-    for (lo, hi), dt in zip(payload["delta_tau_cells"], durations):
-        assert lo <= dt <= hi
-    back = ClockCalibration.from_json_dict(json.loads(json.dumps(payload)))
-    assert (back.intraday_durations == noisy_calibration.intraday_durations).all()
-    assert back.overnight_duration == noisy_calibration.overnight_duration
-    assert back.search == noisy_calibration.search
-    assert back.cells == noisy_calibration.cells
+    classes = noisy_calibration.classes
+    assert [c.label for c in classes] == [c.label for c in calibrated_classes(noisy_partition)]
+    assert len(payload["delta_tau_cells"]) == len(classes)
+    for (lo, hi), c in zip(payload["delta_tau_cells"], classes):
+        assert lo <= c.delta_tau <= hi
+    back = ClockCalibration.from_json_dict(json.loads(json.dumps(payload)), noisy_partition)
+    assert back == noisy_calibration
 
 
 def test_calibration_validation():
     with pytest.raises(DataError):
-        ClockCalibration(
-            intraday_durations=np.array([0.1, -0.2]),
-            overnight_duration=0.5,
-            intraday_d=np.zeros(2),
-            overnight_d=0.0,
-            reference_label="1-day",
-            search=SearchConfig(),
-        )
+        calibration_from([0.1, -0.2, 0.5])
 
 
 @pytest.mark.parametrize("fields,message", [
-    ({"intraday_durations": np.array([math.nan, 0.25])}, "nan is not a finite positive duration"),
-    ({"overnight_duration": math.inf}, "inf is not a finite positive duration"),
-    ({"intraday_d": np.array([0.1, math.nan])}, "nan is not a finite non-negative D value"),
-    ({"overnight_d": -0.5}, "-0.5 is not a finite non-negative D value"),
+    ({"durations": [math.nan, 0.25, 0.5]}, "nan is not a finite positive duration"),
+    ({"durations": [0.25, 0.25, math.inf]}, "inf is not a finite positive duration"),
+    ({"d": [0.1, math.nan, 0.0]}, "nan is not a finite non-negative D value"),
+    ({"d": [0.0, 0.0, -0.5]}, "-0.5 is not a finite non-negative D value"),
 ])
 def test_calibration_refuses_non_finite_values(fields, message):
-    base = dict(
-        intraday_durations=np.array([0.25, 0.25]),
-        overnight_duration=0.5,
-        intraday_d=np.zeros(2),
-        overnight_d=0.0,
-        reference_label="1-day",
-        search=SearchConfig(),
-    )
+    base = dict(durations=[0.25, 0.25, 0.5], d=None)
     with pytest.raises(DataError, match=message):
-        ClockCalibration(**{**base, **fields})
+        calibration_from(**{**base, **fields})
+
+
+@pytest.mark.parametrize("classes,message", [
+    ([ClassFit("overnight", 0.5, 0.0)], "need a ClassFit per interval, then one for the night"),
+    ([("intraday[0..1]", 0.5, 0.0), ("overnight", 0.5, 0.0)], "need a ClassFit per interval"),
+    ([ClassFit("intraday[0..1]", 0.5, 0.0, (0.25, 1.0)), ClassFit("overnight", 0.5, 0.0)],
+     "need a cell for every class or for none"),
+    ([ClassFit("intraday[0..1]", 0.5, 0.0, (1.0, 0.25)), ClassFit("overnight", 0.5, 0.0, (0.5, 0.5))],
+     r"cell \[1.0, 0.25\] of 'intraday\[0..1\]' does not hold 0.5 in the window"),
+    ([ClassFit("intraday[0..1]", 0.5, 0.0, (0.25, 1.0)), ClassFit("overnight", 0.5, 0.0, (0.5, 1e3))],
+     r"cell \[0.5, 1000.0\] of 'overnight' does not hold 0.5 in the window"),
+])
+def test_calibration_refuses_malformed_records(classes, message):
+    with pytest.raises(DataError, match=message):
+        ClockCalibration(tuple(classes), reference_label="1-day", search=SearchConfig())
 
 
 # --- time map ---------------------------------------------------------------
 
 def unit_day_calibration():
     # exactly representable durations so anchor arithmetic stays bitwise
-    return ClockCalibration(
-        intraday_durations=np.array([0.25, 0.25, 0.125]),
-        overnight_duration=0.375,
-        intraday_d=np.zeros(3),
-        overnight_d=0.0,
-        reference_label="1-day",
-        search=SearchConfig(),
-    )
+    return calibration_from([0.25, 0.25, 0.125, 0.375])
 
 
 MAP_GRID = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=7)
@@ -652,16 +691,12 @@ def test_clock_and_additivity_match_one_shot_fits_bit_for_bit(world):
     classes = partition.intervals() + [IntervalClass.overnight()]
     want = [calibrate_interval(class_sample(series, c), x_ref, cfg) for c in classes]
     cal = calibrate_clock(series, partition, cfg)
-    assert [d.hex() for d in cal.intraday_durations] == [r.delta_tau.hex() for r in want[:-1]]
-    assert cal.overnight_duration.hex() == want[-1].delta_tau.hex()
-    assert [d.hex() for d in cal.intraday_d] == [r.ks.d.hex() for r in want[:-1]]
-    assert cal.overnight_d.hex() == want[-1].ks.d.hex()
-    assert [(lo.hex(), hi.hex()) for lo, hi in cal.cells] == [
-        (r.cell[0].hex(), r.cell[1].hex()) for r in want]
-    assert cal.boundary_warnings == tuple(
-        c.label for c, r in zip(classes, want) if r.boundary_warning)
+    assert _record_bits(cal) == [
+        (c.label, r.delta_tau.hex(), r.ks.d.hex(), (r.cell[0].hex(), r.cell[1].hex()), r.boundary_warning)
+        for c, r in zip(classes, want)]
     if world == "clipped":
         assert want[0].cell[0] == 0.5 and want[-1].cell[1] == 0.8
+        assert cal.classes[0].boundary_warning and cal.classes[-1].boundary_warning
     rows = additivity_report(series, partition, cal, cfg)
     for row, (_, union, _) in zip(rows, ADDITIVITY_UNIONS):
         (c,) = parse_class_spec(union, partition, series.grid)

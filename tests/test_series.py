@@ -15,7 +15,6 @@ import pytest
 
 from fstclock import (
     ClassSpecError,
-    ClockCalibration,
     DataError,
     DayGrid,
     GeneratorConfig,
@@ -24,7 +23,6 @@ from fstclock import (
     PartitionSpec,
     PriceSeries,
     ReturnSample,
-    SearchConfig,
     assemble_time_map,
     class_sample,
     detrend,
@@ -41,7 +39,7 @@ from fstclock.analysis import _magnitude_matrix
 from fstclock.series import dropped_between, next_weekday, synthetic_dates
 from fstclock.synthetic import ActivityProfile, generate_seasonal, write_prices_csv
 
-from conftest import series_from_matrix
+from conftest import calibration_from, series_from_matrix
 
 
 GRID3 = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=3)
@@ -646,14 +644,7 @@ def test_gap_rule_matches_pairwise_scan(default_grid, default_partition, seed):
             with pytest.raises(DataError):
                 raw_returns(s, iclass)
 
-    cal = ClockCalibration(
-        intraday_durations=np.full(default_partition.m_max, 0.03125),
-        overnight_duration=0.40625,
-        intraday_d=np.zeros(default_partition.m_max),
-        overnight_d=0.0,
-        reference_label="1-day",
-        search=SearchConfig(),
-    )
+    cal = calibration_from([0.03125] * default_partition.m_max + [0.40625])
     tmap = assemble_time_map(cal, default_partition, default_grid, dates=s)
     night = _magnitude_matrix(s, 0.0625, tmap)[:, -1]
     starts = scan_windows(s, 1, 1)
@@ -688,14 +679,7 @@ def test_time_map_anchors_match_the_day_by_day_loop(default_grid, default_partit
     s = gappy_series(default_grid, seed)
     rng = np.random.default_rng(seed)
     m_max = default_partition.m_max
-    cal = ClockCalibration(
-        intraday_durations=rng.uniform(0.01, 0.08, size=m_max),
-        overnight_duration=float(rng.uniform(0.1, 0.5)),
-        intraday_d=np.zeros(m_max),
-        overnight_d=0.0,
-        reference_label="1-day",
-        search=SearchConfig(),
-    )
+    cal = calibration_from([*rng.uniform(0.01, 0.08, size=m_max), float(rng.uniform(0.1, 0.5))])
     tmap = assemble_time_map(cal, default_partition, default_grid, dates=s)
     seconds, taus = loop_anchors(cal, default_partition, default_grid, s)
     assert tmap.anchor_seconds.tobytes() == seconds.tobytes()
