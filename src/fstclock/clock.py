@@ -101,10 +101,12 @@ def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
     ties leave more than ``_SCALAR_SETTLE`` of them, as identical samples do.
     Below the normal range b's spacing is 2**-1074 whatever its size, so
     there the answer is a / (b + 2**-1075), not a/b: scaled by 2**54, both
-    terms are exact.
+    terms are exact.  b is monotone along both families of pairs, so its
+    ends tell whether any b is that small.
     """
     q = a / b
-    if (sub := b < _TINY).any():
+    if min(b[0], b[-1]) < _TINY:
+        sub = b < _TINY
         q[sub] = a[sub] * 2.0**54 / (b[sub] * 2.0**54 + 2.0**-1021)
     near = np.flatnonzero(q >= q.max() * (1 - 1e-14) if largest else q <= q.min() * (1 + 1e-14))
     a, b, q = a[near], b[near], q[near]
@@ -363,12 +365,6 @@ class ClockCalibration:
     def m_max(self) -> int:
         return len(self.classes) - 1
 
-    def check_partition(self, partition: PartitionSpec) -> None:
-        if self.m_max != partition.m_max:
-            raise ClassSpecError(
-                f"calibration has {self.m_max} intervals, partition {partition.m_max}"
-            )
-
     @property
     def trading_total(self) -> float:
         return float(np.sum([c.delta_tau for c in self.classes[:-1]]))
@@ -404,9 +400,7 @@ class ClockCalibration:
             search = SearchConfig(delta_tau_min=sc["delta_tau_min"], delta_tau_max=sc["delta_tau_max"])
             entry = "delta_tau_intraday"
             durations = _checked(payload["delta_tau_intraday"], "duration", zero_ok=False)
-            if durations.size != partition.m_max:
-                raise ClassSpecError(
-                    f"calibration has {durations.size} intervals, partition {partition.m_max}")
+            _check_interval_count(durations.size, partition)
             entry = "delta_tau_night"
             night = float(payload["delta_tau_night"])
             _checked(night, "duration", zero_ok=False)
@@ -436,6 +430,11 @@ class ClockCalibration:
             raise DataError(f"the calibration has no {exc.args[0]!r} entry") from None
         except (TypeError, ValueError, DataError) as exc:
             raise DataError(f"the calibration's {entry!r} entry is malformed ({exc})") from None
+
+
+def _check_interval_count(m_max: int, partition: PartitionSpec) -> None:
+    if m_max != partition.m_max:
+        raise ClassSpecError(f"calibration has {m_max} intervals, partition {partition.m_max}")
 
 
 def _checked(values, what: str, zero_ok: bool) -> np.ndarray:
@@ -574,7 +573,7 @@ def assemble_time_map(
     last one closes the final overnight, so the map covers ``n_days``
     complete days of clock time plus the dropped sessions inside them.
     """
-    calibration.check_partition(partition)
+    _check_interval_count(calibration.m_max, partition)
     if dates is None:
         if n_days is None:
             raise ValueError("need n_days or dates")
@@ -644,7 +643,7 @@ def class_duration(
     whole days.  A pooled ``sample`` class, a bar off the boundaries, or a
     calibration of another number of intervals raises ``ClassSpecError``.
     """
-    calibration.check_partition(partition)
+    _check_interval_count(calibration.m_max, partition)
     if c.kind == "intraday":
         b = partition.boundaries
         if c.bar_start not in b or c.bar_end not in b:

@@ -416,19 +416,22 @@ def test_first_divisor_matches_scalar_refinement_on_near_ties():
 # Below the normal range one ulp of q moves fl(a/q) by far less than b's
 # spacing, so one-ulp steps from fl(a/b) would take up to about 2**52 of
 # them.  Each case's first divisor q must pass and nextafter(q, 0) fail: for
-# every pair at the largest, for none at the smallest.  The checks run in a
-# child process, so that a settle that does not end fails the test instead
-# of hanging the suite.
+# every pair at the largest, for none at the smallest.  The pairs are
+# checked with b ascending and descending, as the two families present
+# them.  The checks run in a child process, so that a settle that does not
+# end fails the test instead of hanging the suite.
 _SUBNORMAL_CHECKS = """
 import numpy as np
 from fstclock import IntervalClass, ReturnSample, calibrate_interval, rescaled_ks
 from fstclock.clock import _SCALAR_SETTLE, _first_divisor
 
 def check(a, b):
-    for largest in (True, False):
-        q = _first_divisor(a, b, largest)
-        passes, below = a / q <= b, a / np.nextafter(q, 0.0) <= b
-        assert (passes.all() and not below.all()) if largest else (passes.any() and not below.any())
+    order = np.argsort(b, kind="stable")
+    for idx in (order, order[::-1]):
+        for largest in (True, False):
+            q = _first_divisor(a[idx], b[idx], largest)
+            passes, below = a / q <= b, a / np.nextafter(q, 0.0) <= b
+            assert (passes.all() and not below.all()) if largest else (passes.any() and not below.any())
 
 tiny = np.nextafter(0.0, 1.0)
 reps = _SCALAR_SETTLE + 6  # tied pairs past _SCALAR_SETTLE settle in the numpy loop
@@ -444,9 +447,11 @@ for r in (1, reps):
         a = 10 ** rng.uniform(290, 306) * b * rng.uniform(1 - 1e-3, 1 + 1e-3, size=6)
         check(np.repeat(a, r), np.repeat(b, r))
 
-x, y = (ReturnSample(np.array(v), IntervalClass.sample("t")) for v in ([3 * tiny, 1.0], [1e-17, 1.0]))
-fit = calibrate_interval(y, x)
-assert fit.ks == rescaled_ks(x, y, fit.delta_tau)
+# a subnormal reference value on each side of 0 reaches both families' settles
+for xs, ys in (([3 * tiny, 1.0], [1e-17, 1.0]), ([-1.0, -3 * tiny, 3 * tiny, 1.0], [-1.0, -1e-17, 1e-17, 1.0])):
+    x, y = (ReturnSample(np.array(v), IntervalClass.sample("t")) for v in (xs, ys))
+    fit = calibrate_interval(y, x)
+    assert fit.ks == rescaled_ks(x, y, fit.delta_tau)
 """
 
 
