@@ -732,7 +732,9 @@ def cmd_pairwise_d(cfg: dict) -> tuple[list[str], list[str]]:
     specs = parse_class_specs(cfg["classes"], partition, grid)
     if len(specs) < 2:
         raise ClassSpecError("pairwise distances need at least two classes")
-    labeled = [(c.label, _class_sample(series, c)) for c in specs]
+    from .ks import Sorted  # each class sorted once, its runs found once, for all its pairs
+
+    labeled = [(c.label, Sorted(_class_sample(series, c))) for c in specs]
     n = len(labeled)
     matrix = np.zeros((n, n))
     for i in range(n):

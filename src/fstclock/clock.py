@@ -231,7 +231,7 @@ def _optimal_cell(ref, ys, q_min: float, q_max: float) -> tuple[float, float, in
     # interquartile ranges, as Python floats, whose ratio overflows to inf silently
     spread_x, spread_y = float(xs[3 * m // 4] - xs[m // 4]), float(ys[3 * n // 4] - ys[n // 4])
     q0 = spread_y / spread_x if spread_x > 0 and spread_y > 0 else 1.0
-    k_lo, k_hi, best = 0, ks_count(xs, ys / min(max(q0, q_min), q_max)), None
+    k_lo, k_hi, best = 0, ks_count(ref, ys / min(max(q0, q_min), q_max)), None
     checks, guided = 0, (m * n).bit_length()
     while k_lo < k_hi:
         # while guided, an infeasible k_hi - 1 ends the search
@@ -244,7 +244,7 @@ def _optimal_cell(ref, ys, q_min: float, q_max: float) -> tuple[float, float, in
                 # every divisor in the cell counts at most k; an optimum the
                 # window clips sits at the window edge its cells touch
                 probes = {math.sqrt(c[0] * c[1]), *({q_min, q_max} & set(c))}
-                if (k_in := min(ks_count(xs, ys / p) for p in probes)) < k:
+                if (k_in := min(ks_count(ref, ys / p) for p in probes)) < k:
                     k_hi, best = k_in, None
         else:
             k_lo = k + 1
@@ -332,7 +332,8 @@ class ClockCalibration:
     ``classes`` holds one ``ClassFit`` per class of ``calibrated_classes``:
     the intervals in order, the night last.  Their cells are all given or
     all None, and a given cell lies in the search window and holds its
-    duration.
+    duration.  A class flagged by ``boundary_warning`` that has a cell
+    touches a window edge with it.
     """
 
     classes: tuple[ClassFit, ...]
@@ -349,9 +350,15 @@ class ClockCalibration:
             raise DataError("need a cell for every class or for none")
         lo, hi = self.search.delta_tau_min, self.search.delta_tau_max
         for c in classes:
-            if c.cell is not None and not lo <= c.cell[0] <= c.delta_tau <= c.cell[1] <= hi:
+            if c.cell is None:
+                continue
+            if not lo <= c.cell[0] <= c.delta_tau <= c.cell[1] <= hi:
                 raise DataError(
                     f"cell {list(c.cell)} of {c.label!r} does not hold {c.delta_tau} in the window")
+            # a fit flags a class exactly when its cell was clipped to a window edge
+            if c.boundary_warning and lo < c.cell[0] and c.cell[1] < hi:
+                raise DataError(
+                    f"{c.label!r} is flagged, but its cell {list(c.cell)} touches neither window edge")
         object.__setattr__(self, "classes", classes)
 
     # read-only views of ``classes`` for the benchmark in ``perfbench/``, which reads these names
@@ -418,6 +425,8 @@ class ClockCalibration:
                 raise TypeError("expected a list of class labels")
             if unknown := set(warnings) - {c.label for c in classes}:
                 raise ValueError(f"{sorted(unknown)[0]!r} names no class")
+            if warnings != [c.label for c in classes if c.label in warnings]:
+                raise ValueError(f"{warnings} does not name each class once, in class order")
             entry = "delta_tau_cells"
             cells = [(float(lo), float(hi)) for lo, hi in payload.get("delta_tau_cells", [])]
             if len(cells) not in (0, len(classes)):

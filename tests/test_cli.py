@@ -731,6 +731,14 @@ def test_cache_with_a_malformed_entry_is_refused(pipeline, tmp_path, capsys, ent
      "the calibration's 'delta_tau_cells' entry is malformed (3 cells for 19 intervals and the night)"),
     ("boundary_warnings", ["overnight", "lunch"],
      "the calibration's 'boundary_warnings' entry is malformed ('lunch' names no class)"),
+    ("boundary_warnings", ["overnight", "intraday[3..4]", "overnight"],
+     "the calibration's 'boundary_warnings' entry is malformed "
+     "(['overnight', 'intraday[3..4]', 'overnight'] does not name each class once, in class order)"),
+    ("boundary_warnings", ["overnight", "intraday[3..4]"],
+     "the calibration's 'boundary_warnings' entry is malformed (['overnight', 'intraday[3..4]'] does not"),
+    ("boundary_warnings", ["intraday[3..4]"],
+     "the calibration's 'delta_tau_cells' entry is malformed ('intraday[3..4]' is flagged, but its cell "
+     "[0.04830646829170164, 0.052117860448466995] touches neither window edge)"),
 ])
 def test_calibration_with_a_malformed_entry_is_refused(pipeline, tmp_path, capsys, entry, value, message):
     payload = json.loads((pipeline / "cal" / "calibration.json").read_text())

@@ -565,10 +565,22 @@ def test_calibration_refuses_non_finite_values(fields, message):
      r"cell \[1.0, 0.25\] of 'intraday\[0..1\]' does not hold 0.5 in the window"),
     ([ClassFit("intraday[0..1]", 0.5, 0.0, (0.25, 1.0)), ClassFit("overnight", 0.5, 0.0, (0.5, 1e3))],
      r"cell \[0.5, 1000.0\] of 'overnight' does not hold 0.5 in the window"),
+    ([ClassFit("intraday[0..1]", 0.5, 0.0, (0.25, 1.0), True), ClassFit("overnight", 0.5, 0.0, (0.5, 1.0))],
+     r"'intraday\[0..1\]' is flagged, but its cell \[0.25, 1.0\] touches neither window edge"),
 ])
 def test_calibration_refuses_malformed_records(classes, message):
     with pytest.raises(DataError, match=message):
         ClockCalibration(tuple(classes), reference_label="1-day", search=SearchConfig())
+
+
+def test_calibration_flags_only_cells_at_a_window_edge():
+    # a flag needs its cell at an edge; a cell at an edge needs no flag
+    search = SearchConfig()
+    edges = ((search.delta_tau_min, 0.5), (0.5, search.delta_tau_max))
+    for flags in ((True, True), (False, False), (True, False)):
+        classes = tuple(ClassFit(label, 0.5, 0.0, cell, flag)
+                        for label, cell, flag in zip(("intraday[0..1]", "overnight"), edges, flags))
+        assert ClockCalibration(classes, reference_label="1-day", search=search).classes == classes
 
 
 # --- time map ---------------------------------------------------------------

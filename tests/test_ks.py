@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fstclock import DataError, KsResult, ks_distance, rescaled_ks
-from fstclock.ks import ks_count
+from fstclock import DataError, KsResult, compare_clocks, ks_distance, rescaled_ks
+from fstclock import ks
+from fstclock.ks import STRIDE, STRIDE_FROM, Sorted, ks_count
 
 from conftest import make_sample
 
@@ -128,6 +129,151 @@ def test_count_matches_brute_force_on_seeded_ticks():
 )
 def test_count_edge_cases(x, y, k):
     assert ks_count(np.array(x), np.array(y)) == brute_force_count(x, y) == k
+
+
+# --- the strided count -----------------------------------------------------
+
+def full_search_count(xs, ys):
+    """The KS count searching y at every distinct x of sorted xs: no samples, no bounds.
+
+    The count as it was before it learnt to skip blocks of runs, kept as the
+    oracle for samples too large for ``brute_force_count``.
+    """
+    m, n = xs.size, ys.size
+    step = np.empty(m + 1, dtype=bool)
+    step[0] = step[m] = True
+    np.not_equal(xs[1:], xs[:-1], out=step[1:m])
+    b = np.flatnonzero(step)
+    ux = xs[b[:-1]]
+    c_y = ys.searchsorted(ux, "right")
+    peak = (n * b[1:] - m * c_y).max()
+    tie = ys[c_y - 1] == ux
+    if tie.any():
+        c_y[tie] = ys.searchsorted(ux[tie], "left")
+    return int(max(peak, (m * c_y - n * b[:-1]).max()))
+
+
+def _strided_pair(family, rng, m, n):
+    """Sorted (xs, ys) of one fuzz family; xs has at least STRIDE_FROM distinct values."""
+    x = rng.standard_normal(m)
+    if family == "gaussian":
+        y = rng.standard_normal(n) * rng.uniform(0.8, 1.25)
+    elif family == "tick":  # heavy ties on both sides; the grid keeps STRIDE_FROM x's distinct
+        tick = rng.uniform(1e-3, 2.5 / STRIDE_FROM)
+        x = np.r_[tick * np.arange(STRIDE_FROM), np.round(x / tick) * tick]
+        y = np.round(rng.standard_normal(n) / tick) * tick
+    elif family == "few-distinct":  # every x value taken, most of them many times
+        x = np.r_[np.arange(STRIDE_FROM + 16), rng.integers(0, STRIDE_FROM + 16, m)].astype(float)
+        y = rng.integers(0, STRIDE_FROM + 16, n).astype(float)
+    elif family == "disjoint":
+        y = rng.standard_normal(n) + rng.choice([-20.0, 20.0])
+    elif family == "shifted":
+        y = rng.standard_normal(n) + rng.choice([-0.3, 0.3])
+    elif family == "identical":
+        y = x.copy()
+    elif family == "near-identical":  # y's drawn from the x's, some nudged off them
+        y = x[rng.integers(0, m, n)] + rng.standard_normal(n) * 1e-9 * rng.integers(0, 2, n)
+    else:  # y's on the sampled runs or on the first and last runs of the blocks
+        runs = Sorted(x).runs
+        on = {"sampled": runs.ux_a, "block-edges": np.r_[runs.ux_b[:, 0], runs.ux_b[:, -1]]}[family]
+        y = np.r_[on[rng.integers(0, on.size, n)], rng.standard_normal(n // 8)]
+    return np.sort(x), np.sort(y)
+
+
+STRIDED_FAMILIES = ["gaussian", "tick", "few-distinct", "disjoint", "shifted", "identical",
+                    "near-identical", "sampled", "block-edges"]
+
+
+@pytest.mark.parametrize("family", STRIDED_FAMILIES)
+def test_strided_count_matches_full_search(family):
+    rng = np.random.default_rng(STRIDED_FAMILIES.index(family))
+    for case in range(30):
+        # every residue of the run count modulo STRIDE, so the last block takes every length
+        m = STRIDE_FROM + 17 + case if case < 2 * STRIDE else int(rng.integers(STRIDE_FROM, 6_001))
+        xs, ys = _strided_pair(family, rng, m, int(rng.integers(1, 6_001)))
+        x = Sorted(xs)
+        assert x.runs.sampled
+        want = full_search_count(xs, ys)
+        assert ks_count(x, ys) == ks_count(xs, ys) == want, (family, case)
+
+
+@pytest.mark.parametrize("family", STRIDED_FAMILIES)
+def test_strided_count_matches_brute_force(family):
+    rng = np.random.default_rng(100 + STRIDED_FAMILIES.index(family))
+    for case in range(3):
+        xs, ys = _strided_pair(family, rng, STRIDE_FROM + int(rng.integers(0, 300)),
+                               int(rng.integers(1, 1_500)))
+        assert ks_count(Sorted(xs), ys) == brute_force_count(xs, ys), (family, case)
+
+
+def _sawtooth(r, s0, s1):
+    """x = 0..r-1 and y = x except inside (s0, s1), whose y's move to s1 and s1 + 1.
+
+    With n_y = n_x the count over n_x is the walk C_x - C_y: 0 up to s0, a
+    climb of one per x to its peak g = s1 - s0 - 1 just before s1, then g - 1
+    at s1 (one x, two y's) and 0 from s1 + 1 on; at s1 = r - 1 all g y's
+    land on s1.  So the peak lies exactly on the bound of the block between
+    samples s0 and s1; for an interior block it is one above the samples' best.
+    """
+    x = np.arange(r, dtype=float)
+    g = s1 - s0 - 1
+    moved = [s1] * g if s1 == r - 1 else [s1] + [s1 + 1] * (g - 1)
+    y = np.sort(np.r_[x[: s0 + 1], x[s1:], moved])
+    return x, y, r * g
+
+
+def test_strided_count_finds_a_peak_on_the_block_bound():
+    rng = np.random.default_rng(29)
+    for r in range(STRIDE_FROM, STRIDE_FROM + 2 * STRIDE):
+        sampled = Sorted(np.arange(r, dtype=float)).runs.ux_a.astype(int)
+        k = int(rng.integers(0, sampled.size - 2))
+        for s0, s1 in ((sampled[k], sampled[k + 1]), (sampled[-2], sampled[-1])):
+            xs, ys, want = _sawtooth(r, s0, s1)
+            assert ks_count(Sorted(xs), ys) == ks_count(xs, ys) == want, (r, s0)
+            # mirrored, the peak is a left limit bounded from the block's upper sample
+            assert ks_count(Sorted(-xs[::-1]), -ys[::-1]) == want, (r, s0)
+    assert want == full_search_count(xs, ys) == brute_force_count(xs, ys)
+
+
+def test_strided_count_with_many_more_ys():
+    # a cascade class of 96,000 returns against a 3,000-value reference
+    rng = np.random.default_rng(96)
+    x = Sorted(rng.standard_normal(3_000))
+    for scale in (0.5, 0.9, 1.0, 1.1, 2.0):
+        ys = np.sort(rng.standard_t(4, 96_000) * scale)
+        assert ks_count(x, ys) == ks_count(x.xs, ys) == full_search_count(x.xs, ys)
+
+
+def test_count_at_the_stride_threshold():
+    rng = np.random.default_rng(17)
+    for m in (STRIDE_FROM - 1, STRIDE_FROM):
+        x = Sorted(rng.standard_normal(m))
+        assert x.runs.sampled == (m == STRIDE_FROM)
+        for _ in range(20):
+            ys = np.sort(rng.standard_normal(int(rng.integers(1, 200))))
+            assert ks_count(x, ys) == brute_force_count(x.xs, ys)
+
+
+def test_every_count_of_a_call_reads_the_reference_runs(monkeypatch):
+    built = []
+
+    class CountedRuns(ks._Runs):
+        def __init__(self, xs):
+            built.append(xs.size)
+            super().__init__(xs)
+
+    monkeypatch.setattr(ks, "_Runs", CountedRuns)
+    rng = np.random.default_rng(23)
+    x = Sorted(rng.standard_normal(2 * STRIDE_FROM))
+    y = Sorted(rng.standard_normal(500))
+    assert ks_distance(x, y).raw_sup == brute_force_ks(x.xs, y.xs)
+    assert rescaled_ks(x, y, 1.5).raw_sup == brute_force_ks(x.xs, y.xs / math.sqrt(1.5))
+    assert built == [x.xs.size]
+    # a comparison's fits, probes and moment scores all read its one reference's runs
+    built.clear()
+    classes = [(f"c{i}", make_sample(rng.standard_normal(300) * (i + 1))) for i in range(3)]
+    compare_clocks(classes, make_sample(rng.standard_normal(2 * STRIDE_FROM)))
+    assert built == [2 * STRIDE_FROM]
 
 
 # --- structural properties -------------------------------------------------
