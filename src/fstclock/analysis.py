@@ -23,7 +23,7 @@ from .series import (
     PartitionSpec,
     PriceSeries,
     ReturnSample,
-    class_sample,
+    class_samples,
     demean,
     dropped_between,
 )
@@ -137,7 +137,7 @@ def span_union_samples(
         classes.append(IntervalClass.overnight())
     classes += [IntervalClass.multiday(n) for n in multiday]
     rows: list[MomentRow] = []
-    for c in classes:
+    for c, sample in zip(classes, class_samples(series, classes)):
         start, end, days = c.window(grid)
         fst = None if calibration is None else class_duration(c, calibration, partition)
         rows.append(
@@ -145,7 +145,7 @@ def span_union_samples(
                 label=c.label,
                 physical_duration=days * 1440.0 + (end - start) * grid.bar_minutes,
                 fst_duration=fst,
-                sample=class_sample(series, c),
+                sample=sample,
             )
         )
     return rows
@@ -169,8 +169,8 @@ class MomentTable:
         m = np.asarray(self.moments, dtype=float)
         if m.shape != (d.size, q.size):
             raise DataError(f"moment matrix {m.shape} does not match {d.size}x{q.size}")
-        if (d <= 0).any():
-            raise DataError("durations must be positive")
+        if not (np.isfinite(d) & (d > 0)).all():
+            raise DataError("durations must be finite and positive")
         if (m < 0).any():
             raise DataError("absolute moments cannot be negative")
         for arr, name in ((d, "durations"), (q, "orders"), (m, "moments")):
@@ -179,12 +179,34 @@ class MomentTable:
             object.__setattr__(self, name, arr)
 
 
+def _durations(samples: Sequence[tuple[float, ReturnSample]]) -> np.ndarray:
+    """The samples' durations as floats.
+
+    A duration that is not finite and positive raises ``DataError`` naming
+    its sample.
+    """
+    d = np.asarray([d for d, _ in samples], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(d) & (d > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(
+            f"sample {samples[i][1].interval.label!r} has duration {float(d[i])!r}; "
+            "durations must be finite and positive"
+        )
+    return d
+
+
 def moment_curve(
     samples: Sequence[tuple[float, ReturnSample]],
     orders: Sequence[float] = (0.5, 1.0, 2.0, 3.0, 4.0),
     clock_tag: str = "physical",
 ) -> MomentTable:
-    """Empirical absolute moments of each sample at each order."""
+    """Empirical absolute moments of each sample at each order.
+
+    The samples of one length are stacked, and each order's means come from
+    one reduction over the rows; a row is summed as the sample alone is, so
+    every moment is ``np.mean(np.abs(values) ** q)`` bit for bit.
+    """
     if not samples:
         raise DataError("moment curve needs at least one sample")
     q = np.asarray(list(orders), dtype=float)
@@ -192,11 +214,15 @@ def moment_curve(
         raise ValueError("moment orders must be positive")
     if not np.isfinite(q).all():
         raise ValueError("moment orders must be finite")
-    durations = np.asarray([d for d, _ in samples], dtype=float)
-    rows = np.empty((len(samples), q.size))
+    durations = _durations(samples)
+    by_length: dict[int, list[int]] = {}
     for i, (_, sample) in enumerate(samples):
-        a = np.abs(sample.values)
-        rows[i] = [float(np.mean(a**qq)) for qq in q]
+        by_length.setdefault(sample.n, []).append(i)
+    rows = np.empty((len(samples), q.size))
+    for idx in by_length.values():
+        a = np.abs(np.stack([samples[i][1].values for i in idx]))
+        for j, qq in enumerate(q):
+            rows[idx, j] = (a**qq).mean(axis=1)
     return MomentTable(durations=durations, orders=q, moments=rows, clock_tag=clock_tag)
 
 
@@ -320,6 +346,7 @@ def pdf_collapse_export(
         raise DataError("collapse export needs at least one sample")
     if n_bins < 3:
         raise ValueError("need at least 3 bins")
+    _durations(samples)
     rescaled = [(d, s.values / d**hurst, s.interval.label) for d, s in samples]
     pooled = np.concatenate([u for _, u, _ in rescaled])
     med = _median(pooled)
@@ -330,9 +357,14 @@ def pdf_collapse_export(
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
 
+    # Every sample's histogram in one pass over the pooled values, with
+    # np.histogram's bins: [e_i, e_i+1) each, the last one closed.
+    owner = np.repeat(np.arange(len(rescaled)), [u.size for _, u, _ in rescaled])
+    cell = owner * n_bins + np.searchsorted(edges[1:-1], pooled, side="right")
+    inside = (pooled >= edges[0]) & (pooled <= edges[-1])
+    all_counts = np.bincount(cell[inside], minlength=len(rescaled) * n_bins)
     rows = []
-    for d, u, label in rescaled:
-        counts, _ = np.histogram(u, bins=edges)
+    for (d, u, label), counts in zip(rescaled, all_counts.reshape(-1, n_bins)):
         density = counts / (u.size * width)
         rows.append(
             CollapseRow(
@@ -382,16 +414,14 @@ def intraday_volatility_profile(
     z = _complete_matrix(series, "volatility profile")
 
     if time_map is None:
-        sigmas, pos, n_obs = [], [], []
-        for c in partition.intervals():
-            s = class_sample(series, c)
-            sigmas.append(float(np.mean(np.abs(s.values))))
-            pos.append(0.5 * (c.bar_start + c.bar_end) * partition.bar_minutes)
-            n_obs.append(s.n)
+        intervals = partition.intervals()
+        samples = class_samples(series, intervals)
         return VolatilityProfile(
-            positions=np.asarray(pos),
-            sigma=np.asarray(sigmas),
-            n_obs=np.asarray(n_obs),
+            positions=np.asarray(
+                [0.5 * (c.bar_start + c.bar_end) * partition.bar_minutes for c in intervals]
+            ),
+            sigma=np.asarray([float(np.mean(np.abs(s.values))) for s in samples]),
+            n_obs=np.asarray([s.n for s in samples]),
             clock_tag="physical",
         )
 

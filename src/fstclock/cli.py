@@ -28,7 +28,7 @@ from .series import (
     DayGrid,
     IntervalClass,
     PartitionSpec,
-    class_sample,
+    class_samples,
     filter_complete_days,
     load_series,
     open_new,
@@ -420,10 +420,25 @@ def _num_list(text: str, typ=float) -> list:
     return [typ(v) for v in text.split(",")]
 
 
-def _class_sample(series, c: IntervalClass):
-    if c.kind == "sample":
-        return cli.pooled_bar_sample(series, c.bar_end, label=c.label)
-    return class_sample(series, c)
+def _class_samples(series, classes: list[IntervalClass]) -> list:
+    """The sample of each class, in order: ``Kmin`` classes pooled, the rest from one gather.
+
+    A class that cannot be built raises as it would if the classes were
+    built one by one: the pooled ones are built first, up to the first that
+    fails, and only the classes before that one are gathered.
+    """
+    pooled, failure, stop = {}, None, len(classes)
+    for i, c in enumerate(classes):
+        if c.kind == "sample":
+            try:
+                pooled[i] = cli.pooled_bar_sample(series, c.bar_end, label=c.label)
+            except FstError as exc:
+                failure, stop = exc, i
+                break
+    gathered = iter(class_samples(series, [c for c in classes[:stop] if c.kind != "sample"]))
+    if failure is not None:
+        raise failure
+    return [pooled[i] if i in pooled else next(gathered) for i in range(len(classes))]
 
 
 def _reference(spec: str, partition: PartitionSpec, grid: DayGrid) -> IntervalClass:
@@ -694,12 +709,11 @@ def cmd_compare_clocks(cfg: dict) -> tuple[list[str], list[str]]:
     grid = series.grid
     partition = _partition_from(cfg, grid)
     search = _search_from(cfg)
-    x_ref = class_sample(series, _reference(cfg["reference"], partition, grid))
+    reference = _reference(cfg["reference"], partition, grid)
     orders = _num_list(cfg["orders"])
-    classes = [
-        (c.label, _class_sample(series, c))
-        for c in parse_class_specs(cfg["classes"], partition, grid)
-    ]
+    specs = parse_class_specs(cfg["classes"], partition, grid)
+    x_ref, *samples = _class_samples(series, [reference, *specs])
+    classes = [(c.label, s) for c, s in zip(specs, samples)]
 
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -734,7 +748,7 @@ def cmd_pairwise_d(cfg: dict) -> tuple[list[str], list[str]]:
         raise ClassSpecError("pairwise distances need at least two classes")
     from .ks import Sorted  # each class sorted once, its runs found once, for all its pairs
 
-    labeled = [(c.label, Sorted(_class_sample(series, c))) for c in specs]
+    labeled = [(c.label, Sorted(s)) for c, s in zip(specs, _class_samples(series, specs))]
     n = len(labeled)
     matrix = np.zeros((n, n))
     for i in range(n):

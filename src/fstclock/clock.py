@@ -25,7 +25,8 @@ from .series import (
     PartitionSpec,
     PriceSeries,
     ReturnSample,
-    class_sample,
+    class_sample,  # noqa: F401  (perfbench's tracer wraps this name)
+    class_samples,
     day_numbers,
     dropped_between,
     next_weekday,
@@ -476,10 +477,10 @@ def calibrate_clock(
     cfg = cfg or SearchConfig()
     partition.check_grid(series.grid)
     ref_class = reference or IntervalClass.multiday(1)
-    x_ref = _Reference(class_sample(series, ref_class))
-
     classes = calibrated_classes(partition)
-    fits = [(c, calibrate_interval(class_sample(series, c), x_ref, cfg)) for c in classes]
+    ref_sample, *samples = class_samples(series, [ref_class, *classes])
+    x_ref = _Reference(ref_sample)
+    fits = [(c, calibrate_interval(s, x_ref, cfg)) for c, s in zip(classes, samples)]
     return ClockCalibration(
         tuple(ClassFit(c.label, r.delta_tau, r.ks.d, r.cell, r.boundary_warning) for c, r in fits),
         reference_label=ref_class.label,
@@ -690,14 +691,17 @@ def additivity_report(
     between them.
     """
     cfg = cfg or calibration.search
-    x_ref = _Reference(class_sample(series, reference or IntervalClass.multiday(1)))
+    unions = [parse_class_spec(u, partition, series.grid)[0] for _, u, _ in ADDITIVITY_UNIONS]
+    ref_sample, *union_samples = class_samples(
+        series, [reference or IntervalClass.multiday(1), *unions]
+    )
+    x_ref = _Reference(ref_sample)
     rows = []
-    for label, union, parts in ADDITIVITY_UNIONS:
+    for (label, _, parts), sample in zip(ADDITIVITY_UNIONS, union_samples):
         parts_sum = sum(
             class_duration(p, calibration, partition)
             for p in parse_class_specs(parts, partition, series.grid)
         )
-        (union_class,) = parse_class_spec(union, partition, series.grid)
-        measured = calibrate_interval(class_sample(series, union_class), x_ref, cfg).delta_tau
+        measured = calibrate_interval(sample, x_ref, cfg).delta_tau
         rows.append(AdditivityRow(label=label, measured=measured, parts_sum=parts_sum))
     return rows

@@ -28,7 +28,7 @@ from typing import IO, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ClassSpecError, DataError, ParseError
+from .errors import ClassSpecError, DataError, FstError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -369,17 +369,35 @@ class ReturnSample:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.detrended:
-            spread = float(v.std())
-            if spread > 0 and abs(float(v.mean())) > DETREND_REL_TOL * spread:
-                raise DataError(
-                    f"sample tagged detrended but mean/std = "
-                    f"{abs(float(v.mean())) / spread:.3e}"
-                )
+        if self.detrended and (faults := _detrend_faults(v[None])):
+            raise faults[0]
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, interval: IntervalClass, detrended: bool) -> "ReturnSample":
+        """A sample that keeps ``values`` itself: a read-only 1-d row already checked.
+
+        ``class_samples`` runs the constructor's checks on a whole matrix of
+        rows at once and hands each row over here, without a copy.
+        """
+        sample = cls.__new__(cls)
+        object.__setattr__(sample, "values", values)
+        object.__setattr__(sample, "interval", interval)
+        object.__setattr__(sample, "detrended", detrended)
+        return sample
 
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+
+def _detrend_faults(rows: np.ndarray) -> dict[int, DataError]:
+    """The rows of a 2-d array whose mean does not vanish to ``DETREND_REL_TOL`` of their spread."""
+    spread = rows.std(axis=1)
+    drift = np.abs(rows.mean(axis=1))
+    return {
+        int(j): DataError(f"sample tagged detrended but mean/std = {drift[j] / spread[j]:.3e}")
+        for j in np.flatnonzero((spread > 0) & (drift > DETREND_REL_TOL * spread))
+    }
 
 
 # Data rows parsed per batch by ``ingest_csv``: enough that the per-row work
@@ -867,20 +885,76 @@ def raw_returns(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
     that many calendar nights long.  Each return is the end log-price minus
     the start log-price; a NaN return (a missing bar) raises ``DataError``.
     """
-    grid, label = series.grid, iclass.label
-    start_bar, end_bar, span = iclass.window(grid)
-    if (bar := max(start_bar, end_bar)) > grid.close_index:
-        raise ClassSpecError(f"class {label!r} needs bar {bar}, grid ends at {grid.close_index}")
-    starts = np.arange(0, series.n_days - span, max(span, 1))
-    if span:
-        starts = starts[dropped_between(series, span)[starts] == 0]
-    if iclass.nights is not None:
-        days = day_numbers(series.dates)
-        starts = starts[days[starts + span] - days[starts] == iclass.nights]
-    values = series.log_prices[starts + span, end_bar] - series.log_prices[starts, start_bar]
-    if np.isnan(values).any():
-        raise DataError(f"class {label!r} touches missing bars; run filter_complete_days first")
-    return ReturnSample(values=values, interval=iclass)
+    return _gather(series, [iclass], detrended=False)[0]
+
+
+def class_samples(series: PriceSeries, classes: Sequence[IntervalClass]) -> list[ReturnSample]:
+    """``class_sample`` of every class of ``classes``, in order, one gather per window family.
+
+    Classes with the same span in retained days and the same ``nights``
+    share their windows: their returns come from one gather into a class x
+    window matrix, demeaned a row at a time.  A row is summed as the 1-d
+    array of its class alone is, so each sample is bit for bit the one
+    ``class_sample`` would build.  The first class, in the order given, that
+    cannot be built raises the error it raises alone.
+    """
+    return _gather(series, classes, detrended=True)
+
+
+def _gather(
+    series: PriceSeries, classes: Sequence[IntervalClass], detrended: bool
+) -> list[ReturnSample]:
+    """The samples of ``classes`` (see ``raw_returns``), demeaned per class if ``detrended``."""
+    grid = series.grid
+    faults: dict[int, FstError] = {}
+    families: dict[tuple[int, int | None], list[tuple[int, int, int]]] = {}
+    for i, c in enumerate(classes):
+        try:
+            start_bar, end_bar, span = c.window(grid)
+        except ClassSpecError as exc:
+            faults[i] = exc
+            continue
+        if (bar := max(start_bar, end_bar)) > grid.close_index:
+            faults[i] = ClassSpecError(
+                f"class {c.label!r} needs bar {bar}, grid ends at {grid.close_index}"
+            )
+            continue
+        families.setdefault((span, c.nights), []).append((i, start_bar, end_bar))
+
+    samples: list[ReturnSample] = [None] * len(classes)
+    gaps: dict[int, np.ndarray] = {}
+    for (span, nights), members in families.items():
+        starts = np.arange(0, series.n_days - span, max(span, 1))
+        if span:
+            if span not in gaps:
+                gaps[span] = dropped_between(series, span)
+            starts = starts[gaps[span][starts] == 0]
+        if nights is not None:
+            days = day_numbers(series.dates)
+            starts = starts[days[starts + span] - days[starts] == nights]
+        rows, start_bars, end_bars = (np.asarray(a) for a in zip(*members))
+        values = (
+            series.log_prices[(starts + span)[None, :], end_bars[:, None]]
+            - series.log_prices[starts[None, :], start_bars[:, None]]
+        )
+        for i in rows[np.isnan(values).any(axis=1)].tolist():
+            faults.setdefault(i, DataError(
+                f"class {classes[i].label!r} touches missing bars; run filter_complete_days first"
+            ))
+        if not starts.size:
+            for i in rows.tolist():
+                faults.setdefault(i, DataError(f"class {classes[i].label!r} produced no returns"))
+            continue
+        if detrended:
+            demean(values.T)
+            for j, fault in _detrend_faults(values).items():
+                faults.setdefault(int(rows[j]), fault)
+        values.setflags(write=False)
+        for i, row in zip(rows.tolist(), values):
+            samples[i] = ReturnSample._adopt(row, classes[i], detrended)
+    if faults:
+        raise faults[min(faults)]
+    return samples
 
 
 def demean(a: np.ndarray) -> np.ndarray:
@@ -909,7 +983,7 @@ def detrend(sample: ReturnSample) -> ReturnSample:
 
 def class_sample(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
     """Raw returns followed by detrending; the standard ensemble builder."""
-    return detrend(raw_returns(series, iclass))
+    return class_samples(series, [iclass])[0]
 
 
 def next_weekday(d: date) -> date:

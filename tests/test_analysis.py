@@ -101,6 +101,28 @@ def test_moment_curve_refuses_orders_that_are_not_positive_and_finite(orders, me
         moment_curve([(1.0, make_sample([1.0, -2.0, 3.0]))], orders=orders)
 
 
+def test_moment_curve_takes_each_moment_as_the_sample_alone_does():
+    rng = np.random.default_rng(46)
+    lengths = [1, 2, 7, 9, 128, 129, 7, 129, 300, 1, 2]
+    samples = [(float(i + 1), make_sample(rng.standard_normal(n) * rng.uniform(0.1, 3.0), f"s{i}"))
+               for i, n in enumerate(lengths)]
+    orders = (0.5, 1.0, 1.7, 2.0, 3.0, 4.0)
+    want = np.array([[np.mean(np.abs(s.values) ** q) for q in orders] for _, s in samples])
+    got = moment_curve(samples, orders=orders).moments
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("build", [moment_curve, pdf_collapse_export])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_durations_that_are_not_finite_and_positive_are_refused(build, bad):
+    samples = [(1.0, make_sample([1.0, -2.0, 3.0], "fine")), (bad, make_sample([0.5, -1.0], "odd"))]
+    with pytest.raises(DataError, match=r"^sample 'odd' has duration .*finite and positive$"):
+        build(samples)
+    with pytest.raises(DataError, match="finite and positive"):
+        MomentTable(durations=[1.0, bad], orders=[1.0], moments=[[1.0], [1.0]],
+                    clock_tag="physical")
+
+
 def power_law_table(hurst, lambda2=0.0):
     d = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     q = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
@@ -177,6 +199,34 @@ def test_collapse_exact_for_rescaled_copy():
     assert (rows[0].rescaled_values == rows[1].rescaled_values).all()
     assert (rows[0].density == rows[1].density).all()
     assert (rows[0].bin_centers == rows[1].bin_centers).all()
+
+
+def test_collapse_bins_every_sample_as_np_histogram_does():
+    rng = np.random.default_rng(47)
+    half = rng.standard_normal(600)
+    base = np.concatenate([half, -half])  # median exactly 0
+    n_bins = 101
+    rsd = 1.4826 * float(np.median(np.abs(base)))
+    edges = np.linspace(-6.0 * rsd, 6.0 * rsd, n_bins + 1)
+    # Values on edges (the outer ones included) and outside the window.  Each
+    # far value comes with a near one on the same side of the median, so
+    # neither the median nor the median absolute deviation, nor the edges, move.
+    far = [edges[0], edges[-1], edges[1], edges[-2], edges[10], edges[-11], -10 * rsd, 10 * rsd,
+           edges[0], edges[-1]]
+    near = [edges[50], edges[51], edges[49], edges[52], edges[48], edges[53], edges[47],
+            edges[54], edges[50], edges[51]]
+    values = rng.permutation(np.concatenate([base, far, near]))
+    pooled_rsd = 1.4826 * float(np.median(np.abs(values - np.median(values))))
+    assert np.linspace(-6.0 * pooled_rsd, 6.0 * pooled_rsd, n_bins + 1).tobytes() == edges.tobytes()
+
+    parts = np.split(values, [1, 400, 410])
+    rows = pdf_collapse_export([(1.0, make_sample(v, f"s{i}")) for i, v in enumerate(parts)],
+                               hurst=0.5, n_bins=n_bins)
+    width = edges[1] - edges[0]
+    for row, v in zip(rows, parts):
+        assert row.bin_centers.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+        want = np.histogram(v, bins=edges)[0] / (v.size * width)
+        assert row.density.tobytes() == want.tobytes()
 
 
 def test_collapse_validation():

@@ -25,6 +25,7 @@ from fstclock import (
     ReturnSample,
     assemble_time_map,
     class_sample,
+    class_samples,
     detrend,
     filter_complete_days,
     ingest_csv,
@@ -36,7 +37,7 @@ from fstclock import (
 import fstclock.cli as cli
 import fstclock.series as series_module
 from fstclock.analysis import _magnitude_matrix
-from fstclock.series import dropped_between, next_weekday, synthetic_dates
+from fstclock.series import day_numbers, dropped_between, next_weekday, synthetic_dates
 from fstclock.synthetic import ActivityProfile, generate_seasonal, write_prices_csv
 
 from conftest import calibration_from, series_from_matrix
@@ -709,6 +710,129 @@ def test_returns_require_complete_days(default_grid, default_partition):
     for c in (IntervalClass.overnight(), IntervalClass.multiday(1)):
         with pytest.raises(DataError, match="filter_complete_days"):
             raw_returns(s, c)
+
+
+# Reference for ``class_samples``: the one-class sampler it replaced, which
+# took each class's returns row by row and then detrended them.
+def oracle_sample(series, iclass, detrended=True):
+    grid, label = series.grid, iclass.label
+    start_bar, end_bar, span = iclass.window(grid)
+    if (bar := max(start_bar, end_bar)) > grid.close_index:
+        raise ClassSpecError(f"class {label!r} needs bar {bar}, grid ends at {grid.close_index}")
+    starts = np.arange(0, series.n_days - span, max(span, 1))
+    if span:
+        starts = starts[dropped_between(series, span)[starts] == 0]
+    if iclass.nights is not None:
+        days = day_numbers(series.dates)
+        starts = starts[days[starts + span] - days[starts] == iclass.nights]
+    values = series.log_prices[starts + span, end_bar] - series.log_prices[starts, start_bar]
+    if np.isnan(values).any():
+        raise DataError(f"class {label!r} touches missing bars; run filter_complete_days first")
+    raw = ReturnSample(values=values, interval=iclass)
+    if not detrended:
+        return raw
+    v = raw.values.copy()
+    v -= v.mean(axis=0)
+    v -= v.mean(axis=0)
+    return ReturnSample(values=v, interval=iclass, detrended=True)
+
+
+def oracle_outcome(classes, build):
+    """The samples ``build(c)`` gives one class at a time, or the (type, message) of the
+    first class that raises."""
+    samples = []
+    for c in classes:
+        try:
+            samples.append(build(c))
+        except (ClassSpecError, DataError) as exc:
+            return type(exc), str(exc)
+    return samples
+
+
+def assert_outcome(build, want):
+    """``build()`` gives the samples of ``want`` bit for bit, or raises its error."""
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as err:
+            build()
+        assert str(err.value) == want[1]
+        return
+    got = build()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.interval == w.interval and g.detrended == w.detrended
+        assert g.values.dtype == np.float64 and g.values.ndim == 1
+        assert not g.values.flags.writeable
+        assert g.values.view(np.uint64).tolist() == w.values.view(np.uint64).tolist()
+
+
+def fuzz_series(grid, n_days, rng, holes):
+    """``n_days`` retained weekdays around random holidays and dropped sessions.
+
+    Two sessions miss three bars and one misses one; ``holes`` keeps the
+    last, so its NaN bar reaches the sampler.
+    """
+    size = n_days + (2 if holes else 3)
+    calendar = [d for d in synthetic_dates(2 * size) if rng.random() > 0.2][:size]
+    assert len(calendar) == size
+    m = (rng.standard_normal((size, grid.n_points)) * 1e-3).cumsum(axis=1)
+    m += rng.standard_normal((size, 1))  # a level per day, so means are far from 0
+    heavy, heavy2, light = rng.choice(size, size=3, replace=False)
+    for i in (heavy, heavy2):
+        m[i, rng.choice(grid.n_points, size=3, replace=False)] = np.nan
+    m[light, rng.integers(grid.n_points)] = np.nan
+    raw = PriceSeries(grid=grid, dates=tuple(calendar), log_prices=m)
+    series = filter_complete_days(raw, max_missing_bars=1 if holes else 0)
+    assert series.n_days == n_days
+    return series
+
+
+def fuzz_classes(grid, partition, rng):
+    pool = partition.intervals() + [
+        IntervalClass.bars(0, grid.close_index, label="trading-day"),
+        IntervalClass.bars(3, 7),
+        IntervalClass.overnight(),
+        *(IntervalClass.overnight(nights=n) for n in (1, 2, 3, 4)),
+        *(IntervalClass.multiday(n) for n in (1, 2, 3, 5)),
+    ]
+    picks = rng.choice(len(pool), size=int(rng.integers(1, 12)))
+    return [pool[i] for i in picks]  # repeats and any order
+
+
+@pytest.mark.parametrize("n_days", [*range(1, 10), 127, 128, 129, 4999])
+def test_class_samples_match_the_row_by_row_oracle_bit_for_bit(
+    default_grid, default_partition, n_days
+):
+    rng = np.random.default_rng(n_days)
+    for trial in range(6):
+        series = fuzz_series(default_grid, n_days, rng, holes=trial % 3 == 2)
+        classes = fuzz_classes(default_grid, default_partition, rng)
+        assert_outcome(lambda: class_samples(series, classes),
+                       oracle_outcome(classes, lambda c: oracle_sample(series, c)))
+        for c in classes:  # the one-class calls take the same gather
+            assert_outcome(lambda: [class_sample(series, c)],
+                           oracle_outcome([c], lambda c: oracle_sample(series, c)))
+            assert_outcome(lambda: [raw_returns(series, c)],
+                           oracle_outcome([c], lambda c: oracle_sample(series, c, False)))
+
+
+def test_class_samples_raise_the_first_fault_in_the_order_given(default_grid, default_partition):
+    m = np.random.default_rng(5).standard_normal((6, default_grid.n_points)).cumsum(axis=1)
+    m[2, 4] = np.nan  # read by bars 3..4 only
+    s = series_from_matrix(m, grid=default_grid)
+    good = IntervalClass.bars(0, 3)
+    holed = IntervalClass.bars(3, 4)
+    empty = IntervalClass.multiday(9)
+    past = IntervalClass.bars(0, default_grid.close_index + 1)
+    pooled = IntervalClass.sample("pooled")
+    for order, first in (([good, holed, empty, past, pooled], holed),
+                         ([empty, holed, pooled, past], empty),
+                         ([past, pooled, holed], past),
+                         ([pooled, good, empty], pooled),
+                         ([good, empty, holed], empty)):
+        want = oracle_outcome(order, lambda c: oracle_sample(s, c))
+        assert want == oracle_outcome([first], lambda c: oracle_sample(s, c))
+        assert_outcome(lambda: class_samples(s, order), want)
+    assert class_samples(s, []) == []
 
 
 # --- detrending ------------------------------------------------------------
