@@ -9,6 +9,7 @@ are derived from the written files, never the other way around.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -320,6 +321,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 p.add_argument(_flag(o.name), type=o.typ, default=None,
                                choices=o.choices, help=o.help)
     return parser
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per process: parsing leaves a
+    parser as it was, so ``main`` reuses it from call to call."""
+    return build_parser(command)
 
 
 # JSON values each option type takes from a config file; bools are never numbers.
@@ -776,7 +784,7 @@ INPUT_KEYS = ("input", "calibration")
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a named command needs only its own subparser; anything else gets all
-    args = build_parser(argv[0] if argv and argv[0] in OPTIONS else None).parse_args(argv)
+    args = _parser(argv[0] if argv and argv[0] in OPTIONS else None).parse_args(argv)
     command = args.command
     try:
         cfg = resolve_config(args, command)

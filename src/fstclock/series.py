@@ -533,6 +533,15 @@ def _place_strict(lines, line: int, grid: DayGrid, days: dict[int, np.ndarray],
     return line, []
 
 
+def helper_may_fork() -> bool:
+    """Whether a forked helper process may work beside this one: the platform
+    forks, no other thread runs (a fork copies only the calling thread, and
+    a lock another thread holds stays held in the child), and two CPUs are
+    free to this process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return hasattr(os, "fork") and threading.active_count() == 1 and (cpus or 1) >= 2
+
+
 class _SecondHalf:
     """A forked process decoding the strict batches of a file's second half.
 
@@ -549,9 +558,7 @@ class _SecondHalf:
 
     @classmethod
     def start(cls, source: IO[bytes], path: str | Path) -> _SecondHalf | None:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        if (not hasattr(os, "fork") or threading.active_count() > 1 or (cpus or 1) < 2
-                or not source.seekable()):
+        if not helper_may_fork() or not source.seekable():
             return None
         fd, start = source.fileno(), source.tell()
         middle = (start + os.fstat(fd).st_size) // 2

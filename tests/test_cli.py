@@ -109,6 +109,24 @@ def test_a_directory_at_an_output_path_ends_in_one_error_line(tmp_path, capsys):
     assert err == f"error: [Errno 21] Is a directory: {str(out / 'prices.csv')!r}\n"
 
 
+def test_synth_refuses_prices_beyond_the_doubles_in_one_error_line(tmp_path, monkeypatch, capsys):
+    generate = cli.cli.generate_seasonal
+
+    def overflowing(profile, gen, grid):
+        series, truth = generate(profile, gen, grid)
+        lp = np.array(series.log_prices)
+        lp[1, 4] = 800.0  # exp overflows: before, the writer raised after 24 lines
+        return type(series)(grid=grid, dates=series.dates, log_prices=lp), truth
+
+    monkeypatch.setattr(cli, "generate_seasonal", overflowing)
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--days", "2", "--points", "20"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: log price 800\.0 on \S+ at 11:00:00 \(bar 4\) has no positive "
+                        r"finite price\n", err), err
+    assert os.listdir(out) == []
+
+
 def test_manifest_records_input_hashes(pipeline):
     manifest = json.loads((pipeline / "cal" / "manifest.json").read_text())
     assert manifest["tool"] == "fstclock"
@@ -885,6 +903,20 @@ def test_top_level_help_and_errors_name_every_command(argv, capsys):
         for command in cli.OPTIONS:  # one line per command, then its help
             assert re.search(rf"^    {command}\s", out, re.M), command
     assert (code, out, err) == _exit_text(build_parser().parse_args, argv, capsys)
+
+
+def test_main_builds_one_parser_per_command_and_reuses_it(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+    cli._parser.cache_clear()
+    try:
+        for argv in (["analyze", "--points", "x"], ["bogus"], ["analyze", "--help"]):
+            texts = {_exit_text(main, argv, capsys) for _ in range(3)}
+            assert texts == {_exit_text(build_parser().parse_args, argv, capsys)}, argv
+    finally:
+        cli._parser.cache_clear()
+    assert built == ["analyze", None]
+    assert build_parser("analyze") is not build_parser("analyze")
 
 
 # --- class DSL ---------------------------------------------------------------

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import signal
+import threading
 from datetime import datetime, time
 
 import numpy as np
 import pytest
 
+import fstclock.synthetic as synthetic_module
 from fstclock import DataError, DayGrid, PartitionSpec
 from fstclock.synthetic import (
     ActivityProfile,
@@ -211,20 +216,172 @@ def test_cascade_hurst_formula():
 
 # --- CSV writer -------------------------------------------------------------
 
-def test_write_prices_csv_matches_row_by_row_writer(tmp_path):
+def _holed(n_days: int):
+    """A seasonal series with holes, as the writer must reproduce it: the first
+    and the last bar missing, a day with no bar (from 3 days on), and prices
+    that ``repr`` writes in exponent notation."""
     series, _ = generate_seasonal(
-        ActivityProfile.u_shape(19), GeneratorConfig(n_days=12, seed=3), GRID20
+        ActivityProfile.u_shape(19), GeneratorConfig(n_days=n_days, seed=3), GRID20
     )
     lp = np.array(series.log_prices)
-    lp[0, 0] = lp[4, 7] = lp[4, 8] = lp[11, 19] = np.nan
-    lp[6] = np.nan  # a day with no bar at all writes no line
-    holed = type(series)(grid=GRID20, dates=series.dates, log_prices=lp)
+    lp[0, 0] = lp[-1, -1] = np.nan
+    lp[:, 5] += 300.0  # about 1e+132
+    lp[:, 6] -= 300.0  # about 1e-128
+    lp[n_days // 2, 7:9] = np.nan
+    if n_days >= 3:
+        lp[1] = np.nan  # a day with no bar at all writes no line
+    return type(series)(grid=GRID20, dates=series.dates, log_prices=lp)
+
+
+def _row_by_row(series) -> bytes:
     expected = ["timestamp,price\n"]
-    for d, row in zip(holed.dates, holed.log_prices):
+    for d, row in zip(series.dates, series.log_prices):
         for b, z in enumerate(row):
             if not np.isnan(z):
-                ts = datetime.combine(d, GRID20.bar_time(b))
+                ts = datetime.combine(d, series.grid.bar_time(b))
                 expected.append(f"{ts.isoformat()},{math.exp(z)!r}\n")
+    return "".join(expected).encode()
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The helpers this process forks, by pid."""
+    forked = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forked
+
+
+def _left_clean(directory) -> bool:
+    """Whether ``prices.csv`` is all there is in ``directory`` (no temporary
+    file is left) and no child process is left unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return os.listdir(directory) == ["prices.csv"]
+    return False
+
+
+def test_write_prices_csv_matches_row_by_row_writer(tmp_path, monkeypatch, forks):
     path = tmp_path / "prices.csv"
+    for n_days in (1, 2, 3, 12, 13):
+        holed = _holed(n_days)
+        for split in (False, True):
+            monkeypatch.setattr(synthetic_module, "PRICES_SPLIT_BARS", 0 if split else 1 << 62)
+            forks.clear()
+            write_prices_csv(holed, path)
+            assert path.read_bytes() == _row_by_row(holed), (n_days, split)
+            assert len(forks) == split and _left_clean(tmp_path)
+
+
+def test_write_prices_csv_gives_the_same_bytes_whatever_the_helper_does(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(synthetic_module, "PRICES_SPLIT_BARS", 0)
+    holed = _holed(13)
+    path = tmp_path / "prices.csv"
+    parent, write_days = os.getpid(), synthetic_module._write_days
+    here = []  # the days each write formats in this process
+
+    def spy(fh, tods, dates, rows):
+        if os.getpid() == parent:
+            here.append(len(dates))
+        write_days(fh, tods, dates, rows)
+
+    monkeypatch.setattr(synthetic_module, "_write_days", spy)
     write_prices_csv(holed, path)
-    assert path.read_bytes() == "".join(expected).encode()
+    assert path.read_bytes() == _row_by_row(holed)
+    assert len(forks) == 1 and here == [6] and _left_clean(tmp_path)  # the helper formatted 7 days
+    for fault in ("raise", "kill", "exit", "refuse"):
+        def helper_write(fh, tods, dates, rows, fault=fault):
+            if os.getpid() == parent:
+                return spy(fh, tods, dates, rows)
+            write_days(fh, tods, dates[:2], rows[:2])  # a partial write
+            fh.flush()
+            if fault == "raise":
+                raise MemoryError
+            if fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3)
+
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(synthetic_module, "_write_days", helper_write)
+        forks.clear()
+        here.clear()
+        with monkeypatch.context() as m:
+            if fault == "refuse":
+                m.setattr(os, "fork", refuse)
+            write_prices_csv(holed, path)
+        assert path.read_bytes() == _row_by_row(holed), fault
+        assert here == [6, 7] and _left_clean(tmp_path), fault  # this process formatted every day
+        assert len(forks) == (fault != "refuse")
+    # a failed write stops and reaps the helper
+    monkeypatch.setattr(synthetic_module, "_write_days", write_days)
+    forks.clear()
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_prices_csv(holed, path)
+    assert len(forks) == 1 and _left_clean(tmp_path)
+
+
+def test_write_prices_csv_forks_only_beside_one_thread_and_two_cpus(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(synthetic_module, "PRICES_SPLIT_BARS", 0)
+    holed = _holed(4)
+    path = tmp_path / "prices.csv"
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        write_prices_csv(holed, path)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == [] and path.read_bytes() == _row_by_row(holed) and _left_clean(tmp_path)
+    if hasattr(os, "sched_setaffinity"):
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            write_prices_csv(holed, path)
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert forks == [] and path.read_bytes() == _row_by_row(holed) and _left_clean(tmp_path)
+    write_prices_csv(holed, path)
+    assert len(forks) == 1 and _left_clean(tmp_path)
+
+
+def test_write_prices_csv_of_criterion_11_size_runs_in_one_process(tmp_path, forks):
+    series, _ = generate_seasonal(
+        ActivityProfile.u_steps(19, 19), GeneratorConfig(n_days=120, seed=7), GRID20
+    )
+    write_prices_csv(series, tmp_path / "prices.csv")
+    assert forks == [] and (tmp_path / "prices.csv").read_bytes() == _row_by_row(series)
+    assert _left_clean(tmp_path)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, -800.0, 800.0, -746.0])
+def test_write_prices_csv_refuses_a_price_that_is_not_a_positive_double(tmp_path, z):
+    series, _ = generate_seasonal(ActivityProfile.flat(19), GeneratorConfig(n_days=2, seed=1), GRID20)
+    lp = np.array(series.log_prices)
+    lp[0, 3] = np.nan
+    lp[1, 3] = z
+    lp[1, 4] = -z if math.isfinite(z) else np.nan  # the first offending bar is named
+    bad = type(series)(grid=GRID20, dates=series.dates, log_prices=lp)
+    path = tmp_path / "prices.csv"
+    day = series.dates[1].isoformat()
+    with pytest.raises(DataError, match=rf"^log price {re.escape(repr(z))} on {day} at 10:40:00 \(bar 3\) "):
+        write_prices_csv(bad, path)
+    assert not path.exists()
+    # the extremes that still give positive finite prices are written
+    lp[1, 3], lp[1, 4] = 709.0, -745.0
+    ok = type(series)(grid=GRID20, dates=series.dates, log_prices=lp)
+    write_prices_csv(ok, path)
+    assert path.read_bytes() == _row_by_row(ok)
