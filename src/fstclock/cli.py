@@ -279,7 +279,7 @@ OPTIONS: dict[str, list[Opt]] = {
 
 
 # options refused below zero, from a flag or a config alike
-NON_NEGATIVE = ("max_missing", "cutoff_threshold")
+NON_NEGATIVE = ("max_missing", "cutoff_threshold", "seed")
 
 
 def _flag(name: str) -> str:

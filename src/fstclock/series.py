@@ -1001,11 +1001,13 @@ def next_weekday(d: date) -> date:
 
 
 def synthetic_dates(n_days: int) -> tuple[date, ...]:
-    """Consecutive weekdays from 1990-01-02, for series without a real calendar attached."""
-    out = [date(1990, 1, 2)]
-    while len(out) < n_days:
-        out.append(next_weekday(out[-1]))
-    return tuple(out)
+    """Consecutive weekdays from 1990-01-02, for series without a real calendar attached.
+
+    That day is the Tuesday of the week of Monday 1990-01-01, so day k is
+    weekday (k + 1) % 5 of week (k + 1) // 5 after it.
+    """
+    monday = date(1990, 1, 1).toordinal()
+    return tuple(date.fromordinal(monday + 7 * (w // 5) + w % 5) for w in range(1, n_days + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@ Three generators cover the validation axes:
   * ``generate_multifractal``: within-day log-normal multiplicative cascade,
     giving genuinely multiscaling moments with a known analytic spectrum.
 
-All draws go through numpy's PCG64.  Day-level work uses one child stream
-per day, spawned from the root seed, so regenerating any subset of days (or
-splitting them across workers) cannot change the numbers.
+All draws go through numpy's PCG64, one stream per day (per duration for
+``generate_selfsimilar``) with the states of ``SeedSequence(seed).spawn``:
+day i draws what ``Generator(PCG64(SeedSequence(seed).spawn(n)[i]))`` would,
+so regenerating any subset of days cannot change the numbers.  The streams
+are not spawned, though: ``_day_streams`` computes each child's state with
+numpy's own hashing and seeding arithmetic and reseeds one PCG64 with it,
+and the generators then scale and sum their draws in blocks of days.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ import os
 import shutil
 import signal
 import tempfile
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,26 +168,161 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_days < 1:
             raise ValueError("need at least one day")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         if self.innovation not in ("gaussian", "student-t"):
             raise ValueError(f"unknown innovation {self.innovation!r}")
-        if self.innovation == "student-t" and self.nu <= 2:
-            raise ValueError("student-t innovations need nu > 2 for unit variance")
+        if self.innovation == "student-t" and not 2 < self.nu < math.inf:
+            raise ValueError("nu must be finite and > 2 for unit-variance student-t "
+                             f"innovations, got {self.nu!r}")
         if self.cascade_depth < 1:
             raise ValueError("cascade depth must be >= 1")
-        if self.cascade_lambda2 < 0:
-            raise ValueError("cascade_lambda2 must be non-negative")
+        if not 0 <= self.cascade_lambda2 < math.inf:
+            raise ValueError("cascade_lambda2 must be non-negative and finite, "
+                             f"got {self.cascade_lambda2!r}")
 
 
-def _draw(rng: np.random.Generator, size, cfg: GeneratorConfig) -> np.ndarray:
-    """Unit-variance innovations of the configured family."""
+def _draw(rng: np.random.Generator, out: np.ndarray, cfg: GeneratorConfig) -> None:
+    """Fill ``out`` with standard innovations of the configured family; times
+    ``_unit_scale(cfg)`` they have unit variance."""
     if cfg.innovation == "gaussian":
-        return rng.standard_normal(size)
-    return rng.standard_t(cfg.nu, size) * math.sqrt((cfg.nu - 2.0) / cfg.nu)
+        rng.standard_normal(out=out)
+    else:
+        out[...] = rng.standard_t(cfg.nu, out.size)
 
 
-def _day_streams(cfg: GeneratorConfig, n: int) -> list[np.random.Generator]:
-    root = np.random.SeedSequence(cfg.seed)
-    return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(n)]
+def _unit_scale(cfg: GeneratorConfig) -> float:
+    return 1.0 if cfg.innovation == "gaussian" else math.sqrt((cfg.nu - 2.0) / cfg.nu)
+
+
+# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier, as numpy
+# defines them (numpy/random/bit_generator.pyx, pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _spawned_seed_words(seed: int, n: int) -> np.ndarray:
+    """``SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)`` as row i.
+
+    A child's entropy is the root's words, padded to the pool size of four,
+    then its spawn key ``i``, one word while ``n <= 2**32``.  Everything but
+    the key is mixed alike for every child, in Python ints; the key is mixed
+    in uint32 arithmetic over all children at once.
+    """
+    seed = int(seed)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return r ^ r >> 16
+
+    entropy = [seed >> 32 * k & _MASK32 for k in range(max(4, -(-seed.bit_length() // 32)))]
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    key = np.arange(n, dtype=np.uint32)
+    children = []
+    for word in pool:  # mix(word, hashmix(key)), with numpy's uint32 wrap-around
+        value = key ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        mixed = np.uint32(_MIX_MULT_L * word & _MASK32) - value * np.uint32(_MIX_MULT_R)
+        children.append(mixed ^ mixed >> 16)
+    state = np.empty((n, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(8):  # generate_state: 8 uint32 words, read as 4 little-endian uint64
+        value = children[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        state[:, i] = value ^ value >> 16
+    return state.view("<u8")
+
+
+# Days whose draws are taken before their arithmetic runs, as one block.
+DAY_BLOCK = 128
+
+
+def _day_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """The stream of each of days ``0 .. n-1`` in turn: day i draws exactly
+    what ``Generator(PCG64(SeedSequence(seed).spawn(n)[i]))`` draws.
+
+    It is one Generator whose PCG64 is reseeded through its ``state`` setter
+    before each yield, so a day's draws are over once the next day is taken.
+    The state follows ``pcg_setseq_128_srandom_r``: from the child's words
+    (seed, seq), inc = 2*seq + 1 and state = (inc + seed) * MULT + inc.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    words = _spawned_seed_words(seed, n)
+    for b0 in range(0, n, DAY_BLOCK):  # Python ints for one block of days at a time
+        for s_hi, s_lo, i_hi, i_lo in words[b0 : b0 + DAY_BLOCK].tolist():
+            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+def _log_price_rows(cfg: GeneratorConfig, n_points: int, sigma_night: float,
+                    n_normals: int, bar_sigma: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The ``cfg.n_days`` x ``n_points`` log prices of a world with Brownian bars.
+
+    Day l draws from its own stream: its overnight innovation (none on day
+    0), then ``n_normals`` standard normals, then one innovation per bar.
+    Blocks of ``DAY_BLOCK`` days are drawn into their rows (the normals into
+    a block buffer) and then scaled and summed at once; ``bar_sigma`` maps a
+    block's normals to the standard deviation of each bar.  The opens are
+    chained in Python floats: each day opens at the previous close plus
+    ``sigma_night`` times its overnight innovation, so the first k days of
+    a world are a k-day world.
+    """
+    rows = np.empty((cfg.n_days, n_points))
+    normals = np.empty((min(DAY_BLOCK, cfg.n_days), n_normals))
+    streams = _day_streams(cfg.seed, cfg.n_days)
+    scale = _unit_scale(cfg)
+    prev_close = LOG_PRICE_START
+    rows[0, 0] = 0.0  # day 0 has no overnight innovation
+    for b0 in range(0, cfg.n_days, DAY_BLOCK):
+        block = rows[b0 : b0 + DAY_BLOCK]
+        block_normals = normals[: len(block)]
+        for l, (row, day_normals, rng) in enumerate(zip(block, block_normals, streams), b0):
+            first = 1 if l == 0 else 0
+            if n_normals:
+                _draw(rng, row[first:1], cfg)
+                rng.standard_normal(out=day_normals)
+                _draw(rng, row[1:], cfg)
+            else:
+                _draw(rng, row[first:], cfg)
+        if scale != 1.0:
+            block *= scale
+        bars = block[:, 1:]
+        bars *= bar_sigma(block_normals)
+        np.cumsum(bars, axis=1, out=bars)
+        opens = []
+        for l, z, last in zip(range(b0, cfg.n_days), block[:, 0].tolist(), bars[:, -1].tolist()):
+            open_ = prev_close if l == 0 else prev_close + sigma_night * z
+            opens.append(open_)
+            prev_close = open_ + last
+        block[:, 0] = opens
+        bars += block[:, :1]
+    return rows
 
 
 def generate_seasonal(
@@ -200,16 +340,7 @@ def generate_seasonal(
         raise DataError(f"profile has {profile.n_bars} bars, grid {grid.n_bars}")
     sigma_bar = np.sqrt(profile.intraday_intensity)
     sigma_night = math.sqrt(_overnight_variance(profile))
-
-    rows = np.empty((cfg.n_days, grid.n_points))
-    prev_close = LOG_PRICE_START
-    for l, rng in enumerate(_day_streams(cfg, cfg.n_days)):
-        open_ = prev_close if l == 0 else prev_close + sigma_night * float(_draw(rng, None, cfg))
-        increments = sigma_bar * _draw(rng, grid.n_bars, cfg)
-        rows[l, 0] = open_
-        rows[l, 1:] = open_ + np.cumsum(increments)
-        prev_close = rows[l, -1]
-
+    rows = _log_price_rows(cfg, grid.n_points, sigma_night, 0, lambda _: sigma_bar)
     series = PriceSeries._adopt(grid, synthetic_dates(cfg.n_days), rows)
     return series, GroundTruthClock.from_profile(profile)
 
@@ -221,21 +352,24 @@ def generate_selfsimilar(
 ) -> list[tuple[float, ReturnSample]]:
     """Exactly self-similar marginal samples, r = duration**H * innovation.
 
-    One independent ensemble of ``cfg.n_days`` draws per duration.
+    One independent ensemble of ``cfg.n_days`` draws per duration, each from
+    its own stream.
     The moment identity E|r|^q = duration**(qH) * E|innovation|^q holds by
     construction, making these the oracle for clock arithmetic.
     """
     if not 0 < hurst < 1:
         raise ValueError(f"hurst must be in (0, 1), got {hurst}")
-    n = cfg.n_days
     durations = [float(d) for d in durations]
     out = []
-    for dur, rng in zip(durations, _day_streams(cfg, len(durations))):
+    for dur, rng in zip(durations, _day_streams(cfg.seed, len(durations))):
         if dur <= 0:
             raise ValueError("durations must be positive")
-        values = (dur**hurst) * _draw(rng, n, cfg)
+        values = np.empty(cfg.n_days)
+        _draw(rng, values, cfg)
+        values *= _unit_scale(cfg)
+        values *= dur**hurst
         label = IntervalClass.sample(f"selfsim[{dur:g}]")
-        out.append((float(dur), ReturnSample(values=values, interval=label)))
+        out.append((dur, ReturnSample(values=values, interval=label)))
     return out
 
 
@@ -265,20 +399,22 @@ def generate_multifractal(
     s = math.sqrt(s2)
     sigma_night = math.sqrt(overnight_mass_ratio * base_bar_var * n_bars)
 
-    rows = np.empty((cfg.n_days, grid.n_points))
-    prev_close = LOG_PRICE_START
-    for l, rng in enumerate(_day_streams(cfg, cfg.n_days)):
-        open_ = prev_close if l == 0 else prev_close + sigma_night * float(_draw(rng, None, cfg))
-        log_weight = np.zeros(n_bars)
+    def cascade_sigma(normals: np.ndarray) -> np.ndarray:
+        # the 2 + 4 + ... + n_bars node weights of each day, level by level;
+        # rng.normal(loc, scale) is loc + scale * standard_normal
+        log_nodes = -0.5 * s2 + s * normals
+        log_weight = np.zeros((len(normals), n_bars))
+        start = 0
         for level in range(1, cfg.cascade_depth + 1):
-            draws = rng.normal(loc=-0.5 * s2, scale=s, size=2**level)
-            log_weight += np.repeat(draws, n_bars // 2**level)
-        sigma = np.sqrt(base_bar_var * np.exp(log_weight))
-        increments = sigma * _draw(rng, n_bars, cfg)
-        rows[l, 0] = open_
-        rows[l, 1:] = open_ + np.cumsum(increments)
-        prev_close = rows[l, -1]
+            nodes = 2**level
+            by_node = log_weight.reshape(len(normals), nodes, -1)
+            by_node += log_nodes[:, start : start + nodes, None]
+            start += nodes
+        np.exp(log_weight, out=log_weight)
+        log_weight *= base_bar_var
+        return np.sqrt(log_weight, out=log_weight)
 
+    rows = _log_price_rows(cfg, grid.n_points, sigma_night, 2 * n_bars - 2, cascade_sigma)
     return PriceSeries._adopt(grid, synthetic_dates(cfg.n_days), rows)
 
 

@@ -109,6 +109,14 @@ def test_a_directory_at_an_output_path_ends_in_one_error_line(tmp_path, capsys):
     assert err == f"error: [Errno 21] Is a directory: {str(out / 'prices.csv')!r}\n"
 
 
+def test_synth_refuses_a_negative_seed_in_one_error_line(tmp_path, capsys):
+    # before, numpy's "expected non-negative integer" came out without the flag
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--days", "2", "--points", "20", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be at least 0, not -1\n"
+    assert not out.exists()
+
+
 def test_synth_refuses_prices_beyond_the_doubles_in_one_error_line(tmp_path, monkeypatch, capsys):
     generate = cli.cli.generate_seasonal
 

@@ -1074,3 +1074,13 @@ def test_load_series_dispatch(tmp_path, default_grid):
     assert load_series(path).n_days == 2
     with pytest.raises(DataError):
         load_series(tmp_path / "prices.csv")  # CSV without a grid
+
+
+def test_synthetic_dates_equal_stepping_weekday_by_weekday():
+    stepped = [date(1990, 1, 2)]
+    while len(stepped) < 20_000:
+        stepped.append(next_weekday(stepped[-1]))
+    assert synthetic_dates(20_000) == tuple(stepped)
+    # day k depends on k alone, so every shorter run is a prefix
+    for n in [*range(1, 30), 999, 5_000, 19_999]:
+        assert synthetic_dates(n) == tuple(stepped[:n]), n

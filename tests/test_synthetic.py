@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import threading
+import tracemalloc
 from datetime import datetime, time
 
 import numpy as np
@@ -146,6 +147,33 @@ def test_generator_config_validation():
         GeneratorConfig(n_days=5, seed=1, cascade_lambda2=-0.1)
 
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("nu", {"innovation": "student-t", "nu": math.nan}),
+    ("nu", {"innovation": "student-t", "nu": math.inf}),
+    ("cascade_lambda2", {"cascade_lambda2": math.nan}),
+    ("cascade_lambda2", {"cascade_lambda2": math.inf}),
+    ("cascade_lambda2", {"cascade_lambda2": -math.inf}),
+    ("seed", {"seed": -3}),
+    ("seed", {"seed": 1.5}),
+    ("seed", {"seed": "7"}),
+    ("seed", {"seed": True}),
+])
+def test_generator_config_refuses_values_that_give_garbage_or_fail_late(field, kwargs):
+    # before, NaN parameters gave an all-NaN series but its first price, and a
+    # negative seed failed inside numpy without naming the seed
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        GeneratorConfig(**{"n_days": 4, "seed": 1, **kwargs})
+
+
+def test_generator_config_takes_numpy_and_huge_seeds():
+    grid = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=5)
+    p = ActivityProfile.flat(4)
+    a, _ = generate_seasonal(p, GeneratorConfig(n_days=3, seed=np.uint64(9)), grid)
+    b, _ = generate_seasonal(p, GeneratorConfig(n_days=3, seed=9), grid)
+    assert a.log_prices.tobytes() == b.log_prices.tobytes()
+    assert np.isfinite(generate_seasonal(p, GeneratorConfig(n_days=3, seed=2**300), grid)[0].log_prices).all()
+
+
 # --- self-similar samples ---------------------------------------------------
 
 def test_selfsimilar_moment_identity():
@@ -212,6 +240,164 @@ def test_cascade_hurst_formula():
     assert cascade_hurst(4.0, 0.05) == pytest.approx(0.45)
     assert cascade_hurst(1.0, 0.05) - cascade_hurst(4.0, 0.05) == pytest.approx(0.075)
     assert cascade_hurst(3.0, 0.0) == 0.5
+
+
+# --- per-day oracles ---------------------------------------------------------
+# The generators as they were written first: one spawned Generator per day and
+# one day at a time.  The block generators must draw and sum bit for bit alike.
+
+B = synthetic_module.DAY_BLOCK
+DAY_COUNTS = (1, 2, B - 1, B, B + 1, 3 * B + 7)
+FAMILIES = ({"innovation": "gaussian"}, {"innovation": "student-t", "nu": 3.5})
+
+
+def _oracle_streams(seed, n):
+    return [np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _oracle_draw(rng, size, cfg):
+    if cfg.innovation == "gaussian":
+        return rng.standard_normal(size)
+    return rng.standard_t(cfg.nu, size) * math.sqrt((cfg.nu - 2.0) / cfg.nu)
+
+
+def _oracle_seasonal(profile, cfg, grid):
+    sigma_bar = np.sqrt(profile.intraday_intensity)
+    sigma_night = math.sqrt(profile.overnight_mass * float(profile.intraday_intensity.sum()))
+    rows = np.empty((cfg.n_days, grid.n_points))
+    prev_close = math.log(100.0)
+    for l, rng in enumerate(_oracle_streams(cfg.seed, cfg.n_days)):
+        open_ = prev_close if l == 0 else prev_close + sigma_night * float(_oracle_draw(rng, None, cfg))
+        increments = sigma_bar * _oracle_draw(rng, grid.n_bars, cfg)
+        rows[l, 0] = open_
+        rows[l, 1:] = open_ + np.cumsum(increments)
+        prev_close = rows[l, -1]
+    return rows
+
+
+def _oracle_multifractal(cfg, grid, overnight_mass_ratio):
+    n_bars = grid.n_bars
+    base_bar_var = 1.0 / n_bars
+    s2 = 4.0 * math.log(2.0) * cfg.cascade_lambda2
+    sigma_night = math.sqrt(overnight_mass_ratio * base_bar_var * n_bars)
+    rows = np.empty((cfg.n_days, grid.n_points))
+    prev_close = math.log(100.0)
+    for l, rng in enumerate(_oracle_streams(cfg.seed, cfg.n_days)):
+        open_ = prev_close if l == 0 else prev_close + sigma_night * float(_oracle_draw(rng, None, cfg))
+        log_weight = np.zeros(n_bars)
+        for level in range(1, cfg.cascade_depth + 1):
+            draws = rng.normal(loc=-0.5 * s2, scale=math.sqrt(s2), size=2**level)
+            log_weight += np.repeat(draws, n_bars // 2**level)
+        sigma = np.sqrt(base_bar_var * np.exp(log_weight))
+        increments = sigma * _oracle_draw(rng, n_bars, cfg)
+        rows[l, 0] = open_
+        rows[l, 1:] = open_ + np.cumsum(increments)
+        prev_close = rows[l, -1]
+    return rows
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_seasonal_matches_the_per_day_oracle(family):
+    p = ActivityProfile.u_shape(19, overnight_mass_ratio=0.4)
+    for n in DAY_COUNTS:
+        cfg = GeneratorConfig(n_days=n, seed=2**64 + n, **family)
+        series, _ = generate_seasonal(p, cfg, GRID20)
+        assert series.log_prices.tobytes() == _oracle_seasonal(p, cfg, GRID20).tobytes(), n
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_multifractal_matches_the_per_day_oracle(family, depth):
+    grid = DayGrid(open_time=time(9, 30), bar_minutes=1, n_points=2**depth + 1)
+    for ratio in (0.0, 0.3):
+        for n in DAY_COUNTS if depth in (1, 8) else (B + 1,):
+            for lambda2 in (0.05, 0.0):
+                cfg = GeneratorConfig(n_days=n, seed=100 * depth + n, cascade_depth=depth,
+                                      cascade_lambda2=lambda2, **family)
+                got = generate_multifractal(cfg, grid, overnight_mass_ratio=ratio).log_prices
+                want = _oracle_multifractal(cfg, grid, ratio)
+                assert got.tobytes() == want.tobytes(), (ratio, n, lambda2)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_selfsimilar_matches_the_per_duration_oracle(family):
+    cfg = GeneratorConfig(n_days=1000, seed=23, **family)
+    durations = [0.25, 1.0, 3.0, 7.5]
+    got = generate_selfsimilar(0.6, cfg, durations)
+    for (dur, sample), want_dur, rng in zip(got, durations, _oracle_streams(23, len(durations))):
+        want = (want_dur**0.6) * _oracle_draw(rng, cfg.n_days, cfg)
+        assert dur == want_dur and sample.values.tobytes() == want.tobytes()
+
+
+def test_generators_match_the_oracles_across_small_blocks(monkeypatch):
+    # every block edge, the last block short or full
+    monkeypatch.setattr(synthetic_module, "DAY_BLOCK", 3)
+    cascade_grid = DayGrid(open_time=time(9, 30), bar_minutes=5, n_points=17)
+    p = ActivityProfile.u_steps(19, 19)
+    for n in range(1, 11):
+        cfg = GeneratorConfig(n_days=n, seed=n, cascade_depth=4)
+        assert generate_seasonal(p, cfg, GRID20)[0].log_prices.tobytes() == (
+            _oracle_seasonal(p, cfg, GRID20).tobytes())
+        assert generate_multifractal(cfg, cascade_grid, 0.3).log_prices.tobytes() == (
+            _oracle_multifractal(cfg, cascade_grid, 0.3).tobytes())
+
+
+def _seeds_to_check():
+    fixed = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200]
+    rng = np.random.default_rng(2024)
+    drawn = [int(rng.integers(0, 2**62)) >> int(rng.integers(0, 62)) for _ in range(25)]
+    drawn += [int.from_bytes(rng.bytes(int(rng.integers(9, 40))), "little") for _ in range(25)]
+    return fixed + drawn
+
+
+def test_day_streams_have_the_states_of_spawned_pcg64s():
+    for seed in _seeds_to_check():
+        n = 2 * B + 3 if seed in (0, 2**200) else 5
+        children = np.random.SeedSequence(seed).spawn(n)
+        got = [rng.bit_generator.state for rng in synthetic_module._day_streams(seed, n)]
+        assert got == [np.random.PCG64(c).state for c in children], seed
+        words = synthetic_module._spawned_seed_words(seed, n)
+        assert (words == [c.generate_state(4, np.uint64) for c in children]).all(), seed
+
+
+def test_day_streams_draw_what_spawned_generators_draw():
+    # an odd count of 32-bit draws leaves half a 64-bit word buffered: the
+    # next day must not start from it
+    streams = synthetic_module._day_streams(5, 4)
+    for rng, want in zip(streams, _oracle_streams(5, 4)):
+        assert rng.standard_t(3.0, 7).tobytes() == want.standard_t(3.0, 7).tobytes()
+        assert (rng.integers(0, 2**31, 3, dtype=np.uint32) == want.integers(0, 2**31, 3, dtype=np.uint32)).all()
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+# --- memory -----------------------------------------------------------------
+
+# What a generator may allocate beyond its output matrix: block buffers of
+# DAY_BLOCK days, a few per-day words and the dates.  A second days x bars
+# matrix (15 MB and 6 MB here) does not fit.
+GENERATOR_HEADROOM_BYTES = 4 << 20
+
+
+def _peak_beyond_output(generate) -> tuple[int, int]:
+    tracemalloc.start()
+    try:
+        rows = generate().log_prices
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - rows.nbytes, rows.nbytes
+
+
+def test_generators_hold_no_second_days_by_bars_matrix():
+    grid = DayGrid(open_time=time(9, 40), bar_minutes=1, n_points=381)
+    profile = ActivityProfile.u_steps(380, 19, edge_boost=16.0, power=8.0)
+    extra, out = _peak_beyond_output(
+        lambda: generate_seasonal(profile, GeneratorConfig(n_days=5000, seed=1), grid)[0])
+    assert out == 5000 * 381 * 8 and extra < GENERATOR_HEADROOM_BYTES, extra
+    cascade_grid = DayGrid(open_time=time(9, 40), bar_minutes=1, n_points=257)
+    extra, out = _peak_beyond_output(
+        lambda: generate_multifractal(GeneratorConfig(n_days=3000, seed=2, cascade_depth=8), cascade_grid))
+    assert out == 3000 * 257 * 8 and extra < GENERATOR_HEADROOM_BYTES, extra
 
 
 # --- CSV writer -------------------------------------------------------------
