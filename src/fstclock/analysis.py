@@ -457,10 +457,11 @@ class CorrelationCurve:
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     xm = x - x.mean()
     ym = y - y.mean()
-    den = math.sqrt(float(xm @ xm) * float(ym @ ym))
+    # pairwise sums: the bits of BLAS ``@`` vary with its thread count
+    den = math.sqrt(float((xm * xm).sum()) * float((ym * ym).sum()))
     if den == 0.0:
         return math.nan
-    return float(xm @ ym) / den
+    return float((xm * ym).sum()) / den
 
 
 def _magnitude_matrix(

@@ -14,7 +14,6 @@ import csv
 import io
 import itertools
 import json
-import logging
 import operator
 import os
 import re
@@ -29,8 +28,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClassSpecError, DataError, FstError, ParseError
-
-log = logging.getLogger(__name__)
 
 # Mean of a detrended sample must vanish to this fraction of its spread.
 DETREND_REL_TOL = 1e-12
@@ -448,7 +445,7 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     later line go through ``csv`` and ``datetime.fromisoformat``; both paths
     give the same series and the same errors.  A file named by its path may
     have the batches of its second half decoded by a forked helper
-    (``_SecondHalf``), again with the same series and errors.
+    (``_Helper``), again with the same series and errors.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -470,12 +467,13 @@ def _ingest(source: IO[str] | IO[bytes], grid: DayGrid, path: str | Path | None)
     last_us: dict[int, int] = {}
     line, batch = 1, [first] if first else []
     if first == header:
-        helper = _SecondHalf.start(source, path) if path is not None else None
+        # the second half goes to a helper before this process decodes a line
+        split = _split_point(source) if path is not None else None
+        helper = None if split is None else _Helper.start(lambda out: _decode_from(path, split, out))
         try:
-            head = lines if helper is None else itertools.islice(lines, helper.first_lines)
-            line, batch = _place_strict(head, 2, grid, days, last_us)
+            line, batch = _place_strict(lines, 2, grid, days, last_us, None if helper is None else split)
             if helper is not None and not batch:
-                line, batch = helper.place(lines, line, grid, days, last_us)
+                line, batch = _place_decoded(helper.result(), source, split, line, grid, days, last_us)
         finally:
             if helper is not None:
                 helper.close()
@@ -521,16 +519,74 @@ def _ingest(source: IO[str] | IO[bytes], grid: DayGrid, path: str | Path | None)
 
 
 def _place_strict(lines, line: int, grid: DayGrid, days: dict[int, np.ndarray],
-                  last_us: dict[int, int]) -> tuple[int, list]:
+                  last_us: dict[int, int], end: int | None = None) -> tuple[int, list]:
     """Decode and place batches of ``lines`` in the strict layout, the first
     at line number ``line``.  Returns the next line number and the first
-    batch that departs from the layout or fails a check (empty if none)."""
+    batch that departs from the layout or fails a check (empty if none).
+    With ``end``, ``lines`` is a binary file read up to that byte offset, a
+    line start: the batch that crosses it is cut, and the file left, there.
+    """
     while batch := list(itertools.islice(lines, INGEST_CHUNK_ROWS)):
+        over = -1 if end is None else lines.tell() - end
+        while over > 0:
+            over -= len(batch.pop())
+        if over == 0:
+            lines.seek(end)
         decoded = _decode_strict(batch)
         if decoded is None or _place(*decoded, grid, days, last_us) is not None:
             return line, batch
         line += len(batch)
+        if over == 0:
+            break
     return line, []
+
+
+def _split_point(source: IO[bytes]) -> int | None:
+    """Where a helper may take over the rest of ``source``: the first line
+    start past the middle of the bytes left, found by one read there.  None
+    if ``source`` cannot seek, the rest is under ``INGEST_SPLIT_BYTES``, or
+    no line ends within 64 KiB of the middle."""
+    if not source.seekable():
+        return None
+    fd, start = source.fileno(), source.tell()
+    middle = (start + os.fstat(fd).st_size) // 2
+    if middle - start < INGEST_SPLIT_BYTES // 2:
+        return None
+    end = os.pread(fd, 1 << 16, middle).find(b"\n")
+    return None if end < 0 else middle + end + 1
+
+
+def _decode_from(path: str | Path, start: int, out: IO[bytes]) -> None:
+    """A helper's job: decode the strict batches of ``path`` from byte
+    ``start`` up to the first that departs from the layout, and write each
+    to ``out`` as it is decoded: its row count and the byte offset after it,
+    then its timestamps, then its prices, all native 8-byte words."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while batch := list(itertools.islice(fh, INGEST_CHUNK_ROWS)):
+            decoded = _decode_strict(batch)
+            if decoded is None:
+                return
+            out.writelines((np.array([len(batch), fh.tell()], dtype=np.int64), *decoded))
+
+
+def _place_decoded(decoded: IO[bytes] | None, source: IO[bytes], start: int, line: int,
+                   grid: DayGrid, days: dict[int, np.ndarray],
+                   last_us: dict[int, int]) -> tuple[int, list]:
+    """``_place_strict`` of ``source`` from byte ``start`` and line number
+    ``line``, placing first the batches ``_decode_from`` wrote to ``decoded``
+    (None if the helper failed).  From the first of them that fails a check,
+    or the first line the helper did not decode, lines are decoded here."""
+    while decoded is not None and (head := decoded.read(16)):
+        n, end = np.frombuffer(head, dtype=np.int64).tolist()
+        rows = decoded.read(16 * n)
+        us = np.frombuffer(rows, dtype=np.int64, count=n)
+        price = np.frombuffer(rows, dtype=np.float64, count=n, offset=8 * n)
+        if _place(us, price, grid, days, last_us) is not None:
+            break
+        line, start = line + n, end
+    source.seek(start)
+    return _place_strict(source, line, grid, days, last_us)
 
 
 def helper_may_fork() -> bool:
@@ -542,94 +598,54 @@ def helper_may_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1 and (cpus or 1) >= 2
 
 
-class _SecondHalf:
-    """A forked process decoding the strict batches of a file's second half.
+class _Helper:
+    """A forked process running ``job(out)``, ``out`` an anonymous temporary
+    file in ``directory`` (None: the system's).  ``start`` gives None, with
+    nothing forked, where ``helper_may_fork`` refuses or the file or the
+    fork cannot be made.  ``result`` waits and gives ``out`` rewound if the
+    helper exited with status 0, else None: the caller then does the job
+    itself.  ``close`` stops and reaps a helper nobody waited for, and drops
+    its file."""
 
-    The second half starts at the first line that starts at or after the
-    middle of the bytes left to read.  The helper decodes its lines with
-    ``_decode_strict`` and sends back their timestamps and prices, or
-    nothing if any batch departs from the strict layout; this process checks
-    and places them a batch at a time.  Whatever the helper does, the series
-    and the errors are those of decoding every line here.
-    """
-
-    def __init__(self, pid: int, pipe: int, first_lines: int) -> None:
-        self.pid, self.pipe, self.first_lines = pid, pipe, first_lines
+    def __init__(self, pid: int, out: IO[bytes]) -> None:
+        self.pid, self.out = pid, out
 
     @classmethod
-    def start(cls, source: IO[bytes], path: str | Path) -> _SecondHalf | None:
-        if not helper_may_fork() or not source.seekable():
+    def start(cls, job, directory: str | None = None) -> _Helper | None:
+        if not helper_may_fork():
             return None
-        fd, start = source.fileno(), source.tell()
-        middle = (start + os.fstat(fd).st_size) // 2
-        if middle - start < INGEST_SPLIT_BYTES // 2:
+        import tempfile  # numpy has imported it already
+
+        try:
+            out = tempfile.TemporaryFile(dir=directory)
+        except OSError:  # a missing or read-only directory: the caller's work will say so
             return None
-        first_lines, pos = 0, start
-        while pos < middle:
-            block = os.pread(fd, min(1 << 20, middle - pos), pos)
-            if not block:
-                return None
-            first_lines, pos = first_lines + block.count(b"\n"), pos + len(block)
-        end = os.pread(fd, 1 << 16, middle).find(b"\n")
-        if end < 0:
+        try:
+            pid = os.fork()
+        except OSError:
+            out.close()
             return None
-        read, write = os.pipe()
-        pid = os.fork()
         if pid == 0:  # the helper: it never returns
             status = 1
             try:
-                os.close(read)
-                with open(path, "rb") as fh:
-                    fh.seek(middle + end + 1)
-                    lines = iter(fh)
-                    decoded = []
-                    while batch := list(itertools.islice(lines, INGEST_CHUNK_ROWS)):
-                        decoded.append(_decode_strict(batch))
-                        if decoded[-1] is None:
-                            break
-                with open(write, "wb") as out:
-                    if decoded and decoded[-1] is not None:  # every timestamp, then every price
-                        for part in (0, 1):
-                            for arrays in decoded:
-                                out.write(arrays[part])
+                job(out)
+                out.flush()
                 status = 0
             finally:
                 os._exit(status)
-        os.close(write)
-        return cls(pid, read, first_lines + 1)
+        return cls(pid, out)
 
-    def place(self, lines, line: int, grid: DayGrid, days: dict[int, np.ndarray],
-              last_us: dict[int, int]) -> tuple[int, list]:
-        """``_place_strict`` of the second half's ``lines``, the first at line
-        number ``line``, from the helper's rows.  From the first batch of rows
-        that fails a check, or all of them if the helper sent none, the lines
-        are decoded here."""
-        with open(self.pipe, "rb") as fh:
-            self.pipe = None
-            payload = fh.read()
+    def result(self) -> IO[bytes] | None:
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        n = len(payload) // 16 if status == 0 and len(payload) % 16 == 0 else 0
-        us = np.frombuffer(payload, dtype=np.int64, count=n)
-        price = np.frombuffer(payload, dtype=np.float64, count=n, offset=8 * n)
-        placed = 0
-        while placed < n:
-            rows = slice(placed, placed + INGEST_CHUNK_ROWS)
-            if _place(us[rows], price[rows], grid, days, last_us) is not None:
-                break
-            placed = min(n, placed + INGEST_CHUNK_ROWS)
-        if n and placed == n:
-            return line + n, []
-        next(itertools.islice(lines, placed, placed), None)  # the lines of the rows placed
-        return _place_strict(lines, line + placed, grid, days, last_us)
+        self.out.seek(0)
+        return None if status else self.out
 
     def close(self) -> None:
-        """Stop and reap the helper, unless its result was read."""
-        if self.pipe is not None:
-            os.close(self.pipe)
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
+        self.out.close()
 
 
 def _decode_strict(lines: list[bytes] | list[str]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -844,11 +860,6 @@ def filter_complete_days(series: PriceSeries, max_missing_bars: int = 0) -> Pric
     if keep.all():
         return series
     dropped = tuple(d for d, k in zip(series.dates, keep) if not k)
-    if dropped:
-        log.info(
-            "dropped %d of %d days (more than %d missing bars)",
-            len(dropped), series.n_days, max_missing_bars,
-        )
     return PriceSeries._adopt(
         series.grid,
         tuple(d for d, k in zip(series.dates, keep) if k),

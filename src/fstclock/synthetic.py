@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 import os
 import shutil
-import signal
-import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -39,7 +37,7 @@ from .series import (
     PartitionSpec,
     PriceSeries,
     ReturnSample,
-    helper_may_fork,
+    _Helper,
     open_new,
     synthetic_dates,
 )
@@ -166,18 +164,15 @@ class GeneratorConfig:
     cascade_lambda2: float = 0.05
 
     def __post_init__(self):
-        if self.n_days < 1:
-            raise ValueError("need at least one day")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        for name, least in (("n_days", 1), ("seed", 0), ("cascade_depth", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.innovation not in ("gaussian", "student-t"):
             raise ValueError(f"unknown innovation {self.innovation!r}")
         if self.innovation == "student-t" and not 2 < self.nu < math.inf:
             raise ValueError("nu must be finite and > 2 for unit-variance student-t "
                              f"innovations, got {self.nu!r}")
-        if self.cascade_depth < 1:
-            raise ValueError("cascade depth must be >= 1")
         if not 0 <= self.cascade_lambda2 < math.inf:
             raise ValueError("cascade_lambda2 must be non-negative and finite, "
                              f"got {self.cascade_lambda2!r}")
@@ -438,37 +433,41 @@ def write_prices_csv(series: PriceSeries, path) -> None:
     positive finite double raises ``DataError`` naming its day and bar
     before the file is created.  A series of ``PRICES_SPLIT_BARS`` grid bars
     or more may have the second half of its days formatted by a forked
-    helper (``_SecondHalfWriter``) while this process formats the first
-    half; whatever the helper does, the file holds the same bytes.
+    helper (``series._Helper``, its file in the output's directory) while
+    this process formats the first half; whatever the helper does, the file
+    holds the same bytes.
     """
     _check_prices(series)
     tods = [f"T{series.grid.bar_time(b).isoformat()}," for b in range(series.grid.n_points)]
     dates, rows = series.dates, series.log_prices
     half, helper = len(dates), None
-    if rows.size >= PRICES_SPLIT_BARS and helper_may_fork():
+    if rows.size >= PRICES_SPLIT_BARS:
         half = len(dates) // 2
-        helper = _SecondHalfWriter.start(
-            os.path.dirname(os.path.abspath(path)), tods, dates[half:], rows[half:])
+        helper = _Helper.start(lambda out: _write_days(out, tods, dates[half:], rows[half:]),
+                               os.path.dirname(os.path.abspath(path)))
     try:
-        with open_new(path) as fh:
-            fh.write("timestamp,price\n")
+        with open_new(path, "wb") as fh:
+            fh.write(b"timestamp,price\n")
             _write_days(fh, tods, dates[:half], rows[:half])
-            if helper is None or not helper.append_to(fh):
+            formatted = None if helper is None else helper.result()
+            if formatted is None:
                 _write_days(fh, tods, dates[half:], rows[half:])
+            else:
+                shutil.copyfileobj(formatted, fh)
     finally:
         if helper is not None:
             helper.close()
 
 
 def _write_days(fh, tods: list[str], dates, rows: np.ndarray) -> None:
-    """Write the CSV lines of whole days: each date with its row of log prices."""
+    """Write the CSV lines of whole days to a binary file: each date with its row of log prices."""
     for d, row in zip(dates, rows):
         day = d.isoformat()
         fh.write("".join(
             f"{day}{tod}{math.exp(z)!r}\n"
             for tod, z in zip(tods, row.tolist())
             if not math.isnan(z)
-        ))
+        ).encode())
 
 
 def _price_ok(z: float) -> bool:
@@ -494,57 +493,3 @@ def _check_prices(series: PriceSeries) -> None:
                 t = series.grid.bar_time(b).isoformat()
                 raise DataError(f"log price {z!r} on {d.isoformat()} at {t} (bar {b}) "
                                 "has no positive finite price")
-
-
-class _SecondHalfWriter:
-    """A forked process formatting the CSV lines of a series' last days.
-
-    The helper writes them into an anonymous temporary file in the output's
-    directory.  After formatting its own days, this process waits for the
-    helper and appends the helper's bytes to the output in bounded chunks;
-    if the helper failed in any way, this process formats the days itself.
-    """
-
-    def __init__(self, pid: int, tmp) -> None:
-        self.pid, self.tmp = pid, tmp
-
-    @classmethod
-    def start(cls, directory: str, tods: list[str], dates,
-              rows: np.ndarray) -> _SecondHalfWriter | None:
-        try:
-            tmp = tempfile.TemporaryFile(dir=directory)
-        except OSError:  # a missing or read-only directory: opening the output will say so
-            return None
-        try:
-            pid = os.fork()
-        except OSError:
-            tmp.close()
-            return None
-        if pid == 0:  # the helper: it never returns
-            status = 1
-            try:
-                with open(tmp.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as out:
-                    _write_days(out, tods, dates, rows)
-                status = 0
-            finally:
-                os._exit(status)
-        return cls(pid, tmp)
-
-    def append_to(self, fh) -> bool:
-        """Wait for the helper and append what it wrote to ``fh``.  False,
-        with nothing appended, if it did not exit with status 0."""
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status != 0:
-            return False
-        fh.flush()
-        self.tmp.seek(0)
-        shutil.copyfileobj(self.tmp, fh.buffer)
-        return True
-
-    def close(self) -> None:
-        """Stop and reap the helper, unless it was waited for, and drop its file."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        self.tmp.close()

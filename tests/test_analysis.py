@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from datetime import time
 
 import numpy as np
@@ -29,7 +31,8 @@ from fstclock.analysis import CorrelationCurve
 from fstclock.synthetic import ActivityProfile, GeneratorConfig, generate_seasonal
 
 from conftest import (
-    ar1_block_correlation, brownian_series, calibration_from, make_sample, series_from_matrix,
+    ar1_block_correlation, brownian_series, calibration_from, child_env, make_sample,
+    series_from_matrix,
 )
 
 
@@ -280,6 +283,29 @@ def test_autocorr_iid_is_flat():
     assert (np.abs(c.values[1:]) < 0.05).all()
     total = 800 * 19
     np.testing.assert_array_equal(c.n_pairs[1:], total - c.lags[1:])
+
+
+def test_autocorr_bits_do_not_depend_on_the_blas_thread_count():
+    # BLAS dot products split vectors of ~20k pairs over their threads, which
+    # changed the last bits with the thread count
+    script = (
+        "from datetime import time\n"
+        "from fstclock import DayGrid, volatility_autocorrelation\n"
+        "from fstclock.synthetic import ActivityProfile, GeneratorConfig, generate_seasonal\n"
+        "grid = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=19)\n"
+        "series, _ = generate_seasonal(ActivityProfile.flat(18), GeneratorConfig(n_days=1200, seed=7), grid)\n"
+        "c = volatility_autocorrelation(series, 20.0, [1, 2, 3])\n"
+        "print(min(c.n_pairs), [repr(float(v)) for v in c.values])\n"
+    )
+    outputs = set()
+    for threads in ("1", "2"):
+        env = child_env() | {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+    assert int(outputs.pop().split()[0]) >= 20_000
 
 
 @pytest.fixture(scope="module")

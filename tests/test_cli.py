@@ -409,6 +409,13 @@ def test_importing_the_package_loads_no_submodule():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    # nor does the CLI load ``logging`` beyond what numpy loads (about 4 ms)
+    code = ("import sys, numpy; before = set(sys.modules); import fstclock.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'logging'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_exported_name_resolves():

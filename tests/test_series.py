@@ -36,6 +36,7 @@ from fstclock import (
 )
 import fstclock.cli as cli
 import fstclock.series as series_module
+import fstclock.synthetic as synthetic_module
 from fstclock.analysis import _magnitude_matrix
 from fstclock.series import day_numbers, dropped_between, next_weekday, synthetic_dates
 from fstclock.synthetic import ActivityProfile, generate_seasonal, write_prices_csv
@@ -407,17 +408,17 @@ def test_ingest_leaves_a_callers_byte_stream_open(newline, last):
 @pytest.fixture
 def split_every_file(monkeypatch) -> list[bool]:
     """Every file ingested from a path has its second half decoded by a
-    forked helper; the list records, per file, whether a helper started."""
+    forked helper; the list records, per helper asked for, whether it started."""
     monkeypatch.setattr(series_module, "INGEST_SPLIT_BYTES", 0)
     started = []
-    start = series_module._SecondHalf.start
+    start = series_module._Helper.start
 
-    def spy(source, path):
-        helper = start(source, path)
+    def spy(job, directory=None):
+        helper = start(job, directory)
         started.append(helper is not None)
         return helper
 
-    monkeypatch.setattr(series_module._SecondHalf, "start", spy)
+    monkeypatch.setattr(series_module._Helper, "start", spy)
     return started
 
 
@@ -438,53 +439,210 @@ def test_ingest_split_with_a_helper_process_matches_the_row_by_row_parser(
     assert sum(split_every_file) > 100
 
 
-class _ExitingWith3:
-    """``os`` for a helper that sends all its rows and then fails."""
+def test_ingest_split_at_any_line_start_matches_one_process(tmp_path, monkeypatch, split_every_file):
+    """The batch that crosses the split is cut there: with the split at each
+    line start in turn, errors before, in and after that batch read as in
+    one process."""
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", 3)
+    rng = np.random.default_rng(909)
+    path = tmp_path / "prices.csv"
+    outcomes, splits = set(), 0
+    while splits < 300:
+        text = _parity_corpus(rng)
+        data = text.encode()
+        path.write_bytes(data)
+        expected = _outcome(lambda t: _reference_ingest(t, GRID3), text)
+        header_end = len("timestamp,price\n")
+        for split in [i + 1 for i in range(header_end, len(data)) if data[i] == ord("\n")]:
+            monkeypatch.setattr(series_module, "_split_point", lambda source, split=split: split)
+            assert _outcome(lambda t: ingest_csv(path, GRID3), text) == expected, (text, split)
+            splits += 1
+        outcomes.add(isinstance(expected[0], tuple))
+    assert outcomes == {True, False}
+    assert all(split_every_file) and len(split_every_file) == splits
 
-    def __getattr__(self, name):
-        return getattr(os, name)
 
-    @staticmethod
-    def _exit(status):
-        os._exit(3)
+def test_ingest_forks_its_helper_before_it_decodes_a_line(tmp_path, monkeypatch, split_every_file):
+    """Before the fork this process reads one block at the middle of the
+    file, to find where the second half starts, and decodes nothing."""
+    s = _holed_series(tmp_path, n_days=40)
+    path = tmp_path / "prices.csv"
+    with open(path, "rb") as fh:  # read in this process only
+        whole = ingest_csv(fh, s.grid)
+    parent, events = os.getpid(), []
+    pread, fork, decode = os.pread, os.fork, series_module._decode_strict
+
+    def spy_pread(fd, n, offset):
+        events.append(("pread", n, offset))
+        return pread(fd, n, offset)
+
+    def spy_fork():
+        pid = fork()
+        if pid:
+            events.append(("fork",))
+        return pid
+
+    def spy_decode(lines):
+        if os.getpid() == parent:
+            events.append(("decode", len(lines)))
+        return decode(lines)
+
+    monkeypatch.setattr(os, "pread", spy_pread)
+    monkeypatch.setattr(os, "fork", spy_fork)
+    monkeypatch.setattr(series_module, "_decode_strict", spy_decode)
+    assert ingest_csv(path, s.grid).log_prices.tobytes() == whole.log_prices.tobytes()
+    middle = (len("timestamp,price\n") + path.stat().st_size) // 2
+    assert events[:2] == [("pread", 1 << 16, middle), ("fork",)]
+    decoded_here = sum(e[1] for e in events[2:])
+    assert all(e[0] == "decode" for e in events[2:])
+    assert 0 < decoded_here < path.read_bytes().count(b"\n") - 1  # the helper's rows placed
 
 
 def test_ingest_gives_the_same_series_whatever_the_helper_does(tmp_path, monkeypatch, split_every_file):
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", 50)
     s = _holed_series(tmp_path, n_days=40)
     path = tmp_path / "prices.csv"
-    passes = []
-    place_strict = series_module._place_strict
-    monkeypatch.setattr(series_module, "_place_strict", lambda *a: passes.append(1) or place_strict(*a))
-    whole = ingest_csv(path, s.grid)
-    assert split_every_file == [True, True] and len(passes) == 1  # the helper's rows placed
+    rows = path.read_bytes().count(b"\n") - 1
     parent, decode = os.getpid(), series_module._decode_strict
-    for fault in ("raise", "kill", "refuse", "exit"):
-        def helper_decode(lines, fault=fault):
-            if os.getpid() != parent and fault != "exit":
-                if fault == "raise":
-                    raise MemoryError
-                if fault == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return None
-            return decode(lines)
+    here = []  # the rows this process decodes
+
+    def spy(lines):
+        if os.getpid() == parent:
+            here.append(len(lines))
+        return decode(lines)
+
+    monkeypatch.setattr(series_module, "_decode_strict", spy)
+    whole = ingest_csv(path, s.grid)
+    assert split_every_file == [True, True] and 0 < sum(here) < rows  # the helper's rows placed
+    # a helper that meets a batch off the strict layout stops there: its
+    # batches before it are placed, and this process decodes the rest
+    for declined in (0, 1, 3):
+        calls = []
+
+        def helper_decode(lines, declined=declined):
+            if os.getpid() == parent:
+                return spy(lines)
+            calls.append(1)
+            return None if len(calls) > declined else decode(lines)
 
         monkeypatch.setattr(series_module, "_decode_strict", helper_decode)
-        if fault == "exit":
-            monkeypatch.setattr(series_module, "os", _ExitingWith3())
-        passes.clear()
+        here.clear()
         back = ingest_csv(path, s.grid)
-        assert len(passes) == 2, fault  # this process decoded the second half too
         assert back.dates == whole.dates and back.log_prices.tobytes() == whole.log_prices.tobytes()
-    monkeypatch.setattr(series_module, "os", os)
-    assert split_every_file == [True] * 6
+        assert sum(here) == rows - 50 * declined  # 0: this process decoded the second half too
+    assert split_every_file == [True] * 5
+    monkeypatch.setattr(series_module, "_decode_strict", decode)
     monkeypatch.setattr(series_module, "INGEST_SPLIT_BYTES", 1 << 40)
     unsplit = ingest_csv(path, s.grid)
-    assert split_every_file[-1] is False
+    assert len(split_every_file) == 5  # no helper asked for
     assert unsplit.log_prices.tobytes() == whole.log_prices.tobytes()
     # a stream handed in open is read in this process only
     with open(path, "rb") as fh:
         assert ingest_csv(fh, s.grid).log_prices.tobytes() == whole.log_prices.tobytes()
-    assert len(split_every_file) == 7
+    assert len(split_every_file) == 5
+
+
+def _failing(job, fault: str):
+    """``job`` in a helper that then fails with ``fault``, its file cut to
+    half of what the job wrote."""
+    def run(out):
+        job(out)
+        out.flush()
+        out.truncate(out.tell() // 2)
+        if fault == "raise":
+            raise MemoryError
+        if fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if fault == "caller":  # outlives its caller's failure unless stopped
+            signal.alarm(60)
+            signal.pause()
+        os._exit(3)
+    return run
+
+
+@pytest.mark.parametrize("fault", ["raise", "kill", "exit", "refuse", "caller"])
+@pytest.mark.parametrize("job", ["ingest", "write"])
+def test_a_failed_helper_leaves_the_output_of_one_process(tmp_path, monkeypatch, job, fault):
+    """Both forked jobs run through ``_Helper``.  If the helper raises, is
+    killed or exits 3 after a partial write, or the fork is refused, the
+    output is that of one process, which did the helper's work too.  A
+    caller that fails stops and reaps its helper.  No helper process and no
+    helper file is left behind."""
+    if job == "ingest":
+        s = _holed_series(tmp_path, n_days=40)
+        path = tmp_path / "prices.csv"
+        with open(path, "rb") as fh:  # read in this process only
+            expected = ingest_csv(fh, s.grid).log_prices.tobytes()
+        total = path.read_bytes().count(b"\n") - 1  # rows
+        if fault == "caller":  # a bad price on line 3, in the first half
+            lines = path.read_bytes().split(b"\n")
+            lines[2] += b"x"
+            path.write_bytes(b"\n".join(lines))
+        monkeypatch.setattr(series_module, "INGEST_SPLIT_BYTES", 0)
+        module, work, failure = series_module, "_decode_strict", ParseError
+
+        def run():
+            return ingest_csv(path, s.grid).log_prices.tobytes()
+    else:
+        series, _ = generate_seasonal(ActivityProfile.flat(19), GeneratorConfig(n_days=13, seed=4),
+                                      DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20))
+        path = tmp_path / "prices.csv"
+        write_prices_csv(series, path)  # below PRICES_SPLIT_BARS: one process
+        expected, total = path.read_bytes(), 13  # days
+        if fault == "caller":
+            path.unlink()
+            path.mkdir()
+        monkeypatch.setattr(synthetic_module, "PRICES_SPLIT_BARS", 0)
+        module, work, failure = synthetic_module, "_write_days", IsADirectoryError
+
+        def run():
+            write_prices_csv(series, path)
+            return path.read_bytes()
+
+    parent, here, helpers, reaped = os.getpid(), [], [], []
+    do_work, start, waitpid = getattr(module, work), series_module._Helper.start, os.waitpid
+
+    def spy_work(*args):  # the last argument holds the rows or days
+        if os.getpid() == parent:
+            here.append(len(args[-1]))
+        return do_work(*args)
+
+    def spy_start(job, directory=None):
+        helpers.append(start(_failing(job, fault), directory))
+        return helpers[-1]
+
+    def spy_waitpid(pid, options):
+        reaped.append(waitpid(pid, options)[1])
+        return pid, reaped[-1]
+
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(module, work, spy_work)
+    monkeypatch.setattr(os, "waitpid", spy_waitpid)
+    monkeypatch.setattr(series_module._Helper, "start", spy_start)
+    if fault == "refuse":
+        monkeypatch.setattr(os, "fork", refuse)
+    if fault == "caller":
+        with pytest.raises(failure):
+            run()
+    else:
+        assert run() == expected
+        assert sum(here) == total  # this process did all the work
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    if fault == "refuse":
+        assert helpers == [None] and reaped == []
+    else:
+        assert len(helpers) == 1 and helpers[0].out.closed
+        signalled = [os.WTERMSIG(r) if os.WIFSIGNALED(r) else None for r in reaped]
+        exited = [os.WEXITSTATUS(r) if os.WIFEXITED(r) else None for r in reaped]
+        if fault in ("kill", "caller"):
+            assert signalled == [signal.SIGKILL]  # its own, or its failed caller's
+        else:
+            assert exited == [{"raise": 1, "exit": 3}[fault]]
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["prices.csv"]
 
 
 # --- filtering -------------------------------------------------------------

@@ -157,10 +157,16 @@ def test_generator_config_validation():
     ("seed", {"seed": 1.5}),
     ("seed", {"seed": "7"}),
     ("seed", {"seed": True}),
+    ("n_days", {"n_days": 2.5}),
+    ("n_days", {"n_days": 0}),
+    ("n_days", {"n_days": np.float64(3.0)}),
+    ("cascade_depth", {"cascade_depth": 2.5}),
+    ("cascade_depth", {"cascade_depth": 0}),
 ])
 def test_generator_config_refuses_values_that_give_garbage_or_fail_late(field, kwargs):
     # before, NaN parameters gave an all-NaN series but its first price, and a
-    # negative seed failed inside numpy without naming the seed
+    # negative seed, or a fractional n_days or cascade_depth, failed inside
+    # numpy without naming the field
     with pytest.raises(ValueError, match=rf"^{field}\b"):
         GeneratorConfig(**{"n_days": 4, "seed": 1, **kwargs})
 
