@@ -529,7 +529,7 @@ def test_ingest_gives_the_same_series_whatever_the_helper_does(tmp_path, monkeyp
         here.clear()
         back = ingest_csv(path, s.grid)
         assert back.dates == whole.dates and back.log_prices.tobytes() == whole.log_prices.tobytes()
-        assert sum(here) == rows - 50 * declined  # 0: this process decoded the second half too
+        assert sum(here) == rows - 50 * declined  # declining at once: this process decodes it all
     assert split_every_file == [True] * 5
     monkeypatch.setattr(series_module, "_decode_strict", decode)
     monkeypatch.setattr(series_module, "INGEST_SPLIT_BYTES", 1 << 40)
