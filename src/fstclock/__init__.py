@@ -16,7 +16,7 @@ _EXPORTS = {
         VolatilityProfile cutoff_check hurst_slopes intraday_volatility_profile
         linear_correlation_contiguous moment_curve pdf_collapse_export
         pooled_bar_sample span_union_samples volatility_autocorrelation""",
-    "clock": """AdditivityRow CalibrationResult ClassFit ClockCalibration SearchConfig TimeMap
+    "clock": """AdditivityRow ClassFit ClockCalibration SearchConfig TimeMap
         additivity_report assemble_time_map calibrate_clock calibrate_interval""",
     "errors": "ClassSpecError DataError FstError MapRangeError ParseError",
     "ks": "KsResult ks_distance rescaled_ks",

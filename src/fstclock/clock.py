@@ -11,7 +11,7 @@ day and stacking whole days.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timedelta
 from typing import NamedTuple, Sequence
 
@@ -67,24 +67,29 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class CalibrationResult:
-    """Best duration for one interval class.
+class ClassFit:
+    """One calibrated class: its duration, KS distance, optimal cell and window flag.
 
     ``cell`` is the interval (delta_tau_lo, delta_tau_hi) of durations whose
     KS distance is minimal, clipped to the window: the resolution of the
     argmin, not a confidence set.  The sampling error of the duration is far
     wider: on 2,500-day synthetic classes its rms log error was 26 times the
-    median cell log-width.  ``delta_tau`` is the cell's geometric midpoint.
-    ``ks`` is the optimal KS count as a ``KsResult``, equal to
-    ``rescaled_ks(x_ref, y, delta_tau)`` field for field.
-    ``n_evaluations`` counts the feasibility checks the search made.
+    median cell log-width.  A fit (see ``calibrate_interval``) also keeps
+    its ``KsResult``, whose distance is ``d``, and the checks its search
+    made.  A duration that was not fitted (a ground-truth clock, a
+    hand-built one) has no cell, and neither it nor one loaded from
+    ``calibration.json`` has a ``ks``.
     """
 
+    label: str
     delta_tau: float
-    ks: KsResult
-    boundary_warning: bool
-    n_evaluations: int
-    cell: tuple[float, float]
+    d: float
+    cell: tuple[float, float] | None = None
+    boundary_warning: bool = False
+    # calibration.json stores neither of these, and a loaded calibration
+    # must equal the one that was saved, so equality leaves them out
+    ks: KsResult | None = field(default=None, compare=False)
+    n_evaluations: int = field(default=0, compare=False)
 
 
 # Near pairs up to which a Python loop settles faster than numpy's masks
@@ -259,7 +264,7 @@ def calibrate_interval(
     y: ReturnSample,
     x_ref: ReturnSample,
     cfg: SearchConfig | None = None,
-) -> CalibrationResult:
+) -> ClassFit:
     """Duration of one interval class in units of the reference duration.
 
     Minimises the rescaled KS distance of y / q, q = sqrt(delta_tau), against
@@ -282,11 +287,11 @@ def calibrate_interval(
     means the window bounds the cell.  ``x_ref`` may be a ``_Reference``
     that a caller of many fits built once; every caller fits through ``_fit``.
     """
-    return _fit(np.sort(y.values), _Reference.of(x_ref), cfg or SearchConfig())
+    return _fit(np.sort(y.values), _Reference.of(x_ref), cfg or SearchConfig(), y.interval.label)
 
 
-def _fit(ys: np.ndarray, ref: _Reference, cfg: SearchConfig) -> CalibrationResult:
-    """``calibrate_interval`` of the sorted class values ``ys`` against ``ref``."""
+def _fit(ys: np.ndarray, ref: _Reference, cfg: SearchConfig, label: str) -> ClassFit:
+    """``calibrate_interval`` of the sorted class values ``ys``, labelled ``label``, against ``ref``."""
     # the divisors whose squares fall inside the duration window
     q_min, q_max = math.sqrt(cfg.delta_tau_min), math.sqrt(cfg.delta_tau_max)
     if q_min * q_min < cfg.delta_tau_min:
@@ -295,30 +300,9 @@ def _fit(ys: np.ndarray, ref: _Reference, cfg: SearchConfig) -> CalibrationResul
         q_max = math.nextafter(q_max, 0.0)
     lo, hi, k, checks = _optimal_cell(ref, ys, q_min, q_max)
     q = math.sqrt(lo * hi)
-    return CalibrationResult(
-        delta_tau=q * q,
-        ks=KsResult.from_count(k, ref.xs.size, ys.size),
-        boundary_warning=lo == q_min or hi == q_max,
-        n_evaluations=checks,
-        cell=(
-            cfg.delta_tau_min if lo == q_min else lo * lo,
-            cfg.delta_tau_max if hi == q_max else hi * hi,
-        ),
-    )
-
-
-class ClassFit(NamedTuple):
-    """One calibrated class: its duration, KS distance, optimal cell and window flag.
-
-    ``cell`` is None for a duration that was not fitted (a ground-truth
-    clock, a hand-built one).
-    """
-
-    label: str
-    delta_tau: float
-    d: float
-    cell: tuple[float, float] | None = None
-    boundary_warning: bool = False
+    ks = KsResult.from_count(k, ref.xs.size, ys.size)
+    cell = (cfg.delta_tau_min if lo == q_min else lo * lo, cfg.delta_tau_max if hi == q_max else hi * hi)
+    return ClassFit(label, q * q, ks.d, cell, lo == q_min or hi == q_max, ks=ks, n_evaluations=checks)
 
 
 def calibrated_classes(partition: PartitionSpec) -> list[IntervalClass]:
@@ -477,12 +461,10 @@ def calibrate_clock(
     cfg = cfg or SearchConfig()
     partition.check_grid(series.grid)
     ref_class = reference or IntervalClass.multiday(1)
-    classes = calibrated_classes(partition)
-    ref_sample, *samples = class_samples(series, [ref_class, *classes])
+    ref_sample, *samples = class_samples(series, [ref_class, *calibrated_classes(partition)])
     x_ref = _Reference(ref_sample)
-    fits = [(c, calibrate_interval(s, x_ref, cfg)) for c, s in zip(classes, samples)]
     return ClockCalibration(
-        tuple(ClassFit(c.label, r.delta_tau, r.ks.d, r.cell, r.boundary_warning) for c, r in fits),
+        tuple(calibrate_interval(s, x_ref, cfg) for s in samples),
         reference_label=ref_class.label,
         search=cfg,
     )

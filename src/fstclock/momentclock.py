@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clock import CalibrationResult, SearchConfig, _fit, _Reference
+from .clock import ClassFit, SearchConfig, _fit, _Reference
 from .clock import calibrate_interval  # noqa: F401  (perfbench's tracer wraps this name)
 from .errors import DataError
 from .ks import KsResult, Sorted, rescaled_ks
@@ -54,9 +54,12 @@ def moment_time(y: ReturnSample, x_ref: ReturnSample, q: float) -> MomentClockRe
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    label: str
-    fst: CalibrationResult
+    """One class's fit, labelled with the class, beside its moment-clock durations."""
+
+    fst: ClassFit
     moments: tuple[MomentClockResult, ...]
+
+    label = property(lambda self: self.fst.label)
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,7 @@ def compare_clocks(
     for label, sample in classes:
         ys = Sorted(sample)
         moments = tuple(moment_time(ys, ref, q) for q in orders)
-        fst = _fit(ys.xs, ref, cfg or SearchConfig())
-        rows.append(ComparisonRow(label=label, fst=fst, moments=moments))
+        rows.append(ComparisonRow(_fit(ys.xs, ref, cfg or SearchConfig(), label), moments))
     comparison = ClockComparison(rows=tuple(rows), orders=tuple(float(q) for q in orders))
     if not comparison.dominance_ok:
         warnings.warn(

@@ -93,8 +93,9 @@ class DayGrid:
         """Number of bars in a span of ``minutes``: a whole number >= 1, or ClassSpecError."""
         k = float(minutes) / self.bar_minutes
         if not (k >= 1 and k.is_integer()):
+            fault = "must be a positive" if k < 1 else "is not a"
             raise ClassSpecError(
-                f"{minutes:g} min is not a whole number of bars on a {self.bar_minutes} min grid"
+                f"{minutes:g} min {fault} whole number of bars on a {self.bar_minutes} min grid"
             )
         return int(k)
 

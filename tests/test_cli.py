@@ -543,6 +543,18 @@ def test_compare_clocks_emits_dominance_columns(pipeline, tmp_path):
         assert fst_d <= float(cells[6]) + 1e-12
 
 
+def test_compare_clocks_reports_a_dominance_violation_once(pipeline, tmp_path, capsys):
+    # a window this narrow leaves moment durations outside it, where they can win
+    argv = ["compare-clocks", "--input", str(pipeline / "cache" / "cache.json"),
+            "--out", str(tmp_path), "--tau-min", "0.5", "--tau-max", "0.6"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "beat the fitted duration" in line] == [
+        "warning: a moment clock beat the fitted duration on the KS objective; "
+        "its duration lies outside the search window"]
+    assert main([*argv, "--strict"]) == 3
+
+
 def test_config_file_merges_under_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"days": 15, "seed": 9, "points": 20}))
@@ -619,7 +631,21 @@ def test_interval_minutes_must_be_whole_bars(pipeline, tmp_path, capsys, minutes
     code = main(["calibrate", "--input", str(pipeline / "cache" / "cache.json"),
                  "--out", str(tmp_path), f"--interval-minutes={minutes}"])
     assert code == 2
-    assert "not a whole number of bars on a 20 min grid" in capsys.readouterr().err
+    fault = "is not a" if float(minutes) > 0 else "must be a positive"
+    assert f"{fault} whole number of bars on a 20 min grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("calibrate", "--interval-minutes=-40"),
+    ("analyze", "--delta=-40"),
+])
+def test_a_negative_span_is_refused_for_its_sign(pipeline, tmp_path, capsys, command, flag):
+    # -40 min is two whole bars: the fault is the sign, not a fraction of a bar
+    code = main([command, "--input", str(pipeline / "cache" / "cache.json"),
+                 "--out", str(tmp_path), flag])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: -40 min must be a positive whole number of bars on a 20 min grid\n")
 
 
 @pytest.mark.parametrize("command,flags,message", [
@@ -640,10 +666,12 @@ def test_interval_minutes_must_be_whole_bars(pipeline, tmp_path, capsys, minutes
     ("analyze", ["--max-missing=-2"], "--max-missing must be at least 0, not -2"),
     ("compare-clocks", ["--max-missing=-1"], "--max-missing must be at least 0, not -1"),
     ("pairwise-d", ["--max-missing=-1"], "--max-missing must be at least 0, not -1"),
+    ("synth", ["--days", "0"], "--days must be at least 1, not 0"),
+    ("synth", ["--mode", "multifractal", "--depth", "0"], "--depth must be at least 1, not 0"),
 ])
 def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, command, flags, message):
-    code = main([command, "--input", str(pipeline / "synth" / "prices.csv"), "--points", "20",
-                 "--out", str(tmp_path), *flags])
+    source = [] if command == "synth" else ["--input", str(pipeline / "synth" / "prices.csv")]
+    code = main([command, *source, "--points", "20", "--out", str(tmp_path), *flags])
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
@@ -664,12 +692,14 @@ def test_config_refuses_non_finite_float_values(tmp_path, capsys):
     ("calibrate", "cutoff_threshold", -0.5, "--cutoff-threshold must be at least 0, not -0.5"),
     ("analyze", "cutoff_threshold", -1, "--cutoff-threshold must be at least 0, not -1.0"),
     ("analyze", "max_missing", -3, "--max-missing must be at least 0, not -3"),
+    ("synth", "days", 0, "--days must be at least 1, not 0"),
+    ("synth", "depth", 0, "--depth must be at least 1, not 0"),
 ])
 def test_config_refuses_negative_values(tmp_path, capsys, command, key, value, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
-    assert main([command, "--config", str(cfg), "--input", "prices.csv",
-                 "--out", str(tmp_path / "out")]) == 2
+    source = [] if command == "synth" else ["--input", "prices.csv"]
+    assert main([command, "--config", str(cfg), *source, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 

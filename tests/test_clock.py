@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from datetime import date, datetime, time
 
 import numpy as np
@@ -18,6 +19,7 @@ from fstclock import (
     DataError,
     DayGrid,
     IntervalClass,
+    KsResult,
     MapRangeError,
     PartitionSpec,
     PriceSeries,
@@ -537,6 +539,18 @@ def test_calibration_json_roundtrip(noisy_calibration, noisy_partition):
         assert lo <= c.delta_tau <= hi
     back = ClockCalibration.from_json_dict(json.loads(json.dumps(payload)), noisy_partition)
     assert back == noisy_calibration
+    # the file keeps no KS result or check count, and equality leaves both out
+    assert all(c.ks is not None and c.n_evaluations > 0 for c in noisy_calibration.classes)
+    assert all(c.ks is None and c.n_evaluations == 0 for c in back.classes)
+
+
+def test_class_fits_equal_whatever_their_ks_result_and_check_count():
+    ks = KsResult.from_count(3, 10, 10)
+    fit = ClassFit("overnight", 0.5, ks.d, (0.25, 1.0), False, ks, 4)
+    assert fit == ClassFit("overnight", 0.5, ks.d, (0.25, 1.0))
+    assert fit == replace(fit, ks=KsResult.from_count(5, 10, 10))
+    assert fit == replace(fit, n_evaluations=9)
+    assert fit != replace(fit, delta_tau=0.6) and fit != replace(fit, boundary_warning=True)
 
 
 def test_calibration_validation():
@@ -711,6 +725,9 @@ def test_clock_and_additivity_match_one_shot_fits_bit_for_bit(world):
     assert _record_bits(cal) == [
         (c.label, r.delta_tau.hex(), r.ks.d.hex(), (r.cell[0].hex(), r.cell[1].hex()), r.boundary_warning)
         for c, r in zip(classes, want)]
+    # each record is the one-shot fit itself, KS result and check count included
+    assert [(c.label, _fit_bits(c)) for c in cal.classes] == [
+        (c.label, _fit_bits(r)) for c, r in zip(classes, want)]
     if world == "clipped":
         assert want[0].cell[0] == 0.5 and want[-1].cell[1] == 0.8
         assert cal.classes[0].boundary_warning and cal.classes[-1].boundary_warning

@@ -7,6 +7,7 @@ import pytest
 import warnings
 
 from fstclock import (
+    ClassFit,
     DataError,
     GeneratorConfig,
     IntervalClass,
@@ -120,7 +121,7 @@ def test_comparison_rows_match_one_shot_fits_and_moments_bit_for_bit(world):
 
     for row, (label, sample) in zip(comp.rows, classes, strict=True):
         fst = calibrate_interval(sample, x_ref, cfg)
-        assert row.label == label
+        assert isinstance(row.fst, ClassFit) and row.fst.label == row.label == label
         assert bits(row.fst) + (row.fst.cell, row.fst.n_evaluations) == bits(fst) + (
             fst.cell, fst.n_evaluations)
         assert [bits(m) for m in row.moments] == [

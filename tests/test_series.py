@@ -68,8 +68,12 @@ def test_grid_close_time_and_indexing():
 def test_bars_in_takes_only_whole_bars():
     g = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20)
     assert [g.bars_in(m) for m in (20, 60.0, 380)] == [1, 3, 19]
-    for minutes in (0, -20, 50, 7.5, math.nan, math.inf):
-        with pytest.raises(ClassSpecError, match="not a whole number of bars"):
+    for minutes in (50, 30, math.nan, math.inf):
+        with pytest.raises(ClassSpecError, match="is not a whole number of bars on a 20 min grid"):
+            g.bars_in(minutes)
+    # a span below one bar, zero and negative ones included, is refused for its size
+    for minutes in (0, -20, -40, 7.5):
+        with pytest.raises(ClassSpecError, match="must be a positive whole number of bars on a 20"):
             g.bars_in(minutes)
 
 
