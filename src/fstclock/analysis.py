@@ -43,30 +43,25 @@ def _complete_matrix(series: PriceSeries, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Slot returns: one detrended (day x slot) matrix per kind of slot
-
-def _bar_returns(z: np.ndarray, k_bars: int) -> np.ndarray:
-    """k-bar returns over the disjoint windows from the open, detrended per window.
-
-    Windows start at multiples of k, one column each; each column is its own
-    ensemble for mean removal.
-    """
-    n_bars = z.shape[1] - 1
-    if not 1 <= k_bars <= n_bars:
-        raise ClassSpecError(f"k_bars={k_bars} outside 1..{n_bars}")
-    starts = np.arange(0, n_bars - k_bars + 1, k_bars)
-    return demean(z[:, starts + k_bars] - z[:, starts])
-
+# Clock-bin returns and pooled samples
 
 def _clock_bin_returns(
-    z: np.ndarray, grid: DayGrid, time_map: TimeMap, n_bins: int, width: float
+    z: np.ndarray, grid: DayGrid, time_map: TimeMap, n_bins: float, width: float
 ) -> np.ndarray:
     """Returns over ``n_bins`` clock bins of ``width`` from the open, detrended per bin.
 
     Bin edges are pulled back to intraday instants through the map, and
     log-prices at the edges come from linear interpolation between bars.
+    A fraction of a bin in ``n_bins`` is dropped.  A width that is not
+    positive, or more bins than bars, is refused before anything is built.
     """
-    edges_tau = np.arange(n_bins + 1) * width
+    if not width > 0:
+        raise ClassSpecError(f"a clock bin must last a positive duration, not {width!r}")
+    if n_bins < 1:
+        raise ClassSpecError("delta exceeds the trading day on the clock")
+    if n_bins >= grid.n_bars + 1:
+        raise ClassSpecError(f"{n_bins:.6g} clock bins exceed the {grid.n_bars} bars of the day")
+    edges_tau = np.arange(int(n_bins) + 1) * width
     offsets = [time_map.intraday_offset_minutes(t) for t in edges_tau]
     pos = np.asarray(offsets, dtype=float) / grid.bar_minutes
     if (pos < -1e-9).any() or (pos > grid.n_bars + 1e-9).any():
@@ -77,23 +72,19 @@ def _clock_bin_returns(
     return demean(np.diff(edge_prices, axis=1))
 
 
-# ---------------------------------------------------------------------------
-# Sample builders
-
 def pooled_bar_sample(
     series: PriceSeries,
     k_bars: int,
     label: str | None = None,
 ) -> ReturnSample:
-    """Pool k-bar returns over days and start positions, detrended per position.
+    """The sample of the pooled class of k-bar returns (``IntervalClass.pooled``).
 
     Windows start at multiples of k from the open, so they are disjoint.
     Each start position is its own ensemble for mean removal, then positions
-    are pooled into one sample.
+    are pooled day by day into one sample.
     """
-    pooled = _bar_returns(_complete_matrix(series, "pooled sampling"), k_bars).ravel()
     name = label or f"pooled[{k_bars * series.grid.bar_minutes}min]"
-    return ReturnSample(values=pooled, interval=IntervalClass.sample(name), detrended=True)
+    return class_samples(series, [IntervalClass.pooled(k_bars, name)])[0]
 
 
 @dataclass(frozen=True)
@@ -411,8 +402,6 @@ def intraday_volatility_profile(
     Flat clock-bin profiles are the stationarity the calibration aims at.
     """
     partition.check_grid(series.grid)
-    z = _complete_matrix(series, "volatility profile")
-
     if time_map is None:
         intervals = partition.intervals()
         samples = class_samples(series, intervals)
@@ -427,6 +416,7 @@ def intraday_volatility_profile(
 
     bins = n_bins or partition.m_max
     width = time_map.calibration.trading_total / bins
+    z = _complete_matrix(series, "volatility profile")
     returns = _clock_bin_returns(z, series.grid, time_map, bins, width)
     return VolatilityProfile(
         positions=np.arange(bins) * width + 0.5 * width,
@@ -478,16 +468,15 @@ def _magnitude_matrix(
     intraday slots.  Nights straddling a filter-dropped day are NaN and the
     pair machinery skips them.
     """
-    z = _complete_matrix(series, "volatility autocorrelation")
     grid = series.grid
     if time_map is None:
-        return np.abs(_bar_returns(z, grid.bars_in(delta)))
+        return np.abs(pooled_bar_sample(series, grid.bars_in(delta)).values).reshape(series.n_days, -1)
 
+    z = _complete_matrix(series, "volatility autocorrelation")
     cal = time_map.calibration
-    n_bins = int(cal.trading_total / delta + 1e-9)
-    if n_bins < 1:
-        raise ClassSpecError("delta exceeds the trading day on the clock")
-    intraday = _clock_bin_returns(z, grid, time_map, n_bins, delta)
+    bins = cal.trading_total / delta + 1e-9 if delta > 0 else 0.0
+    intraday = _clock_bin_returns(z, grid, time_map, bins, delta)
+    n_bins = intraday.shape[1]
 
     starts = np.flatnonzero(dropped_between(series) == 0)
     nights = np.full(series.n_days, np.nan)

@@ -415,8 +415,9 @@ def _search_from(cfg: dict) -> SearchConfig:
     return cli.SearchConfig(delta_tau_min=cfg["tau_min"], delta_tau_max=cfg["tau_max"])
 
 
-def _num_list(text: str, typ=float) -> list:
-    text = text.strip()
+def _num_list(cfg: dict, name: str, typ=float) -> list:
+    """The numbers of option ``name``: comma separated, or a range ``a:b`` of whole ones."""
+    text = cfg[name].strip()
     if not text:
         return []
     m = re.fullmatch(r"(\d+):(\d+)", text)
@@ -425,28 +426,11 @@ def _num_list(text: str, typ=float) -> list:
         if b < a:
             raise ClassSpecError(f"range {text!r} runs backwards")
         return [typ(v) for v in range(a, b + 1)]
-    return [typ(v) for v in text.split(",")]
-
-
-def _class_samples(series, classes: list[IntervalClass]) -> list:
-    """The sample of each class, in order: ``Kmin`` classes pooled, the rest from one gather.
-
-    A class that cannot be built raises as it would if the classes were
-    built one by one: the pooled ones are built first, up to the first that
-    fails, and only the classes before that one are gathered.
-    """
-    pooled, failure, stop = {}, None, len(classes)
-    for i, c in enumerate(classes):
-        if c.kind == "sample":
-            try:
-                pooled[i] = cli.pooled_bar_sample(series, c.bar_end, label=c.label)
-            except FstError as exc:
-                failure, stop = exc, i
-                break
-    gathered = iter(class_samples(series, [c for c in classes[:stop] if c.kind != "sample"]))
-    if failure is not None:
-        raise failure
-    return [pooled[i] if i in pooled else next(gathered) for i in range(len(classes))]
+    try:
+        return [typ(v) for v in text.split(",")]
+    except ValueError:
+        what = "whole numbers" if typ is int else "numbers"
+        raise ClassSpecError(f"{_flag(name)} takes {what}, comma separated or a:b, not {text!r}") from None
 
 
 def _reference(spec: str, partition: PartitionSpec, grid: DayGrid) -> IntervalClass:
@@ -609,21 +593,21 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
     if not cfg["profile_bins"]:
         cfg["profile_bins"] = partition.m_max
 
-    lags = [int(h) for h in _num_list(cfg["lags"], int)]
+    lags = _num_list(cfg, "lags", int)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
 
         rows = cli.span_union_samples(
             series,
             partition,
-            spans=[int(s) for s in _num_list(cfg["spans"], int)],
+            spans=_num_list(cfg, "spans", int),
             calibration=cal,
             include_overnight=not cfg["skip_overnight"],
-            multiday=[int(s) for s in _num_list(cfg["multiday"], int)],
+            multiday=_num_list(cfg, "multiday", int),
         )
         duration_of = (lambda r: r.fst_duration) if fst else (lambda r: r.physical_duration)
         samples = [(duration_of(r), r.sample) for r in rows]
-        table = cli.moment_curve(samples, orders=_num_list(cfg["orders"]), clock_tag=cfg["clock"])
+        table = cli.moment_curve(samples, orders=_num_list(cfg, "orders"), clock_tag=cfg["clock"])
         lo = cfg["fit_lo"] or float(table.durations.min())
         hi = cfg["fit_hi"] or float(table.durations.max())
         cfg["fit_lo"], cfg["fit_hi"] = lo, hi
@@ -718,9 +702,9 @@ def cmd_compare_clocks(cfg: dict) -> tuple[list[str], list[str]]:
     partition = _partition_from(cfg, grid)
     search = _search_from(cfg)
     reference = _reference(cfg["reference"], partition, grid)
-    orders = _num_list(cfg["orders"])
+    orders = _num_list(cfg, "orders")
     specs = parse_class_specs(cfg["classes"], partition, grid)
-    x_ref, *samples = _class_samples(series, [reference, *specs])
+    x_ref, *samples = class_samples(series, [reference, *specs])
     classes = [(c.label, s) for c, s in zip(specs, samples)]
 
     with warnings.catch_warnings(record=True) as rec:
@@ -754,7 +738,7 @@ def cmd_pairwise_d(cfg: dict) -> tuple[list[str], list[str]]:
         raise ClassSpecError("pairwise distances need at least two classes")
     from .ks import Sorted  # each class sorted once, its runs found once, for all its pairs
 
-    labeled = [(c.label, Sorted(s)) for c, s in zip(specs, _class_samples(series, specs))]
+    labeled = [(c.label, Sorted(s)) for c, s in zip(specs, class_samples(series, specs))]
     n = len(labeled)
     matrix = np.zeros((n, n))
     for i in range(n):

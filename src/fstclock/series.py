@@ -237,7 +237,7 @@ class IntervalClass:
         fixed number of calendar nights,
       * ``multiday``: open to open, ``n_days`` retained days apart,
       * ``sample``: tag for pooled or generated ensembles; a pooled class
-        carries its window as bars ``bar_start..bar_end``.
+        (``pooled``) carries its first window as bars ``0..k``.
     """
 
     kind: str
@@ -292,9 +292,17 @@ class IntervalClass:
     def sample(cls, label: str) -> "IntervalClass":
         return cls(kind="sample", label=label)
 
+    @classmethod
+    def pooled(cls, k_bars: int, label: str) -> "IntervalClass":
+        """Day-pooled k-bar returns: the disjoint k-bar windows from the open, each its own ensemble."""
+        if k_bars < 1:
+            raise ClassSpecError(f"a pooled class needs at least 1 bar, got {k_bars}")
+        return cls(kind="sample", label=label, bar_start=0, bar_end=k_bars)
+
     def window(self, grid: DayGrid) -> tuple[int, int, int]:
-        """(start bar, end bar, span in retained days) of the returns ``raw_returns`` takes."""
-        if self.kind == "intraday":
+        """(start bar, end bar, span in retained days) of the returns ``raw_returns``
+        takes; a pooled class's first window, which the rest follow up to the close."""
+        if self.bar_end is not None:  # intraday or pooled
             return self.bar_start, self.bar_end, 0
         if self.kind == "overnight":
             return grid.close_index, 0, 1
@@ -310,9 +318,8 @@ def parse_class_spec(spec: str, partition: PartitionSpec, grid: DayGrid) -> list
     (partition boundaries a to b), ``bars:i:j``, ``overnight[:nights]``,
     ``multiday:N`` or ``N-day``, ``morning`` and ``afternoon`` (the
     partition cut at interval (m_max + 1) // 2), ``trading-day``,
-    ``first-interval``, and ``Kmin`` (day-pooled K-minute returns).  ``Kmin``
-    is the one token that ``class_sample`` cannot build: it comes back as a
-    ``sample`` class whose bars ``0..K`` give the pooled window.
+    ``first-interval``, and ``Kmin`` (day-pooled K-minute returns, an
+    ``IntervalClass.pooled`` class).
     """
     spec = spec.strip()
     m_max = partition.m_max
@@ -338,8 +345,7 @@ def parse_class_spec(spec: str, partition: PartitionSpec, grid: DayGrid) -> list
         return [IntervalClass.intraday(0, 1, partition)]
     if m := re.fullmatch(r"(\d+(?:\.\d+)?)min", spec):
         minutes = float(m.group(1))
-        k = grid.bars_in(minutes)
-        return [IntervalClass(kind="sample", label=f"{minutes:g}min", bar_start=0, bar_end=k)]
+        return [IntervalClass.pooled(grid.bars_in(minutes), f"{minutes:g}min")]
     raise ClassSpecError(f"cannot parse class spec {spec!r}")
 
 
@@ -375,7 +381,8 @@ class ReturnSample:
         """A sample that keeps ``values`` itself: a read-only 1-d row already checked.
 
         ``class_samples`` runs the constructor's checks on a whole matrix of
-        rows at once and hands each row over here, without a copy.
+        rows at once and hands each class's rows over here: one row without
+        a copy, a pooled class's rows read day by day.
         """
         sample = cls.__new__(cls)
         object.__setattr__(sample, "values", values)
@@ -901,8 +908,9 @@ def raw_returns(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
     overlap.  A window across days (span > 0) is skipped when a
     filter-dropped session lies strictly between its first and last day
     (``dropped_between``), and a class with ``nights`` keeps only windows
-    that many calendar nights long.  Each return is the end log-price minus
-    the start log-price; a NaN return (a missing bar) raises ``DataError``.
+    that many calendar nights long; a pooled class takes its k-bar windows
+    on each day, day by day.  Each return is the end log-price minus the
+    start log-price; a NaN return (a missing bar) raises ``DataError``.
     """
     return _gather(series, [iclass], detrended=False)[0]
 
@@ -914,8 +922,9 @@ def class_samples(series: PriceSeries, classes: Sequence[IntervalClass]) -> list
     share their windows: their returns come from one gather into a class x
     window matrix, demeaned a row at a time.  A row is summed as the 1-d
     array of its class alone is, so each sample is bit for bit the one
-    ``class_sample`` would build.  The first class, in the order given, that
-    cannot be built raises the error it raises alone.
+    ``class_sample`` would build.  A pooled class has a row per window, and
+    its sample reads them day by day.  The first class, in the order given,
+    that cannot be built raises the error it raises alone.
     """
     return _gather(series, classes, detrended=True)
 
@@ -938,7 +947,12 @@ def _gather(
                 f"class {c.label!r} needs bar {bar}, grid ends at {grid.close_index}"
             )
             continue
-        families.setdefault((span, c.nights), []).append((i, start_bar, end_bar))
+        family = families.setdefault((span, c.nights), [])
+        if c.kind == "sample":  # pooled: a row per k-bar window up to the close
+            k = end_bar - start_bar
+            family += [(i, a, a + k) for a in range(start_bar, grid.n_points - k, k)]
+        else:
+            family.append((i, start_bar, end_bar))
 
     samples: list[ReturnSample] = [None] * len(classes)
     gaps: dict[int, np.ndarray] = {}
@@ -971,6 +985,11 @@ def _gather(
         values.setflags(write=False)
         for i, row in zip(rows.tolist(), values):
             samples[i] = ReturnSample._adopt(row, classes[i], detrended)
+        for i in {i for i in rows.tolist() if classes[i].kind == "sample"}:  # its windows, day by day
+            at = np.flatnonzero(rows == i)
+            v = values[at[0] : at[-1] + 1].T.ravel()
+            v.setflags(write=False)
+            samples[i] = ReturnSample._adopt(v, classes[i], detrended)
     if faults:
         raise faults[min(faults)]
     return samples

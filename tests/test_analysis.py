@@ -48,9 +48,10 @@ def test_pooled_bar_sample_counts_and_label(default_grid):
     assert pooled.interval.label == "pooled[40min]"
     assert pooled.n == 10 * 9  # starts 0,2,...,16
     assert pooled.detrended
-    with pytest.raises(ClassSpecError):
+    assert (pooled.interval.kind, pooled.interval.bar_start, pooled.interval.bar_end) == ("sample", 0, 2)
+    with pytest.raises(ClassSpecError, match="at least 1 bar, got 0"):
         pooled_bar_sample(s, 0)
-    with pytest.raises(ClassSpecError):
+    with pytest.raises(ClassSpecError, match=r"^class 'pooled\[400min\]' needs bar 20, grid ends at 19$"):
         pooled_bar_sample(s, 20)
 
 
@@ -272,6 +273,45 @@ def test_clock_bins_flatten_seasonality(stepped):
     assert phys.peak_to_mean() > 1.3
     assert flat.peak_to_mean() < 1.1
     assert flat.peak_to_mean() < phys.peak_to_mean()
+
+
+def test_clock_bins_are_refused_before_they_are_built(stepped):
+    series, tmap = stepped
+    total = tmap.calibration.trading_total
+    with pytest.raises(ClassSpecError) as err:
+        intraday_volatility_profile(series, PART60, time_map=tmap, n_bins=100_000)
+    assert str(err.value) == "100000 clock bins exceed the 18 bars of the day"
+    for delta, message in (
+        (-0.05, "a clock bin must last a positive duration, not -0.05"),
+        (0.0, "a clock bin must last a positive duration, not 0.0"),
+        (math.nan, "a clock bin must last a positive duration, not nan"),
+        (total / 1e9, "1e+09 clock bins exceed the 18 bars of the day"),
+        (1e-320, "inf clock bins exceed the 18 bars of the day"),  # the count overflows
+        (total / 19, "19 clock bins exceed the 18 bars of the day"),
+        (2 * total, "delta exceeds the trading day on the clock"),
+    ):
+        with pytest.raises(ClassSpecError) as err:
+            volatility_autocorrelation(series, delta, [0, 1], time_map=tmap)
+        assert str(err.value) == message
+    # one bin per bar is the most
+    assert intraday_volatility_profile(series, PART60, time_map=tmap, n_bins=18).sigma.size == 18
+    curve = volatility_autocorrelation(series, total / 18, [0, 1], time_map=tmap)
+    assert curve.n_pairs[0] == series.n_days * 19 - 1  # 18 bins and a night, the last one open
+
+
+def test_physical_profile_and_slots_refuse_only_the_bars_they_read():
+    s = brownian_series(n_days=40, n_bars=18, seed=50)
+    m = s.log_prices.copy()
+    m[3, 1] = np.nan  # inside the first 60 min interval
+    holed = series_from_matrix(m, grid=s.grid)
+    np.testing.assert_array_equal(intraday_volatility_profile(holed, PART60).sigma,
+                       intraday_volatility_profile(s, PART60).sigma)
+    np.testing.assert_array_equal(volatility_autocorrelation(holed, 60.0, [0, 1, 2]).values,
+                       volatility_autocorrelation(s, 60.0, [0, 1, 2]).values)
+    with pytest.raises(DataError) as err:
+        volatility_autocorrelation(holed, 20.0, [0, 1])
+    assert str(err.value) == (
+        "class 'pooled[20min]' touches missing bars; run filter_complete_days first")
 
 
 # --- volatility autocorrelation --------------------------------------------

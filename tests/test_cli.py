@@ -668,6 +668,12 @@ def test_a_negative_span_is_refused_for_its_sign(pipeline, tmp_path, capsys, com
     ("pairwise-d", ["--max-missing=-1"], "--max-missing must be at least 0, not -1"),
     ("synth", ["--days", "0"], "--days must be at least 1, not 0"),
     ("synth", ["--mode", "multifractal", "--depth", "0"], "--depth must be at least 1, not 0"),
+    ("analyze", ["--orders", "1,x"], "--orders takes numbers, comma separated or a:b, not '1,x'"),
+    ("analyze", ["--lags", "1,2.5"], "--lags takes whole numbers, comma separated or a:b, not '1,2.5'"),
+    ("analyze", ["--lags", "0:3:1"], "--lags takes whole numbers, comma separated or a:b, not '0:3:1'"),
+    ("analyze", ["--spans", "1,x"], "--spans takes whole numbers, comma separated or a:b, not '1,x'"),
+    ("analyze", ["--multiday", "2,"], "--multiday takes whole numbers, comma separated or a:b, not '2,'"),
+    ("compare-clocks", ["--orders", "1,y"], "--orders takes numbers, comma separated or a:b, not '1,y'"),
 ])
 def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, command, flags, message):
     source = [] if command == "synth" else ["--input", str(pipeline / "synth" / "prices.csv")]
@@ -676,6 +682,55 @@ def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not (tmp_path / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--delta", "1e-9"], "clock bins exceed the 19 bars of the day"),
+    (["--delta=-0.05"], "a clock bin must last a positive duration, not -0.05"),
+    (["--profile-bins", "100000"], "100000 clock bins exceed the 19 bars of the day"),
+    (["--profile-bins", "20"], "20 clock bins exceed the 19 bars of the day"),
+])
+def test_clock_bins_are_bounded_in_one_error_line(pipeline, tmp_path, capsys, flags, message):
+    code = main(["analyze", "--input", str(pipeline / "cache" / "cache.json"), "--out", str(tmp_path),
+                 "--clock", "fst", "--calibration", str(pipeline / "cal" / "calibration.json"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_list_in_a_config_is_refused_naming_its_flag(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"orders": "1,x"}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg), "--input", str(pipeline / "cache" / "cache.json"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --orders takes numbers, comma separated or a:b, not '1,x'\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command,classes,message", [
+    ("compare-clocks", "20min,400min", "class '400min' needs bar 20, grid ends at 19"),
+    ("pairwise-d", "400min,nothing", "cannot parse class spec 'nothing'"),
+    ("pairwise-d", "20min,overnight,400min", "class '400min' needs bar 20, grid ends at 19"),
+])
+def test_pooled_classes_are_refused_in_one_error_line(pipeline, tmp_path, capsys, command, classes, message):
+    code = main([command, "--input", str(pipeline / "cache" / "cache.json"), "--out", str(tmp_path),
+                 "--classes", classes])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_hole_names_the_pooled_class(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--days", "30", "--points", "20"]) == 0
+    prices = tmp_path / "synth" / "prices.csv"
+    lines = prices.read_text().splitlines(keepends=True)
+    prices.write_text("".join(lines[:3] + lines[4:]))  # the first day misses bar 2
+    code = main(["pairwise-d", "--input", str(prices), "--points", "20", "--max-missing", "1",
+                 "--out", str(tmp_path / "out"), "--classes", "60min,overnight,20min"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: class '20min' touches missing bars; run filter_complete_days first\n")
 
 
 def test_config_refuses_non_finite_float_values(tmp_path, capsys):

@@ -997,6 +997,89 @@ def test_class_samples_raise_the_first_fault_in_the_order_given(default_grid, de
     assert class_samples(s, []) == []
 
 
+# Reference for pooled classes: the day x window builder they replaced.  Its
+# columns are the disjoint k-bar windows from the open, each demeaned as its
+# own ensemble; the sample is the matrix read day by day.
+def oracle_bar_returns(z, k_bars):
+    n_bars = z.shape[1] - 1
+    if not 1 <= k_bars <= n_bars:
+        raise ClassSpecError(f"k_bars={k_bars} outside 1..{n_bars}")
+    starts = np.arange(0, n_bars - k_bars + 1, k_bars)
+    a = z[:, starts + k_bars] - z[:, starts]
+    a -= a.mean(axis=0)
+    a -= a.mean(axis=0)
+    return a
+
+
+def oracle_pooled(series, k_bars, label):
+    values = oracle_bar_returns(series.log_prices, k_bars).ravel()
+    return ReturnSample(values=values, interval=IntervalClass.pooled(k_bars, label), detrended=True)
+
+
+GRID381 = DayGrid(open_time=time(9, 40), bar_minutes=1, n_points=381)
+
+
+@pytest.mark.parametrize("grid,n_days", [(GRID381, 1), (GRID381, 9), (GRID381, 300), (GRID3, 129)])
+def test_pooled_class_samples_match_the_day_by_window_oracle_bit_for_bit(grid, n_days):
+    rng = np.random.default_rng(n_days)
+    m = (rng.standard_normal((n_days, grid.n_points)) * 1e-3).cumsum(axis=1) + 4.6
+    s = PriceSeries(grid=grid, dates=synthetic_dates(n_days), log_prices=m)
+    n = grid.n_bars
+    # k dividing n_bars and not, k = n_bars, k = 1
+    ks = sorted({k for k in (1, 2, 3, 4, 7, 19, 20, 100, 127, n - 1, n) if k <= n})
+    classes = [IntervalClass.pooled(k, f"{k}bars") for k in ks]
+    assert_outcome(lambda: class_samples(s, classes),
+                   [oracle_pooled(s, k, f"{k}bars") for k in ks])
+    for k, c in zip(ks, classes):
+        (got,) = class_samples(s, [c])
+        assert got.n == n_days * (n // k)
+        assert_outcome(lambda: [got], [oracle_pooled(s, k, c.label)])
+
+
+def test_a_mixed_call_equals_the_one_class_builds(default_grid, default_partition):
+    rng = np.random.default_rng(11)
+    s = fuzz_series(default_grid, 40, rng, holes=False)
+    classes = [IntervalClass.multiday(1), IntervalClass.pooled(3, "60min"),
+               *default_partition.intervals()[:4], IntervalClass.overnight(),
+               IntervalClass.pooled(1, "20min"), IntervalClass.pooled(19, "380min")]
+    assert_outcome(lambda: class_samples(s, classes),
+                   [class_samples(s, [c])[0] for c in classes])
+    pooled = [c for c in classes if c.kind == "sample"]
+    assert_outcome(lambda: [class_samples(s, classes)[i] for i in (1, 7, 8)],
+                   [oracle_pooled(s, c.bar_end, c.label) for c in pooled])
+    raw = raw_returns(s, pooled[0])
+    assert not raw.detrended
+    assert raw.values.tolist() == (s.log_prices[:, 3:19:3] - s.log_prices[:, 0:16:3]).ravel().tolist()
+
+
+def test_a_pooled_class_raises_in_the_order_given(default_grid):
+    m = np.random.default_rng(6).standard_normal((6, default_grid.n_points)).cumsum(axis=1)
+    m[2, 4] = np.nan  # read by bars 3..4 and by 20min, not by 60min or 120min
+    s = series_from_matrix(m, grid=default_grid)
+    holed = IntervalClass.bars(3, 4)
+    past = IntervalClass.pooled(20, "400min")
+    pooled_hole = IntervalClass.pooled(1, "20min")
+    fine = [IntervalClass.pooled(3, "60min"), IntervalClass.pooled(6, "120min")]
+    for order, message in (
+        ([*fine, past, holed], "class '400min' needs bar 20, grid ends at 19"),
+        ([holed, past], "class 'bars[3..4]' touches missing bars; run filter_complete_days first"),
+        ([fine[0], pooled_hole, holed], "class '20min' touches missing bars; run filter_complete_days first"),
+        ([IntervalClass.multiday(9), pooled_hole], "class '9-day' produced no returns"),
+    ):
+        with pytest.raises((ClassSpecError, DataError)) as err:
+            class_samples(s, order)
+        assert str(err.value) == message
+    assert [x.n for x in class_samples(s, fine)] == [6 * 6, 6 * 3]
+
+
+def test_a_pooled_class_needs_a_bar():
+    with pytest.raises(ClassSpecError, match="at least 1 bar, got 0"):
+        IntervalClass.pooled(0, "pooled")
+    c = IntervalClass.pooled(4, "80min")
+    assert (c.kind, c.label, c.bar_start, c.bar_end) == ("sample", "80min", 0, 4)
+    assert c.window(GRID3) == (0, 4, 0)
+
+
 # --- detrending ------------------------------------------------------------
 
 def test_detrend_centres_and_is_idempotent():
