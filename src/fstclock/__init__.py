@@ -23,8 +23,8 @@ _EXPORTS = {
     "momentclock": """ClockComparison ComparisonRow MomentClockResult NonadditivityResult
         compare_clocks moment_time nonadditivity_demo""",
     "series": """DayGrid IntervalClass PartitionSpec PriceSeries ReturnSample class_sample
-        class_samples detrend filter_complete_days ingest_csv load_cache load_series
-        raw_returns save_cache synthetic_dates""",
+        class_samples filter_complete_days ingest_csv load_cache load_series save_cache
+        synthetic_dates""",
     "synthetic": """ActivityProfile GeneratorConfig GroundTruthClock cascade_hurst
         generate_multifractal generate_seasonal generate_selfsimilar write_prices_csv""",
 }

@@ -25,6 +25,7 @@ from .series import (
     ReturnSample,
     class_samples,
     demean,
+    distinct,
     dropped_between,
 )
 
@@ -236,12 +237,6 @@ class HurstSpectrum:
         return float(self.hurst[i] - self.hurst[j])
 
 
-def _distinct_count(x: np.ndarray) -> int:
-    """``np.unique(x).size`` for NaN-free ``x``, without importing ``numpy.ma``."""
-    s = np.sort(x)
-    return int(s.size and 1 + np.count_nonzero(s[1:] != s[:-1]))
-
-
 def hurst_slopes(table: MomentTable, fit_range: tuple[float, float]) -> HurstSpectrum:
     """Fit log E|r|^q against log duration inside ``fit_range``.
 
@@ -255,7 +250,7 @@ def hurst_slopes(table: MomentTable, fit_range: tuple[float, float]) -> HurstSpe
     if not (0 < lo < hi):
         raise ValueError(f"bad fit range {fit_range}")
     in_range = (table.durations >= lo) & (table.durations <= hi)
-    if _distinct_count(table.durations[in_range]) < 3:
+    if distinct(table.durations[in_range])[0].size < 3:
         raise DataError("fit range keeps fewer than 3 distinct durations")
 
     n_q = table.orders.size
@@ -270,7 +265,7 @@ def hurst_slopes(table: MomentTable, fit_range: tuple[float, float]) -> HurstSpe
                 f"order q={table.orders[j]:g}: dropping non-positive moments from the fit",
                 stacklevel=2,
             )
-        if _distinct_count(table.durations[usable]) < 3:
+        if distinct(table.durations[usable])[0].size < 3:
             warnings.warn(
                 f"order q={table.orders[j]:g}: fewer than 3 usable durations, reporting NaN",
                 stacklevel=2,
@@ -502,7 +497,8 @@ def volatility_autocorrelation(
     The sliding estimator pools every admissible start; the ciclostationary
     one correlates across days at fixed slot-of-day and averages the
     per-slot coefficients.  Lag 0 is exactly 1.  Lags with fewer than
-    ``MIN_PAIRS`` admissible pairs are dropped with a warning.
+    ``MIN_PAIRS`` admissible pairs are dropped with a warning each; lags
+    that reach past the sequence, with one warning for all of them.
     """
     if estimator not in ("sliding", "ciclostationary"):
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -512,7 +508,7 @@ def volatility_autocorrelation(
     valid = ~np.isnan(flat)
     total = flat.size
 
-    kept_lags, vals, pairs = [], [], []
+    kept_lags, vals, pairs, beyond = [], [], [], []
     for h in lags:
         if h < 0:
             raise ValueError("lags must be non-negative")
@@ -522,7 +518,7 @@ def volatility_autocorrelation(
             pairs.append(int(valid.sum()))
             continue
         if h >= total:
-            warnings.warn(f"lag {h} exceeds the sequence, dropped", stacklevel=2)
+            beyond.append(h)
             continue
         a = flat[: total - h]
         b = flat[h:]
@@ -552,6 +548,9 @@ def volatility_autocorrelation(
             kept_lags.append(h)
             vals.append(float(np.mean(per_slot)))
             pairs.append(n_ok_total)
+    if beyond:
+        warnings.warn(f"dropped {len(beyond)} lag(s) past the {total}-slot sequence, "
+                      f"from lag {beyond[0]}", stacklevel=2)
 
     return CorrelationCurve(
         lags=np.asarray(kept_lags, dtype=int),

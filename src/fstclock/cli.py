@@ -30,6 +30,7 @@ from .series import (
     IntervalClass,
     PartitionSpec,
     class_samples,
+    distinct,
     filter_complete_days,
     load_series,
     open_new,
@@ -91,7 +92,7 @@ def _iso_seconds(a: np.ndarray) -> list[str]:
     distinct time of day is formatted once, and the two are joined by ``T``."""
     assert a.dtype == "datetime64[s]", a.dtype
     days = a.astype("datetime64[D]")
-    (day, day_of), (tod, tod_of) = _distinct(days), _distinct(a - days)
+    (day, day_of), (tod, tod_of) = distinct(days), distinct(a - days)
     times = [t[11:] for t in np.datetime_as_string(np.datetime64(0, "s") + tod).tolist()]
     dates = _indexed_text(np.datetime_as_string(day).tolist())(day_of)
     return list(map("T".join, zip(dates, _indexed_text(times)(tod_of))))
@@ -107,23 +108,6 @@ _CELL_FORMATTERS = {
 
 def _formatter(a: np.ndarray) -> Callable[[np.ndarray], list[str]]:
     return _CELL_FORMATTERS.get(a.dtype.kind, _str_cells)
-
-
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``a`` by bit pattern, and each entry's index
-    among them, so ``-0.0`` and ``0.0`` and NaN payloads stay apart.
-
-    A sort, not ``np.unique``, which imports ``numpy.ma`` on its first call.
-    """
-    bits = a.view(f"u{a.itemsize}")
-    order = np.argsort(bits)
-    s = bits[order]
-    first = np.empty(s.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(s[1:], s[:-1], out=first[1:])
-    inverse = np.empty(s.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return a[order[first]], inverse
 
 
 def _indexed_text(text: list[str]) -> Callable[[np.ndarray], list[str]]:
@@ -152,8 +136,8 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
         a = np.asarray(col)
         fmt = _formatter(a)
         if a.dtype.kind in "fiu":
-            distinct, a = _distinct(a)
-            fmt = _indexed_text(fmt(distinct))
+            values, a = distinct(a)
+            fmt = _indexed_text(fmt(values))
         cols.append((a, fmt))
     sizes = {len(a) for a, _ in cols}
     if len(sizes) > 1:
@@ -279,7 +263,8 @@ OPTIONS: dict[str, list[Opt]] = {
 
 
 # the least value each of these options takes, from a flag or a config alike
-LEAST = {"max_missing": 0, "cutoff_threshold": 0, "seed": 0, "days": 1, "depth": 1}
+LEAST = {"max_missing": 0, "cutoff_threshold": 0, "seed": 0, "days": 1, "depth": 1,
+         "collapse_bins": 3, "profile_bins": 0, "bar_minutes": 1, "points": 2}
 
 
 def _flag(name: str) -> str:
@@ -386,7 +371,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
 # Shared pieces
 
 def _parse_open(text: str) -> dtime:
-    m = re.fullmatch(r"(\d{1,2}):(\d{2})", text)
+    m = re.fullmatch(r"([01]?\d|2[0-3]):([0-5]\d)", text)
     if not m:
         raise ClassSpecError(f"cannot parse session open {text!r}")
     return dtime(int(m.group(1)), int(m.group(2)))
@@ -415,8 +400,9 @@ def _search_from(cfg: dict) -> SearchConfig:
     return cli.SearchConfig(delta_tau_min=cfg["tau_min"], delta_tau_max=cfg["tau_max"])
 
 
-def _num_list(cfg: dict, name: str, typ=float) -> list:
-    """The numbers of option ``name``: comma separated, or a range ``a:b`` of whole ones."""
+def _num_list(cfg: dict, name: str, typ=float, most: int | None = None) -> list:
+    """The numbers of option ``name``: comma separated, or a range ``a:b`` of
+    whole ones, which stops at ``most`` (or at ``a``, if that is past it)."""
     text = cfg[name].strip()
     if not text:
         return []
@@ -425,6 +411,8 @@ def _num_list(cfg: dict, name: str, typ=float) -> list:
         a, b = int(m.group(1)), int(m.group(2))
         if b < a:
             raise ClassSpecError(f"range {text!r} runs backwards")
+        if most is not None:
+            b = min(b, max(a, most))
         return [typ(v) for v in range(a, b + 1)]
     try:
         return [typ(v) for v in text.split(",")]
@@ -540,7 +528,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
     search = _search_from(cfg)
     ref_class = _reference(cfg["reference"], partition, grid)
     cal = cli.calibrate_clock(series, partition, cfg=search, reference=ref_class)
-    tmap = cli.assemble_time_map(cal, partition, grid, dates=series)
+    tmap = cli.assemble_time_map(cal, partition, series)
     gate = cli.cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
     rows = None
     if not cfg["skip_additivity"]:
@@ -583,17 +571,16 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
                 "the fst clock needs --calibration pointing at a calibration.json"
             )
         cal = _load_calibration(cfg["calibration"], partition)
-        tmap = cli.assemble_time_map(cal, partition, grid, dates=series)
+        tmap = cli.assemble_time_map(cal, partition, series)
         if not cfg["delta"]:
             cfg["delta"] = cal.trading_total / partition.m_max
     elif not cfg["delta"]:
         cfg["delta"] = cfg["interval_minutes"]
-    if cfg["profile_bins"] < 0:
-        raise ClassSpecError("--profile-bins must be positive, or 0 for one bin per interval")
     if not cfg["profile_bins"]:
         cfg["profile_bins"] = partition.m_max
 
-    lags = _num_list(cfg, "lags", int)
+    # no slot sequence of either clock is longer than n_days * (n_bars + 1)
+    lags = _num_list(cfg, "lags", int, most=series.n_days * (grid.n_bars + 1))
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timedelta
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .series import (
     next_weekday,
     parse_class_spec,
     parse_class_specs,
-    synthetic_dates,
 )
 
 # Naive-datetime epoch for the time map, so the mapping never touches the
@@ -548,45 +547,23 @@ class TimeMap:
 
 
 def assemble_time_map(
-    calibration: ClockCalibration,
-    partition: PartitionSpec,
-    grid: DayGrid,
-    n_days: int | None = None,
-    dates: Sequence[date] | PriceSeries | None = None,
+    calibration: ClockCalibration, partition: PartitionSpec, series: PriceSeries
 ) -> TimeMap:
-    """Lay calibrated durations end to end over a span of trading days.
+    """Lay calibrated durations end to end over the retained days of ``series``.
 
     Within day l, boundary m sits at the running sum of interval durations;
     each new day adds one full day (trading plus closure), and each session
     that ``filter_complete_days`` dropped between two retained days adds one
-    more.  ``dates`` holds the retained days, or is the filtered series
-    itself, which also brings its dropped sessions (whose trading hours the
-    map then refuses).  A terminal anchor at the open of the day after the
-    last one closes the final overnight, so the map covers ``n_days``
-    complete days of clock time plus the dropped sessions inside them.
+    more (the map refuses the trading hours of those sessions).  A terminal
+    anchor at the open of the day after the last one closes the final
+    overnight.  A partition off the series' grid raises ``ClassSpecError``.
     """
     _check_interval_count(calibration.m_max, partition)
-    if dates is None:
-        if n_days is None:
-            raise ValueError("need n_days or dates")
-        dates = synthetic_dates(n_days)
-    dropped: frozenset[date] = frozenset()
-    if isinstance(dates, PriceSeries):
-        skipped = dropped_between(dates)
-        dropped = frozenset(dates.dropped_dates)
-        dates = dates.dates
-    else:
-        dates = tuple(dates)
-        skipped = np.zeros(max(len(dates) - 1, 0), dtype=int)
-    if n_days is None:
-        n_days = len(dates)
-    if len(dates) != n_days:
-        raise DataError(f"got {len(dates)} dates for {n_days} days")
-    if n_days < 1:
-        raise DataError("time map needs at least one day")
+    partition.check_grid(series.grid)
+    grid, dates = series.grid, series.dates
     all_dates = dates + (next_weekday(dates[-1]),)
     # whole clock days elapsed before each retained open
-    day_index = np.arange(n_days) + np.concatenate([[0], np.cumsum(skipped)])
+    day_index = np.arange(len(dates)) + np.concatenate([[0], np.cumsum(dropped_between(series))])
     day_total = calibration.day_total
 
     open_s = grid.open_time.hour * 3600 + grid.open_time.minute * 60
@@ -606,7 +583,7 @@ def assemble_time_map(
         dates=all_dates,
         anchor_seconds=anchor_seconds,
         anchor_tau=anchor_tau,
-        dropped_dates=dropped,
+        dropped_dates=frozenset(series.dropped_dates),
     )
 
 

@@ -300,7 +300,7 @@ class IntervalClass:
         return cls(kind="sample", label=label, bar_start=0, bar_end=k_bars)
 
     def window(self, grid: DayGrid) -> tuple[int, int, int]:
-        """(start bar, end bar, span in retained days) of the returns ``raw_returns``
+        """(start bar, end bar, span in retained days) of the returns ``class_samples``
         takes; a pooled class's first window, which the rest follow up to the close."""
         if self.bar_end is not None:  # intraday or pooled
             return self.bar_start, self.bar_end, 0
@@ -377,8 +377,8 @@ class ReturnSample:
             raise faults[0]
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, interval: IntervalClass, detrended: bool) -> "ReturnSample":
-        """A sample that keeps ``values`` itself: a read-only 1-d row already checked.
+    def _adopt(cls, values: np.ndarray, interval: IntervalClass) -> "ReturnSample":
+        """A detrended sample that keeps ``values`` itself: a read-only 1-d row already checked.
 
         ``class_samples`` runs the constructor's checks on a whole matrix of
         rows at once and hands each class's rows over here: one row without
@@ -387,7 +387,7 @@ class ReturnSample:
         sample = cls.__new__(cls)
         object.__setattr__(sample, "values", values)
         object.__setattr__(sample, "interval", interval)
-        object.__setattr__(sample, "detrended", detrended)
+        object.__setattr__(sample, "detrended", True)
         return sample
 
     @property
@@ -423,8 +423,8 @@ _INT64_MIN = np.iinfo(np.int64).min
 
 # The one layout decoded by array operations: a header line of exactly
 # ``timestamp,price`` and data lines of ``YYYY-MM-DDTHH:MM:SS,<price>\n``.
-_BOM = "\ufeff"
-_STRICT_HEADER = "timestamp,price\n"
+_BOM = "\ufeff".encode()
+_STRICT_HEADER = b"timestamp,price\n"
 # Each strict timestamp byte minus its template byte: at most 9 at a digit,
 # 0 at a separator.
 _STRICT_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00,", dtype=np.uint8)
@@ -436,8 +436,9 @@ _MONTH_DAYS = np.zeros(100, dtype=np.int64)
 _MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 
 
-def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> PriceSeries:
-    """Parse a ``timestamp,price`` CSV into a grid-aligned series.
+def ingest_csv(source: str | Path | IO[bytes], grid: DayGrid) -> PriceSeries:
+    """Parse a ``timestamp,price`` CSV, named by its path or read from an
+    open binary stream, into a grid-aligned series.
 
     Timestamps are ISO-8601 exchange-local, prices decimal and positive.
     Rows are grouped by calendar date and placed on the grid; a day missing
@@ -445,7 +446,8 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     Malformed rows (a line that is not UTF-8 among them), off-grid
     timestamps, non-positive prices, and within-day timestamp disorder all
     raise for the first offending row, with its line number (blank rows are
-    skipped but counted).  One leading byte-order mark is ignored.
+    skipped but counted).  One leading byte-order mark is ignored.  A text
+    stream raises ``TypeError`` before anything is read.
 
     Batches of lines in the strict layout ``YYYY-MM-DDTHH:MM:SS,<price>``
     under a ``timestamp,price`` header are decoded by array operations.  The
@@ -458,23 +460,21 @@ def ingest_csv(source: str | Path | IO[str] | IO[bytes], grid: DayGrid) -> Price
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return _ingest(fh, grid, source)
+    if isinstance(source, io.TextIOBase):
+        raise TypeError("ingest_csv reads a path or a binary stream")
     return _ingest(source, grid, None)
 
 
-def _ingest(source: IO[str] | IO[bytes], grid: DayGrid, path: str | Path | None) -> PriceSeries:
-    """``ingest_csv`` of an open stream; ``path`` names the file when the
-    stream was opened from one, so that a helper can read it too."""
-    binary = isinstance(source, io.BufferedIOBase) or (
-        hasattr(source, "read") and "b" in getattr(source, "mode", "")
-    )
-    bom, header = (_BOM.encode(), _STRICT_HEADER.encode()) if binary else (_BOM, _STRICT_HEADER)
+def _ingest(source: IO[bytes], grid: DayGrid, path: str | Path | None) -> PriceSeries:
+    """``ingest_csv`` of an open binary stream; ``path`` names the file when
+    the stream was opened from one, so that a helper can read it too."""
     lines = iter(source)
-    first = next(lines, header[:0]).removeprefix(bom)
+    first = next(lines, b"").removeprefix(_BOM)
 
     days: dict[int, np.ndarray] = {}
     last_us: dict[int, int] = {}
     line, batch = 1, [first] if first else []
-    if first == header:
+    if first == _STRICT_HEADER:
         # the second half goes to a helper before this process decodes a line
         split = _split_point(source) if path is not None else None
         helper = None if split is None else _Helper.start(lambda out: _decode_from(path, split, out))
@@ -487,17 +487,12 @@ def _ingest(source: IO[str] | IO[bytes], grid: DayGrid, path: str | Path | None)
                 helper.close()
 
     # the general path: the whole input under any other header, or the batch
-    # the strict path handed on and every line after it
+    # the strict path handed on and every line after it; undecodable bytes
+    # become lone surrogates, reported by line
     if line == 1 or batch:
-        wrapper = None
-        if binary:
-            # undecodable bytes become lone surrogates, reported by line
-            head = b"".join(batch).decode("utf-8", "surrogateescape")
-            wrapper = io.TextIOWrapper(source, "utf-8", "surrogateescape", newline="")
-            text = itertools.chain(io.StringIO(head, newline=""), wrapper)
-        else:
-            text = itertools.chain(batch, lines)
-        reader = csv.reader(text)
+        head = b"".join(batch).decode("utf-8", "surrogateescape")
+        wrapper = io.TextIOWrapper(source, "utf-8", "surrogateescape", newline="")
+        reader = csv.reader(itertools.chain(io.StringIO(head, newline=""), wrapper))
         try:
             if line == 1:
                 try:
@@ -514,9 +509,7 @@ def _ingest(source: IO[str] | IO[bytes], grid: DayGrid, path: str | Path | None)
                 _place_chunk(chunk, line, grid, days, last_us)
                 line += len(chunk)
         finally:
-            # a collected wrapper would close the caller's stream
-            if wrapper is not None:
-                wrapper.detach()
+            wrapper.detach()  # a collected wrapper would close the caller's stream
 
     if not days:
         raise DataError("input holds no data rows")
@@ -656,16 +649,13 @@ class _Helper:
         self.out.close()
 
 
-def _decode_strict(lines: list[bytes] | list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+def _decode_strict(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
     """Timestamps (microseconds since 1970-01-01) and prices of strict-layout lines.
 
     None if any line departs from ``YYYY-MM-DDTHH:MM:SS,<price>\\n``, names a
     date or time that does not exist, or has a price ``float`` refuses.
     """
-    if isinstance(lines[0], str):
-        buf = "".join(lines).encode("utf-8", "surrogatepass")
-    else:
-        buf = b"".join(lines)
+    buf = b"".join(lines)
     if b"\r" in buf:
         return None
     a = np.frombuffer(buf, dtype=np.uint8)
@@ -881,6 +871,25 @@ def day_numbers(dates: Sequence[date]) -> np.ndarray:
     return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
+def distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``a`` by bit pattern, and each entry's index
+    among them, so ``-0.0`` and ``0.0`` and NaN payloads stay apart.  The
+    values come in the order of their bit patterns: ascending for values
+    that are all positive.
+
+    A sort, not ``np.unique``, which imports ``numpy.ma`` on its first call.
+    """
+    bits = a.view(f"u{a.itemsize}")
+    order = np.argsort(bits)
+    s = bits[order]
+    first = np.empty(s.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    inverse = np.empty(s.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return a[order[first]], inverse
+
+
 def dropped_between(series: PriceSeries, span: int = 1) -> np.ndarray:
     """Dropped sessions strictly between retained days i and i + span, per i.
 
@@ -888,51 +897,34 @@ def dropped_between(series: PriceSeries, span: int = 1) -> np.ndarray:
     a window with a nonzero count would silently absorb part of a trading
     day.  Calendar gaps that were never in the feed (weekends, holidays)
     count zero.  Repeated filter passes append dropped dates out of order,
-    so they are sorted and de-duplicated here (by sort, not ``np.unique``,
-    whose first call imports ``numpy.ma``).
+    so they are sorted and de-duplicated here.
     """
     days = day_numbers(series.dates)
-    dropped = np.sort(day_numbers(series.dropped_dates))
-    dropped = dropped[np.diff(dropped, prepend=0) != 0]  # ordinals start at 1
+    dropped = distinct(day_numbers(series.dropped_dates))[0]  # ordinals are positive
     return np.searchsorted(dropped, days[span:], side="left") - np.searchsorted(
         dropped, days[:-span], side="right"
     )
 
 
-def raw_returns(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
-    """Collect the raw (non-detrended) log-returns of one interval class.
-
-    One rule serves every kind.  The class's ``window`` gives a start bar,
-    an end bar and a span in retained days; windows start on retained days
-    0, s, 2s, ... with s = max(span, 1), so multi-day windows do not
-    overlap.  A window across days (span > 0) is skipped when a
-    filter-dropped session lies strictly between its first and last day
-    (``dropped_between``), and a class with ``nights`` keeps only windows
-    that many calendar nights long; a pooled class takes its k-bar windows
-    on each day, day by day.  Each return is the end log-price minus the
-    start log-price; a NaN return (a missing bar) raises ``DataError``.
-    """
-    return _gather(series, [iclass], detrended=False)[0]
-
-
 def class_samples(series: PriceSeries, classes: Sequence[IntervalClass]) -> list[ReturnSample]:
-    """``class_sample`` of every class of ``classes``, in order, one gather per window family.
+    """The detrended log-returns of each class of ``classes``, in order.
 
-    Classes with the same span in retained days and the same ``nights``
-    share their windows: their returns come from one gather into a class x
-    window matrix, demeaned a row at a time.  A row is summed as the 1-d
-    array of its class alone is, so each sample is bit for bit the one
-    ``class_sample`` would build.  A pooled class has a row per window, and
-    its sample reads them day by day.  The first class, in the order given,
-    that cannot be built raises the error it raises alone.
+    One rule serves every kind.  A class's ``window`` gives a start bar, an
+    end bar and a span in retained days; windows start on retained days 0,
+    s, 2s, ... with s = max(span, 1), so multi-day windows do not overlap.
+    A window across days (span > 0) is skipped when a filter-dropped session
+    lies strictly between its first and last day (``dropped_between``), and
+    a class with ``nights`` keeps only windows that many calendar nights
+    long.  A return is the end log-price minus the start one; a NaN return
+    (a missing bar) raises ``DataError``.  A class's returns share intraday
+    anchors and day offset, so its seasonal trend is exactly their mean.
+
+    Classes with the same span and ``nights`` share one gather into a class
+    x window matrix, demeaned a row at a time, each row summed as its class
+    alone would be.  A pooled class has a row per k-bar window from the
+    open, and its sample reads them day by day.  The first class, in the
+    order given, that cannot be built raises the error it raises alone.
     """
-    return _gather(series, classes, detrended=True)
-
-
-def _gather(
-    series: PriceSeries, classes: Sequence[IntervalClass], detrended: bool
-) -> list[ReturnSample]:
-    """The samples of ``classes`` (see ``raw_returns``), demeaned per class if ``detrended``."""
     grid = series.grid
     faults: dict[int, FstError] = {}
     families: dict[tuple[int, int | None], list[tuple[int, int, int]]] = {}
@@ -978,18 +970,17 @@ def _gather(
             for i in rows.tolist():
                 faults.setdefault(i, DataError(f"class {classes[i].label!r} produced no returns"))
             continue
-        if detrended:
-            demean(values.T)
-            for j, fault in _detrend_faults(values).items():
-                faults.setdefault(int(rows[j]), fault)
+        demean(values.T)
+        for j, fault in _detrend_faults(values).items():
+            faults.setdefault(int(rows[j]), fault)
         values.setflags(write=False)
         for i, row in zip(rows.tolist(), values):
-            samples[i] = ReturnSample._adopt(row, classes[i], detrended)
+            samples[i] = ReturnSample._adopt(row, classes[i])
         for i in {i for i in rows.tolist() if classes[i].kind == "sample"}:  # its windows, day by day
             at = np.flatnonzero(rows == i)
             v = values[at[0] : at[-1] + 1].T.ravel()
             v.setflags(write=False)
-            samples[i] = ReturnSample._adopt(v, classes[i], detrended)
+            samples[i] = ReturnSample._adopt(v, classes[i])
     if faults:
         raise faults[min(faults)]
     return samples
@@ -1008,19 +999,8 @@ def demean(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def detrend(sample: ReturnSample) -> ReturnSample:
-    """Remove the ensemble mean of the class.
-
-    All returns in a sample share intraday anchors and day offset, so the
-    seasonal trend of the class is exactly its ensemble mean (removed by
-    ``demean``).  Idempotent up to float rounding.
-    """
-    v = demean(sample.values.copy())
-    return ReturnSample(values=v, interval=sample.interval, detrended=True)
-
-
 def class_sample(series: PriceSeries, iclass: IntervalClass) -> ReturnSample:
-    """Raw returns followed by detrending; the standard ensemble builder."""
+    """The detrended returns of one class: ``class_samples`` of it alone."""
     return class_samples(series, [iclass])[0]
 
 

@@ -139,8 +139,8 @@ def test_clock_recovery_against_ground_truth(seasonal_world):
 
 
 def test_clock_time_flattens_the_volatility_profile(seasonal_world):
-    grid, partition, series, _, cal, _ = seasonal_world
-    tmap = assemble_time_map(cal, partition, grid, dates=series.dates)
+    _, partition, series, _, cal, _ = seasonal_world
+    tmap = assemble_time_map(cal, partition, series)
     physical = intraday_volatility_profile(series, partition)
     clocked = intraday_volatility_profile(series, partition, time_map=tmap, n_bins=19)
     p_phys = physical.peak_to_mean()

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import warnings
 from datetime import time
 
 import numpy as np
@@ -261,7 +262,7 @@ def stepped():
     prof = ActivityProfile.u_steps(18, 6, edge_boost=8.0)
     series, gt = generate_seasonal(prof, GeneratorConfig(n_days=2000, seed=31), GRID18)
     cal = gt.calibration_for(PART60)
-    tmap = assemble_time_map(cal, PART60, GRID18, dates=series.dates)
+    tmap = assemble_time_map(cal, PART60, series)
     return series, tmap
 
 
@@ -354,7 +355,7 @@ def rippled():
     prof = ActivityProfile(intraday_intensity=inten / inten.sum(), overnight_mass=0.4)
     series, gt = generate_seasonal(prof, GeneratorConfig(n_days=1500, seed=30), GRID18)
     cal = gt.calibration_for(PART60)
-    tmap = assemble_time_map(cal, PART60, GRID18, dates=series.dates)
+    tmap = assemble_time_map(cal, PART60, series)
     return series, cal, tmap
 
 
@@ -383,8 +384,17 @@ def test_autocorr_clock_bins_suppress_ripple(rippled):
 
 def test_autocorr_drops_starved_lags():
     s = brownian_series(n_days=3, n_bars=19, seed=47)
-    with pytest.warns(UserWarning, match="exceeds the sequence"):
+    with pytest.warns(UserWarning, match="^dropped 1 lag\\(s\\) past the 57-slot sequence, from lag 500$"):
         c = volatility_autocorrelation(s, 20.0, [0, 1, 500])
+    assert list(c.lags) == [0, 1]
+    # every lag past the sequence goes in one warning, naming the first given
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        c = volatility_autocorrelation(s, 20.0, [900, 0, 57, 1, 56])
+    assert [str(w.message) for w in rec] == [
+        "lag 56: only 1 pairs, dropped",
+        "dropped 2 lag(s) past the 57-slot sequence, from lag 900",
+    ]
     assert list(c.lags) == [0, 1]
     with pytest.warns(UserWarning, match="pairs, dropped"):
         c2 = volatility_autocorrelation(s, 20.0, [0, 40])

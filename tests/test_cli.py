@@ -27,7 +27,7 @@ from fstclock.cli import (
     resolve_config,
 )
 from fstclock.errors import ClassSpecError
-from fstclock.series import DayGrid, PartitionSpec
+from fstclock.series import DayGrid, PartitionSpec, PriceSeries, synthetic_dates
 
 from datetime import time as dtime
 
@@ -182,7 +182,8 @@ def test_timemap_file_matches_row_by_row_formatting(tmp_path, monkeypatch):
     calibration = calibration_from([0.1, 0.2, 0.3, 0.4000000000000001])
     grid = DayGrid(open_time=dtime(9, 40), bar_minutes=20, n_points=7)
     partition = PartitionSpec(boundaries=(0, 2, 4, 6), bar_minutes=20)
-    tmap = assemble_time_map(calibration, partition, grid, n_days=5)
+    series = PriceSeries(grid, synthetic_dates(5), np.zeros((5, grid.n_points)))
+    tmap = assemble_time_map(calibration, partition, series)
     expected = ["l,m,t_iso,tau_fst"]
     for k, (s, tau) in enumerate(zip(tmap.anchor_seconds, tmap.anchor_tau)):
         t = datetime(1970, 1, 1) + timedelta(seconds=float(s))
@@ -650,7 +651,7 @@ def test_a_negative_span_is_refused_for_its_sign(pipeline, tmp_path, capsys, com
 
 @pytest.mark.parametrize("command,flags,message", [
     ("calibrate", ["--tau-min", "0.5", "--tau-max", "0.1"], "need 0 < delta_tau_min < delta_tau_max"),
-    ("calibrate", ["--bar-minutes", "0"], "bar_minutes must be positive"),
+    ("calibrate", ["--bar-minutes", "0"], "--bar-minutes must be at least 1, not 0"),
     ("analyze", ["--orders=-1"], "moment orders must be positive"),
     ("calibrate", ["--tau-max", "inf"], "need finite delta_tau_min and delta_tau_max"),
     ("calibrate", ["--cutoff-threshold", "nan"], "--cutoff-threshold must be finite, not nan"),
@@ -658,7 +659,7 @@ def test_a_negative_span_is_refused_for_its_sign(pipeline, tmp_path, capsys, com
     ("analyze", ["--delta=-inf"], "--delta must be finite, not -inf"),
     ("analyze", ["--orders", "nan"], "moment orders must be finite"),
     ("analyze", ["--orders", "1,inf"], "moment orders must be finite"),
-    ("analyze", ["--profile-bins=-1"], "--profile-bins must be positive, or 0 for one bin per interval"),
+    ("analyze", ["--profile-bins=-1"], "--profile-bins must be at least 0, not -1"),
     ("calibrate", ["--cutoff-threshold", "-1"], "--cutoff-threshold must be at least 0, not -1.0"),
     ("analyze", ["--cutoff-threshold=-1e-9"], "--cutoff-threshold must be at least 0, not -1e-09"),
     ("ingest", ["--max-missing=-1"], "--max-missing must be at least 0, not -1"),
@@ -674,6 +675,10 @@ def test_a_negative_span_is_refused_for_its_sign(pipeline, tmp_path, capsys, com
     ("analyze", ["--spans", "1,x"], "--spans takes whole numbers, comma separated or a:b, not '1,x'"),
     ("analyze", ["--multiday", "2,"], "--multiday takes whole numbers, comma separated or a:b, not '2,'"),
     ("compare-clocks", ["--orders", "1,y"], "--orders takes numbers, comma separated or a:b, not '1,y'"),
+    ("synth", ["--points", "1"], "--points must be at least 2, not 1"),
+    ("analyze", ["--collapse-bins", "2"], "--collapse-bins must be at least 3, not 2"),
+    ("synth", ["--open", "25:00"], "cannot parse session open '25:00'"),
+    ("ingest", ["--open", "9:60"], "cannot parse session open '9:60'"),
 ])
 def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, command, flags, message):
     source = [] if command == "synth" else ["--input", str(pipeline / "synth" / "prices.csv")]
@@ -749,6 +754,10 @@ def test_config_refuses_non_finite_float_values(tmp_path, capsys):
     ("analyze", "max_missing", -3, "--max-missing must be at least 0, not -3"),
     ("synth", "days", 0, "--days must be at least 1, not 0"),
     ("synth", "depth", 0, "--depth must be at least 1, not 0"),
+    ("analyze", "collapse_bins", 2, "--collapse-bins must be at least 3, not 2"),
+    ("analyze", "profile_bins", -1, "--profile-bins must be at least 0, not -1"),
+    ("calibrate", "bar_minutes", 0, "--bar-minutes must be at least 1, not 0"),
+    ("synth", "points", 1, "--points must be at least 2, not 1"),
 ])
 def test_config_refuses_negative_values(tmp_path, capsys, command, key, value, message):
     cfg = tmp_path / "cfg.json"
@@ -890,6 +899,20 @@ def test_backward_lag_range_is_refused(pipeline, tmp_path, capsys, lags):
     assert code == 2
     assert capsys.readouterr().err == f"error: range {lags!r} runs backwards\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("clock,slots", [("physical", 120 * 19), ("fst", 120 * 20)])
+def test_a_lag_range_far_past_the_sequence_ends_in_one_warning(pipeline, tmp_path, capsys, clock, slots):
+    # the range stops at 120 days x 20 points, the longest slot sequence either clock builds
+    argv = ["analyze", "--input", str(pipeline / "cache" / "cache.json"), "--clock", clock,
+            "--calibration", str(pipeline / "cal" / "calibration.json")]
+    assert main([*argv, "--out", str(tmp_path / "far"), "--lags", "0:100000000"]) == 0
+    past = [line for line in capsys.readouterr().out.splitlines() if "past the" in line]
+    assert past == [f"warning: dropped {2400 - slots + 1} lag(s) past the {slots}-slot sequence, "
+                    f"from lag {slots}"]
+    assert main([*argv, "--out", str(tmp_path / "near"), "--lags", f"0:{slots - 1}"]) == 0
+    assert "past the" not in capsys.readouterr().out
+    assert (tmp_path / "far" / "autocorr.csv").read_bytes() == (tmp_path / "near" / "autocorr.csv").read_bytes()
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated"])

@@ -37,7 +37,7 @@ from fstclock.clock import (
     _SCALAR_SETTLE, ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, calibrated_classes,
     class_duration,
 )
-from fstclock.series import parse_class_spec, parse_class_specs
+from fstclock.series import parse_class_spec, parse_class_specs, synthetic_dates
 from fstclock.ks import ks_count
 
 from conftest import brownian_series, calibration_from, child_env, make_sample, shared_path_world
@@ -608,8 +608,14 @@ MAP_GRID = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=7)
 MAP_PARTITION = PartitionSpec(boundaries=(0, 2, 4, 6), bar_minutes=20)
 
 
+def map_series(days):
+    """A flat series on MAP_GRID over ``days``: its dates, or that many synthetic weekdays."""
+    dates = synthetic_dates(days) if isinstance(days, int) else days
+    return PriceSeries(MAP_GRID, dates, np.zeros((len(dates), MAP_GRID.n_points)))
+
+
 def test_map_anchors_and_interpolation():
-    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, MAP_GRID, n_days=3)
+    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, map_series(3))
     assert tm.n_days == 3
     d0 = tm.dates[0]
     open0 = datetime.combine(d0, time(9, 40))
@@ -621,7 +627,7 @@ def test_map_anchors_and_interpolation():
 
 
 def test_map_round_trip():
-    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, MAP_GRID, n_days=4)
+    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, map_series(4))
     for tau in np.linspace(0.0, 4.0, 37):
         assert tm.map_time(tm.map_tau(float(tau))) == pytest.approx(tau, abs=1e-9)
     assert (np.diff(tm.anchor_tau) > 0).all()
@@ -630,7 +636,7 @@ def test_map_round_trip():
 
 def test_map_weekend_compresses_to_one_night():
     dates = (date(2020, 1, 3), date(2020, 1, 6))  # Friday, Monday
-    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, MAP_GRID, dates=dates)
+    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, map_series(dates))
     assert tm.map_time(datetime.combine(dates[1], time(9, 40))) == 1.0
     saturday_noon = datetime(2020, 1, 4, 12, 0)
     assert 0.625 < tm.map_time(saturday_noon) < 1.0
@@ -643,7 +649,7 @@ def test_map_dropped_session_keeps_its_full_day():
     prices[2, 3] = np.nan
     series = filter_complete_days(PriceSeries(grid=MAP_GRID, dates=dates, log_prices=prices))
     cal = unit_day_calibration()
-    tm = assemble_time_map(cal, MAP_PARTITION, MAP_GRID, dates=series)
+    tm = assemble_time_map(cal, MAP_PARTITION, series)
     assert tm.anchor_tau.size == series.n_days * (MAP_PARTITION.m_max + 1) + 1
     friday_close = tm.map_time(datetime(2020, 1, 3, 11, 40))
     tuesday_open = tm.map_time(datetime(2020, 1, 7, 9, 40))
@@ -663,14 +669,10 @@ def test_map_dropped_session_keeps_its_full_day():
         tau = tm.map_time(t)
         assert friday_close < tau < tuesday_open
         assert tm.map_tau(tau) == t
-    # the plain date list knows nothing of the dropped Monday
-    plain = assemble_time_map(cal, MAP_PARTITION, MAP_GRID, dates=series.dates)
-    assert plain.map_time(datetime(2020, 1, 7, 9, 40)) == 2.0
-    assert friday_close < plain.map_time(datetime(2020, 1, 6, 10, 40)) < 2.0
 
 
 def test_map_range_errors():
-    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, MAP_GRID, n_days=2)
+    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, map_series(2))
     with pytest.raises(MapRangeError):
         tm.map_time(datetime.combine(tm.dates[0], time(9, 0)))
     with pytest.raises(MapRangeError):
@@ -680,7 +682,7 @@ def test_map_range_errors():
 
 
 def test_map_intraday_offsets():
-    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, MAP_GRID, n_days=1)
+    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, map_series(1))
     assert tm.intraday_offset_minutes(0.0) == 0.0
     assert tm.intraday_offset_minutes(0.25) == 40.0
     assert tm.intraday_offset_minutes(0.625) == 120.0
@@ -688,7 +690,7 @@ def test_map_intraday_offsets():
 
 
 def test_map_rows_enumerate_anchors():
-    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, MAP_GRID, n_days=2)
+    tm = assemble_time_map(unit_day_calibration(), MAP_PARTITION, map_series(2))
     l, m, instants = tm.anchor_columns()
     assert l.size == m.size == instants.size == tm.anchor_tau.size == 2 * 4 + 1
     assert (l[0], m[0]) == (0, 0)
@@ -705,7 +707,17 @@ def test_map_rejects_mismatched_partition():
     cal = unit_day_calibration()
     other = PartitionSpec(boundaries=(0, 3, 6), bar_minutes=20)
     with pytest.raises(ClassSpecError):
-        assemble_time_map(cal, other, MAP_GRID, n_days=1)
+        assemble_time_map(cal, other, map_series(1))
+
+
+@pytest.mark.parametrize("partition,message", [
+    (PartitionSpec(boundaries=(0, 2, 4, 5), bar_minutes=20), "last boundary must be the session close"),
+    (PartitionSpec(boundaries=(0, 1, 2, 3), bar_minutes=40), "partition bar spacing does not match"),
+])
+def test_map_refuses_a_partition_off_the_series_grid(partition, message):
+    # the partition has as many intervals as the calibration, but not the series' grid
+    with pytest.raises(ClassSpecError, match=message):
+        assemble_time_map(unit_day_calibration(), partition, map_series(2))
 
 
 # --- one reference per call -------------------------------------------------

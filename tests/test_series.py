@@ -26,19 +26,17 @@ from fstclock import (
     assemble_time_map,
     class_sample,
     class_samples,
-    detrend,
     filter_complete_days,
     ingest_csv,
     load_cache,
     load_series,
-    raw_returns,
     save_cache,
 )
 import fstclock.cli as cli
 import fstclock.series as series_module
 import fstclock.synthetic as synthetic_module
 from fstclock.analysis import _magnitude_matrix
-from fstclock.series import day_numbers, dropped_between, next_weekday, synthetic_dates
+from fstclock.series import day_numbers, demean, dropped_between, next_weekday, synthetic_dates
 from fstclock.synthetic import ActivityProfile, generate_seasonal, write_prices_csv
 
 from conftest import calibration_from, series_from_matrix
@@ -47,8 +45,8 @@ from conftest import calibration_from, series_from_matrix
 GRID3 = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=3)
 
 
-def csv_of(rows: str) -> io.StringIO:
-    return io.StringIO("timestamp,price\n" + rows)
+def csv_of(rows: str) -> io.BytesIO:
+    return io.BytesIO(("timestamp,price\n" + rows).encode())
 
 
 # --- grid ------------------------------------------------------------------
@@ -141,7 +139,7 @@ def test_ingest_reports_line_numbers():
 
 def test_ingest_bad_header():
     with pytest.raises(ParseError, match="header"):
-        ingest_csv(io.StringIO("time,px\n2020-01-02T09:40:00,100\n"), GRID3)
+        ingest_csv(io.BytesIO(b"time,px\n2020-01-02T09:40:00,100\n"), GRID3)
 
 
 def test_ingest_roundtrips_generated_increments(tmp_path):
@@ -283,7 +281,8 @@ def _spy_fast_path(monkeypatch) -> dict[bool, int]:
     return counts
 
 
-SOURCES = {"text": io.StringIO, "bytes": lambda t: io.BytesIO(t.encode())}
+def bytes_of(text: str) -> io.BytesIO:
+    return io.BytesIO(text.encode())
 
 
 @pytest.mark.parametrize("chunk_rows", [3, series_module.INGEST_CHUNK_ROWS])
@@ -291,7 +290,6 @@ def test_ingest_matches_row_by_row_parser(monkeypatch, chunk_rows):
     """Same series bits, or the same error class, message and line.
 
     Three-row batches make errors and runs of one day cross batch edges.
-    Text and byte sources both reach the strict-layout path.
     """
     monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", chunk_rows)
     counts = _spy_fast_path(monkeypatch)
@@ -300,9 +298,7 @@ def test_ingest_matches_row_by_row_parser(monkeypatch, chunk_rows):
     for _ in range(1500):
         text = _parity_corpus(rng)
         expected = _outcome(lambda t: _reference_ingest(t, GRID3), text)
-        for name, source in SOURCES.items():
-            got = _outcome(lambda t: ingest_csv(source(t), GRID3), text)
-            assert got == expected, (name, text)
+        assert _outcome(lambda t: ingest_csv(bytes_of(t), GRID3), text) == expected, text
         key = "ok" if isinstance(expected[0], tuple) else expected[1].split(": ", 1)[-1][:20]
         seen[key] = seen.get(key, 0) + 1
     # the corpus reaches clean parses and every kind of rejection
@@ -317,10 +313,9 @@ def test_ingest_matches_row_by_row_parser(monkeypatch, chunk_rows):
         f"{d}T{GRID3.bar_time(b).isoformat()},{100 + b}.25\n" for d in days for b in range(3)
     )
     expected = _outcome(lambda t: _reference_ingest(t, GRID3), clean)
-    for name, source in SOURCES.items():
-        counts.update({True: 0, False: 0})
-        assert _outcome(lambda t: ingest_csv(source(t), GRID3), clean) == expected, name
-        assert counts == {True: -(-3 * len(days) // chunk_rows), False: 0}, name
+    counts.update({True: 0, False: 0})
+    assert _outcome(lambda t: ingest_csv(bytes_of(t), GRID3), clean) == expected
+    assert counts == {True: -(-3 * len(days) // chunk_rows), False: 0}
 
 
 @pytest.mark.parametrize("chunk_rows", [3, series_module.INGEST_CHUNK_ROWS])
@@ -352,16 +347,25 @@ def test_ingest_reports_the_first_line_that_is_not_utf8(tmp_path, monkeypatch, c
 
 def test_ingest_accepts_one_leading_bom(tmp_path):
     body = "timestamp,price\n2020-01-02T09:40:00,100\n2020-01-02T10:00:00,101.5\n"
-    plain = _outcome(lambda t: ingest_csv(io.StringIO(t), GRID3), body)
+    plain = _outcome(lambda t: ingest_csv(bytes_of(t), GRID3), body)
     path = tmp_path / "prices.csv"
     path.write_bytes(("\ufeff" + body).encode())
     assert _outcome(lambda t: ingest_csv(path, GRID3), body) == plain
-    for name, source in SOURCES.items():
-        assert _outcome(lambda t: ingest_csv(source(t), GRID3), "\ufeff" + body) == plain, name
-        with pytest.raises(ParseError, match="^line 1: expected header"):
-            ingest_csv(source("\ufeff\ufeff" + body), GRID3)
-        with pytest.raises(ParseError, match="^line 4: bad timestamp"):
-            ingest_csv(source(body + "\ufeff2020-01-02T10:20:00,102\n"), GRID3)
+    assert _outcome(lambda t: ingest_csv(bytes_of(t), GRID3), "\ufeff" + body) == plain
+    with pytest.raises(ParseError, match="^line 1: expected header"):
+        ingest_csv(bytes_of("\ufeff\ufeff" + body), GRID3)
+    with pytest.raises(ParseError, match="^line 4: bad timestamp"):
+        ingest_csv(bytes_of(body + "\ufeff2020-01-02T10:20:00,102\n"), GRID3)
+
+
+def test_ingest_refuses_a_text_stream_before_reading_it(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("timestamp,price\n2020-01-02T09:40:00,100\n")
+    with open(path, encoding="utf-8") as fh:
+        for stream in (fh, io.StringIO(path.read_text())):
+            with pytest.raises(TypeError, match="^ingest_csv reads a path or a binary stream$"):
+                ingest_csv(stream, GRID3)
+            assert stream.tell() == 0
 
 
 def test_written_csv_is_ingested_entirely_on_the_fast_path(tmp_path, monkeypatch):
@@ -383,10 +387,10 @@ def test_ingest_blank_rows_count_toward_line_numbers(monkeypatch):
     monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", 3)
     text = "timestamp,price\n\n2020-01-02T09:40:00,100\n\n  \n2020-01-02T09:40:00,101\n"
     with pytest.raises(DataError, match="^line 6: timestamps within 2020-01-02 not increasing$"):
-        ingest_csv(io.StringIO(text), GRID3)
+        ingest_csv(bytes_of(text), GRID3)
     with pytest.raises(DataError, match="^input holds no data rows$"):
-        ingest_csv(io.StringIO("timestamp,price\n\n\n\n\n"), GRID3)
-    # read from bytes, a lone CR ends a line too, as csv reads a file
+        ingest_csv(bytes_of("timestamp,price\n\n\n\n\n"), GRID3)
+    # a lone CR ends a line too, as csv reads a file
     data = b"timestamp,price\n2020-01-02T09:40:00,100\r\r\n2020-01-02T10:00:00,101\n"
     data += b"2020-01-02T10:20:00,102\n2020-01-02T10:20:00,103\n"
     with pytest.raises(DataError, match="^line 6: timestamps within 2020-01-02 not increasing$"):
@@ -687,9 +691,10 @@ def test_intraday_returns_and_telescoping(default_grid, default_partition):
     m = rng.standard_normal((5, default_grid.n_points)).cumsum(axis=1)
     s = series_from_matrix(m, grid=default_grid)
     p = default_partition
-    first = raw_returns(s, IntervalClass.intraday(0, 1, p))
-    second = raw_returns(s, IntervalClass.intraday(1, 2, p))
-    union = raw_returns(s, IntervalClass.intraday(0, 2, p))
+    # detrending is linear, so the detrended returns telescope as the raw ones do
+    first, second, union = class_samples(s, [IntervalClass.intraday(0, 1, p),
+                                             IntervalClass.intraday(1, 2, p),
+                                             IntervalClass.intraday(0, 2, p)])
     np.testing.assert_allclose(first.values + second.values, union.values, atol=1e-12)
     assert first.n == 5
 
@@ -703,9 +708,9 @@ def test_overnight_skips_dropped_days(default_grid):
     holed[3, 5] = np.nan
     full = series_from_matrix(holed, grid=default_grid)
     filtered = filter_complete_days(full)
-    r = raw_returns(filtered, IntervalClass.overnight())
+    r = class_sample(filtered, IntervalClass.overnight())
     assert r.n == 3  # 4 adjacent pairs among the 5 retained days, one straddles the hole
-    plain = raw_returns(s, IntervalClass.overnight())
+    plain = class_sample(s, IntervalClass.overnight())
     assert plain.n == 5
 
 
@@ -716,30 +721,31 @@ def test_overnight_weekend_gap_still_counts(default_grid):
         dates=(date(2020, 1, 3), date(2020, 1, 6)),  # Fri then Mon
         log_prices=m,
     )
-    assert raw_returns(s, IntervalClass.overnight()).n == 1
-    assert raw_returns(s, IntervalClass.overnight(nights=3)).n == 1
+    assert class_sample(s, IntervalClass.overnight()).n == 1
+    assert class_sample(s, IntervalClass.overnight(nights=3)).n == 1
     with pytest.raises(DataError):
-        raw_returns(s, IntervalClass.overnight(nights=1))
+        class_sample(s, IntervalClass.overnight(nights=1))
 
 
 def test_multiday_nonoverlapping_default(default_grid):
-    m = np.arange(7.0)[:, None] * np.ones((1, default_grid.n_points))
+    m = np.arange(7.0)[:, None] ** 2 * np.ones((1, default_grid.n_points))
     s = series_from_matrix(m, grid=default_grid)
-    r = raw_returns(s, IntervalClass.multiday(2))
-    np.testing.assert_allclose(r.values, [2.0, 2.0, 2.0])
+    r = class_sample(s, IntervalClass.multiday(2))
+    # days (0, 2), (2, 4), (4, 6): raw returns 4, 12, 20, mean 12
+    assert r.values.tolist() == [-8.0, 0.0, 8.0]
 
 
 def test_multiday_skips_windows_spanning_dropped(default_grid):
     m = np.arange(5.0)[:, None] * np.ones((1, default_grid.n_points))
     m[2, 0] = np.nan
     s = filter_complete_days(series_from_matrix(m, grid=default_grid))
-    r = raw_returns(s, IntervalClass.multiday(1))
+    r = class_sample(s, IntervalClass.multiday(1))
     # retained days 0,1,3,4: pairs (0,1),(1,3)x,(3,4)
     assert r.n == 2
 
 
 # Reference for the gap rule: the pairwise scan over retained days that
-# raw_returns and the autocorrelation night slot used before it was vectorised.
+# the return builder and the autocorrelation night slot used before they were vectorised.
 def scan_windows(series, span, step, nights=None):
     out = []
     for i in range(0, series.n_days - span, step):
@@ -800,15 +806,15 @@ def test_gap_rule_matches_pairwise_scan(default_grid, default_partition, seed):
     cases += [(IntervalClass.multiday(n), 0, 0, n, n, None) for n in (1, 2, 3)]
     for iclass, start_bar, end_bar, span, step, nights in cases:
         starts = scan_windows(s, span, step, nights)
-        want = [lp[i + span, end_bar] - lp[i, start_bar] for i in starts]
-        if want:
-            assert raw_returns(s, iclass).values.tolist() == want, iclass.label
+        want = np.array([lp[i + span, end_bar] - lp[i, start_bar] for i in starts])
+        if want.size:
+            assert class_sample(s, iclass).values.tolist() == demean(want).tolist(), iclass.label
         else:
             with pytest.raises(DataError):
-                raw_returns(s, iclass)
+                class_sample(s, iclass)
 
     cal = calibration_from([0.03125] * default_partition.m_max + [0.40625])
-    tmap = assemble_time_map(cal, default_partition, default_grid, dates=s)
+    tmap = assemble_time_map(cal, default_partition, s)
     night = _magnitude_matrix(s, 0.0625, tmap)[:, -1]
     starts = scan_windows(s, 1, 1)
     assert np.flatnonzero(~np.isnan(night)).tolist() == starts
@@ -843,7 +849,7 @@ def test_time_map_anchors_match_the_day_by_day_loop(default_grid, default_partit
     rng = np.random.default_rng(seed)
     m_max = default_partition.m_max
     cal = calibration_from([*rng.uniform(0.01, 0.08, size=m_max), float(rng.uniform(0.1, 0.5))])
-    tmap = assemble_time_map(cal, default_partition, default_grid, dates=s)
+    tmap = assemble_time_map(cal, default_partition, s)
     seconds, taus = loop_anchors(cal, default_partition, default_grid, s)
     assert tmap.anchor_seconds.tobytes() == seconds.tobytes()
     assert tmap.anchor_tau.tobytes() == taus.tobytes()
@@ -865,18 +871,18 @@ def test_returns_require_complete_days(default_grid, default_partition):
     m[0, 1] = np.nan  # on a boundary the class actually reads
     s = series_from_matrix(m, grid=default_grid)
     with pytest.raises(DataError, match="filter_complete_days"):
-        raw_returns(s, IntervalClass.intraday(0, 1, default_partition))
+        class_sample(s, IntervalClass.intraday(0, 1, default_partition))
     m[0, 1] = 0.0
     m[1, 0] = np.nan  # the open that the overnight and 1-day windows read
     s = series_from_matrix(m, grid=default_grid)
     for c in (IntervalClass.overnight(), IntervalClass.multiday(1)):
         with pytest.raises(DataError, match="filter_complete_days"):
-            raw_returns(s, c)
+            class_sample(s, c)
 
 
 # Reference for ``class_samples``: the one-class sampler it replaced, which
 # took each class's returns row by row and then detrended them.
-def oracle_sample(series, iclass, detrended=True):
+def oracle_sample(series, iclass):
     grid, label = series.grid, iclass.label
     start_bar, end_bar, span = iclass.window(grid)
     if (bar := max(start_bar, end_bar)) > grid.close_index:
@@ -890,10 +896,7 @@ def oracle_sample(series, iclass, detrended=True):
     values = series.log_prices[starts + span, end_bar] - series.log_prices[starts, start_bar]
     if np.isnan(values).any():
         raise DataError(f"class {label!r} touches missing bars; run filter_complete_days first")
-    raw = ReturnSample(values=values, interval=iclass)
-    if not detrended:
-        return raw
-    v = raw.values.copy()
+    v = ReturnSample(values=values, interval=iclass).values.copy()
     v -= v.mean(axis=0)
     v -= v.mean(axis=0)
     return ReturnSample(values=v, interval=iclass, detrended=True)
@@ -973,8 +976,6 @@ def test_class_samples_match_the_row_by_row_oracle_bit_for_bit(
         for c in classes:  # the one-class calls take the same gather
             assert_outcome(lambda: [class_sample(series, c)],
                            oracle_outcome([c], lambda c: oracle_sample(series, c)))
-            assert_outcome(lambda: [raw_returns(series, c)],
-                           oracle_outcome([c], lambda c: oracle_sample(series, c, False)))
 
 
 def test_class_samples_raise_the_first_fault_in_the_order_given(default_grid, default_partition):
@@ -1047,9 +1048,7 @@ def test_a_mixed_call_equals_the_one_class_builds(default_grid, default_partitio
     pooled = [c for c in classes if c.kind == "sample"]
     assert_outcome(lambda: [class_samples(s, classes)[i] for i in (1, 7, 8)],
                    [oracle_pooled(s, c.bar_end, c.label) for c in pooled])
-    raw = raw_returns(s, pooled[0])
-    assert not raw.detrended
-    assert raw.values.tolist() == (s.log_prices[:, 3:19:3] - s.log_prices[:, 0:16:3]).ravel().tolist()
+    assert class_sample(s, pooled[0]).n == 40 * 6  # the disjoint 3-bar windows of 19 bars
 
 
 def test_a_pooled_class_raises_in_the_order_given(default_grid):
@@ -1084,17 +1083,17 @@ def test_a_pooled_class_needs_a_bar():
 
 def test_detrend_centres_and_is_idempotent():
     rng = np.random.default_rng(2)
-    raw = ReturnSample(values=rng.standard_normal(500) + 3.0, interval=IntervalClass.sample("x"))
-    d1 = detrend(raw)
-    assert abs(d1.values.mean()) <= 1e-12 * d1.values.std()
-    d2 = detrend(d1)
-    np.testing.assert_allclose(d2.values, d1.values, atol=1e-15)
+    d1 = demean(rng.standard_normal(500) + 3.0)
+    assert abs(d1.mean()) <= 1e-12 * d1.std()
+    ReturnSample(values=d1, interval=IntervalClass.sample("x"), detrended=True)  # passes the tag check
+    np.testing.assert_allclose(demean(d1.copy()), d1, atol=1e-15)
 
 
-def test_detrend_constant_sample():
-    raw = ReturnSample(values=np.full(7, 0.1), interval=IntervalClass.sample("c"))
-    d = detrend(raw)
-    assert (d.values == 0.0).all()
+def test_detrend_constant_sample(default_grid, default_partition):
+    # every day moves 0.1 over the first interval: its detrended returns are all 0
+    m = np.tile(np.arange(default_grid.n_points) * 0.1, (7, 1))
+    d = class_sample(series_from_matrix(m, grid=default_grid), IntervalClass.intraday(0, 1, default_partition))
+    assert d.detrended and d.n == 7 and (d.values == 0.0).all()
 
 
 def test_detrended_tag_is_validated():
