@@ -561,6 +561,8 @@ def assemble_time_map(
     _check_interval_count(calibration.m_max, partition)
     partition.check_grid(series.grid)
     grid, dates = series.grid, series.dates
+    if not dates:
+        raise DataError("time map needs at least one day")
     all_dates = dates + (next_weekday(dates[-1]),)
     # whole clock days elapsed before each retained open
     day_index = np.arange(len(dates)) + np.concatenate([[0], np.cumsum(dropped_between(series))])

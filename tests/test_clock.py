@@ -710,6 +710,11 @@ def test_map_rejects_mismatched_partition():
         assemble_time_map(cal, other, map_series(1))
 
 
+def test_map_needs_a_day():
+    with pytest.raises(DataError, match="^time map needs at least one day$"):
+        assemble_time_map(unit_day_calibration(), MAP_PARTITION, map_series(0))
+
+
 @pytest.mark.parametrize("partition,message", [
     (PartitionSpec(boundaries=(0, 2, 4, 5), bar_minutes=20), "last boundary must be the session close"),
     (PartitionSpec(boundaries=(0, 1, 2, 3), bar_minutes=40), "partition bar spacing does not match"),
