@@ -509,6 +509,9 @@ def volatility_autocorrelation(
     total = flat.size
 
     kept_lags, vals, pairs, beyond = [], [], [], []
+    if isinstance(lags, range) and lags.step > 0:  # the lags past the sequence are counted, not walked
+        inside = len(range(lags.start, total, lags.step))
+        lags, beyond = lags[:inside], lags[inside:]
     for h in lags:
         if h < 0:
             raise ValueError("lags must be non-negative")

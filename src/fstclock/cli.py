@@ -400,9 +400,10 @@ def _search_from(cfg: dict) -> SearchConfig:
     return cli.SearchConfig(delta_tau_min=cfg["tau_min"], delta_tau_max=cfg["tau_max"])
 
 
-def _num_list(cfg: dict, name: str, typ=float, most: int | None = None) -> list:
+def _num_list(cfg: dict, name: str, typ=float) -> list | range:
     """The numbers of option ``name``: comma separated, or a range ``a:b`` of
-    whole ones, which stops at ``most`` (or at ``a``, if that is past it)."""
+    whole ones, kept as a ``range`` if ``typ`` is ``int``, so that a long one
+    is never listed."""
     text = cfg[name].strip()
     if not text:
         return []
@@ -411,9 +412,7 @@ def _num_list(cfg: dict, name: str, typ=float, most: int | None = None) -> list:
         a, b = int(m.group(1)), int(m.group(2))
         if b < a:
             raise ClassSpecError(f"range {text!r} runs backwards")
-        if most is not None:
-            b = min(b, max(a, most))
-        return [typ(v) for v in range(a, b + 1)]
+        return range(a, b + 1) if typ is int else [typ(v) for v in range(a, b + 1)]
     try:
         return [typ(v) for v in text.split(",")]
     except ValueError:
@@ -579,8 +578,7 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
     if not cfg["profile_bins"]:
         cfg["profile_bins"] = partition.m_max
 
-    # no slot sequence of either clock is longer than n_days * (n_bars + 1)
-    lags = _num_list(cfg, "lags", int, most=series.n_days * (grid.n_bars + 1))
+    lags = _num_list(cfg, "lags", int)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
 

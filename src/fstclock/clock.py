@@ -576,8 +576,6 @@ def assemble_time_map(
     anchor_tau = np.append(
         (day_index[:, None] * day_total + bounds_tau).ravel(), (day_index[-1] + 1) * day_total
     )
-    if not (np.diff(anchor_seconds) > 0).all():
-        raise DataError("anchor instants are not strictly increasing")
     return TimeMap(
         grid=grid,
         partition=partition,

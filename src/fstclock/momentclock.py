@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .clock import ClassFit, SearchConfig, _fit, _Reference
 from .clock import calibrate_interval  # noqa: F401  (perfbench's tracer wraps this name)
 from .errors import DataError

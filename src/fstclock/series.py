@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NoReturn, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -534,7 +534,7 @@ def _place_strict(lines, line: int, grid: DayGrid, days: dict[int, np.ndarray],
         if over == 0:
             lines.seek(end)
         decoded = _decode_strict(batch)
-        if decoded is None or _place(*decoded, grid, days, last_us) is not None:
+        if decoded is None or not _place(*decoded, grid, days, last_us):
             return line, batch
         line += len(batch)
         if over == 0:
@@ -583,7 +583,7 @@ def _place_decoded(decoded: IO[bytes] | None, source: IO[bytes], start: int, lin
         rows = decoded.read(16 * n)
         us = np.frombuffer(rows, dtype=np.int64, count=n)
         price = np.frombuffer(rows, dtype=np.float64, count=n, offset=8 * n)
-        if _place(us, price, grid, days, last_us) is not None:
+        if not _place(us, price, grid, days, last_us):
             break
         line, start = line + n, end
     source.seek(start)
@@ -698,21 +698,6 @@ def _decode_strict(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
     return us, price
 
 
-def _parse_prefix(parse, texts: list[str]) -> tuple[list, ValueError | None]:
-    """``parse`` over ``texts`` up to the first ValueError, returned alongside."""
-    try:
-        return list(map(parse, texts)), None
-    except ValueError:
-        pass
-    out = []
-    for text in texts:
-        try:
-            out.append(parse(text))
-        except ValueError as exc:
-            return out, exc
-    return out, None
-
-
 def _is_utf8(row: list[str]) -> bool:
     """False for a row holding bytes that were not UTF-8 (lone surrogates)."""
     try:
@@ -722,6 +707,11 @@ def _is_utf8(row: list[str]) -> bool:
     return True
 
 
+def _is_blank(row: list[str]) -> bool:
+    """True for an empty or whitespace-only row, which is skipped but counted."""
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def _place_chunk(
     rows: list[list[str]],
     line: int,
@@ -729,69 +719,68 @@ def _place_chunk(
     days: dict[int, np.ndarray],
     last_us: dict[int, int],
 ) -> None:
-    """Parse one batch of CSV rows, raise for the first bad one, place the rest.
+    """Parse one batch of CSV rows, ``rows[0]`` at line ``line``, and place them.
 
-    ``line`` is the line number of ``rows[0]``.  Each check runs column-wise
-    on the rows before the first one an earlier-listed check rejected, so
-    the row that raises, and its message, are those of a row-by-row parse.
+    The rows are parsed column by column.  A batch holding a faulty row is
+    placed not at all: ``_refuse`` reads it again row by row and raises for
+    the first faulty one.
     """
-    error: ParseError | None = None
-    lines = range(line, line + len(rows))
-    if min(map(len, rows)) < 2 or not "".join(itertools.chain.from_iterable(rows)).isascii():
-        kept = []
-        for i, row in enumerate(rows):
-            if not _is_utf8(row):
-                error = ParseError("not valid UTF-8", line=line + i)
-                break
-            if len(row) >= 2:
-                kept.append(i)
-            elif row and row[0].strip():
-                error = ParseError("expected two columns", line=line + i)
-                break
-        rows = [rows[i] for i in kept]
-        lines = [line + i for i in kept]
+    kept = rows if min(map(len, rows)) >= 2 else list(itertools.filterfalse(_is_blank, rows))
+    text = "".join(itertools.chain.from_iterable(rows))
+    try:
+        if not text.isascii():
+            text.encode("utf-8")  # lone surrogates raise
+        # an aware timestamp minus the naive epoch raises TypeError, a short
+        # row's missing price IndexError
+        ts = map(datetime.fromisoformat, map(str.strip, map(operator.itemgetter(0), kept)))
+        us = np.fromiter(map(operator.floordiv, map(operator.sub, ts, itertools.repeat(_EPOCH)),
+                             itertools.repeat(_US)), dtype=np.int64, count=len(kept))
+        price = np.fromiter(map(float, map(operator.itemgetter(1), kept)), dtype=float, count=len(kept))
+    except (ValueError, TypeError, IndexError):
+        pass
+    else:
+        if not kept or _place(us, price, grid, days, last_us):
+            return
+    _refuse(rows, line, grid, last_us)
 
-    ts, exc = _parse_prefix(datetime.fromisoformat, [r[0].strip() for r in rows])
-    if exc is not None:
-        i = len(ts)
-        error = ParseError(f"bad timestamp {rows[i][0]!r}: {exc}", line=lines[i])
-    tz = list(map(operator.attrgetter("tzinfo"), ts))
-    if tz.count(None) < len(tz):
-        i = next(i for i, z in enumerate(tz) if z is not None)
-        error = ParseError("timestamps must be naive exchange-local", line=lines[i])
-        ts = ts[:i]
-    raw = [r[1] for r in rows[: len(ts)]]
-    prices, exc = _parse_prefix(float, raw)
-    if exc is not None:
-        i = len(prices)
-        error = ParseError(f"bad price {raw[i]!r}", line=lines[i])
-        ts = ts[:i]
-    n = len(ts)
-    if n == 0:
-        if error is not None:
-            raise error
-        return
 
-    us = np.fromiter(
-        map(operator.floordiv, map(operator.sub, ts, itertools.repeat(_EPOCH)), itertools.repeat(_US)),
-        dtype=np.int64,
-        count=n,
-    )
-    failed = _place(us, np.array(prices, dtype=float), grid, days, last_us)
-    if failed is not None:
-        i, check = failed
-        if check == "price":
-            raise DataError(f"line {lines[i]}: non-positive price {raw[i]!r}")
-        if check == "order":
-            raise DataError(
-                f"line {lines[i]}: timestamps within {ts[i].date().isoformat()} not increasing"
-            )
+def _refuse(rows: list[list[str]], line: int, grid: DayGrid, last_us: dict[int, int]) -> NoReturn:
+    """Raise for the first faulty row of a batch ``_place_chunk`` refused.
+
+    Each row in turn must be UTF-8, hold two columns, a timestamp, naive,
+    and a price, positive and finite, later than the last timestamp of its
+    day (``last_us`` holds those of earlier batches), and on the grid.
+    """
+    last_us = dict(last_us)
+    for i, row in enumerate(rows, start=line):
+        if not _is_utf8(row):
+            raise ParseError("not valid UTF-8", line=i)
+        if len(row) < 2:
+            if _is_blank(row):
+                continue
+            raise ParseError("expected two columns", line=i)
         try:
-            grid.bar_index(ts[i].time())
+            ts = datetime.fromisoformat(row[0].strip())
+        except ValueError as exc:
+            raise ParseError(f"bad timestamp {row[0]!r}: {exc}", line=i) from None
+        if ts.tzinfo is not None:
+            raise ParseError("timestamps must be naive exchange-local", line=i)
+        try:
+            price = float(row[1])
+        except ValueError:
+            raise ParseError(f"bad price {row[1]!r}", line=i) from None
+        if not 0 < price < np.inf:
+            raise DataError(f"line {i}: non-positive price {row[1]!r}")
+        us = (ts - _EPOCH) // _US
+        day = us // _US_PER_DAY
+        if us <= last_us.get(day, _INT64_MIN):
+            raise DataError(f"line {i}: timestamps within {ts.date().isoformat()} not increasing")
+        last_us[day] = us
+        try:
+            grid.bar_index(ts.time())
         except DataError as exc:
-            raise DataError(f"line {lines[i]}: {exc}") from None
-    if error is not None:
-        raise error
+            raise DataError(f"line {i}: {exc}") from None
+    raise AssertionError(f"no row of lines {line}..{line + len(rows) - 1} fails a check")
 
 
 def _place(
@@ -800,14 +789,14 @@ def _place(
     grid: DayGrid,
     days: dict[int, np.ndarray],
     last_us: dict[int, int],
-) -> tuple[int, str] | None:
+) -> bool:
     """Check a batch of rows and write their log-prices into ``days``.
 
     ``us`` holds each row's timestamp in microseconds since 1970-01-01, and
     days are keyed by their offset from that date; ``last_us`` carries each
-    day's latest timestamp across batches.  If any row fails a check,
-    nothing is written and the first such row is returned with the first
-    check it fails: ``"price"``, ``"order"`` or ``"grid"``.
+    day's latest timestamp across batches.  False, with nothing written, if
+    any row has a price that is not positive and finite, a timestamp not
+    later than its day's previous one, or one off the grid.
     """
     n = len(us)
     day, tod = np.divmod(us, _US_PER_DAY)
@@ -823,15 +812,11 @@ def _place(
     prev = np.empty_like(us_s)
     prev[1:] = us_s[:-1]
     prev[starts] = [last_us.get(d, _INT64_MIN) for d in first_days]
-    bad_order = np.empty(n, dtype=bool)
-    bad_order[by_day] = us_s <= prev
-
-    bad_price = ~(np.isfinite(price) & (price > 0))
-    bad_grid = (off_grid != 0) | (idx < 0) | (idx >= grid.n_points)
-    bad = bad_price | bad_order | bad_grid
-    if bad.any():
-        i = int(np.argmax(bad))
-        return i, "price" if bad_price[i] else "order" if bad_order[i] else "grid"
+    if not (
+        (us_s > prev).all() and (price > 0).all() and np.isfinite(price).all()
+        and not off_grid.any() and idx.min() >= 0 and idx.max() < grid.n_points
+    ):
+        return False
 
     log_price = np.log(price)
     ends = np.append(starts[1:], n)
@@ -841,7 +826,7 @@ def _place(
         rows_of_day = by_day[lo:hi]
         days[d][idx[rows_of_day]] = log_price[rows_of_day]
         last_us[d] = int(us_s[hi - 1])
-    return None
+    return True
 
 
 def filter_complete_days(series: PriceSeries, max_missing_bars: int = 0) -> PriceSeries:

@@ -37,7 +37,7 @@ from fstclock.clock import (
     _SCALAR_SETTLE, ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, calibrated_classes,
     class_duration,
 )
-from fstclock.series import parse_class_spec, parse_class_specs, synthetic_dates
+from fstclock.series import day_numbers, next_weekday, parse_class_spec, parse_class_specs, synthetic_dates
 from fstclock.ks import ks_count
 
 from conftest import brownian_series, calibration_from, child_env, make_sample, shared_path_world
@@ -701,6 +701,37 @@ def test_map_rows_enumerate_anchors():
     taus = tm.anchor_tau.tolist()
     assert taus == sorted(taus)
     assert taus[-1] == 2.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_map_anchors_strictly_increase(seed):
+    """Over random calendar gaps, weekends and dropped sessions, and on a grid
+    whose session runs 00:00-23:59, so that the next open comes one minute
+    after the close."""
+    rng = np.random.default_rng(seed)
+    midnight = DayGrid(open_time=time(0, 0), bar_minutes=1, n_points=1440)
+    cases = [
+        (MAP_GRID, MAP_PARTITION, unit_day_calibration()),
+        (midnight, PartitionSpec(boundaries=(0, 720, 1439), bar_minutes=1),
+         calibration_from([0.25, 0.5, 0.25])),
+    ]
+    for grid, partition, cal in cases:
+        n = int(rng.integers(1, 40))
+        first = date(2020, 1, 1).toordinal() + int(rng.integers(0, 7))
+        ordinals = first + np.concatenate([[0], np.cumsum(rng.integers(1, 4, n - 1))])
+        dates = tuple(date.fromordinal(int(o)) for o in ordinals)
+        prices = np.zeros((n, grid.n_points))
+        holed = rng.random(n) < 0.3
+        holed[0] = False
+        prices[holed, rng.integers(0, grid.n_points)] = np.nan
+        series = filter_complete_days(PriceSeries(grid, dates, prices))
+        tm = assemble_time_map(cal, partition, series)
+        assert tm.anchor_seconds.size == series.n_days * (partition.m_max + 1) + 1
+        assert tm.dates[-1] == next_weekday(series.dates[-1])
+        assert (np.diff(tm.anchor_seconds) > 0).all()
+        assert (np.diff(tm.anchor_tau) > 0).all()
+        if grid is midnight and (np.diff(day_numbers(tm.dates)) == 1).any():
+            assert np.diff(tm.anchor_seconds).min() == 60.0
 
 
 def test_map_rejects_mismatched_partition():

@@ -383,6 +383,27 @@ def test_written_csv_is_ingested_entirely_on_the_fast_path(tmp_path, monkeypatch
     assert s.log_prices.tobytes() == want.log_prices.tobytes()
 
 
+@pytest.mark.parametrize("n_days,chunk_rows", [(9, 7), (300, 1000)])
+def test_written_csv_with_crlf_line_ends_is_ingested_alike_on_the_general_path(
+    tmp_path, monkeypatch, n_days, chunk_rows
+):
+    """The CRLF twin of the test above: the same history, each batch parsed by ``csv``."""
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", chunk_rows)
+    lf = _holed_series(tmp_path, n_days=n_days)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes((tmp_path / "prices.csv").read_bytes().replace(b"\n", b"\r\n"))
+    counts = _spy_fast_path(monkeypatch)
+    batches, place_chunk = [], series_module._place_chunk
+    monkeypatch.setattr(series_module, "_place_chunk", lambda rows, *rest: (
+        batches.append(len(rows)), place_chunk(rows, *rest)))
+    s = filter_complete_days(ingest_csv(crlf, lf.grid), max_missing_bars=2)
+    rows = n_days * 20 - 8
+    assert counts == {True: 0, False: 0}
+    assert sum(batches) == rows and len(batches) == -(-rows // chunk_rows)
+    assert s.dates == lf.dates and s.dropped_dates == lf.dropped_dates
+    assert s.log_prices.tobytes() == lf.log_prices.tobytes()
+
+
 def test_ingest_blank_rows_count_toward_line_numbers(monkeypatch):
     monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", 3)
     text = "timestamp,price\n\n2020-01-02T09:40:00,100\n\n  \n2020-01-02T09:40:00,101\n"
