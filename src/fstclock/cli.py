@@ -510,8 +510,7 @@ def cmd_synth(cfg: dict) -> tuple[list[str], list[str]]:
 
 
 def cmd_ingest(cfg: dict) -> tuple[list[str], list[str]]:
-    series = load_series(cfg["input"], grid=_grid_from(cfg))
-    filtered = filter_complete_days(series, max_missing_bars=cfg["max_missing"])
+    filtered = _load_filtered(cfg)
     path = os.path.join(cfg["out"], "cache.json")
     save_cache(filtered, path)
     warns = []

@@ -430,10 +430,6 @@ _STRICT_HEADER = b"timestamp,price\n"
 _STRICT_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00,", dtype=np.uint8)
 _STRICT_SPAN = np.where(_STRICT_TEMPLATE == ord("0"), 9, 0).astype(np.uint8)
 _PRICE_FIELD = operator.itemgetter(slice(20, None))
-# Days in each month number 00..99 of a common year; 0 outside 1..12, so that
-# no day of an invalid month passes.
-_MONTH_DAYS = np.zeros(100, dtype=np.int64)
-_MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 
 
 def ingest_csv(source: str | Path | IO[bytes], grid: DayGrid) -> PriceSeries:
@@ -493,6 +489,7 @@ def _ingest(source: IO[bytes], grid: DayGrid, path: str | Path | None) -> PriceS
         head = b"".join(batch).decode("utf-8", "surrogateescape")
         wrapper = io.TextIOWrapper(source, "utf-8", "surrogateescape", newline="")
         reader = csv.reader(itertools.chain(io.StringIO(head, newline=""), wrapper))
+        first_line, chunk = line, []
         try:
             if line == 1:
                 try:
@@ -505,9 +502,17 @@ def _ingest(source: IO[bytes], grid: DayGrid, path: str | Path | None) -> PriceS
                     got = ",".join(row)
                     raise ParseError(f"expected header 'timestamp,price', got {got!r}", line=1)
                 line = 2
-            while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
+            while True:
+                chunk = []  # keeps the rows read before a csv.Error
+                chunk.extend(itertools.islice(reader, INGEST_CHUNK_ROWS))
+                if not chunk:
+                    break
                 _place_chunk(chunk, line, grid, days, last_us)
                 line += len(chunk)
+        except csv.Error as exc:  # a field over csv's size limit, among others
+            if chunk:  # a faulty row before it is reported first
+                _place_chunk(chunk, line, grid, days, last_us)
+            raise ParseError(str(exc), line=first_line - 1 + reader.line_num) from None
         finally:
             wrapper.detach()  # a collected wrapper would close the caller's stream
 
@@ -667,35 +672,16 @@ def _decode_strict(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
     starts[1:] = ends[:-1] + 1
     if (ends - starts < 20).any():
         return None
-    d = sliding_window_view(a, 20)[starts] - _STRICT_TEMPLATE  # wraps below the template
-    if (d > _STRICT_SPAN).any():
+    stamps = sliding_window_view(a, 20)[starts]
+    if ((stamps - _STRICT_TEMPLATE) > _STRICT_SPAN).any():  # wraps below the template
         return None
-
-    def number(lo: int, hi: int) -> np.ndarray:
-        out = d[:, lo].astype(np.int64)
-        for i in range(lo + 1, hi):
-            out = out * 10 + d[:, i]
-        return out
-
-    year, month, day = number(0, 4), number(5, 7), number(8, 10)
-    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[month] + (leap & (month == 2))
-    if ((year < 1) | (day < 1) | (day > month_days) | (hour > 23) | (minute > 59) | (second > 59)).any():
-        return None
-    # days from 1970-01-01 to the civil date, in 400-year eras from March
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    day_number = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
-    us = (((day_number * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
-
-    try:
+    try:  # numpy's ISO-8601 parser refuses a date or time out of range
+        us = np.ascontiguousarray(stamps[:, :19]).view("S19")[:, 0].astype("datetime64[us]").view(np.int64)
         price = np.fromiter(map(float, map(_PRICE_FIELD, lines)), dtype=float, count=len(lines))
     except ValueError:
         return None
-    return us, price
+    # numpy parses the year 0000, which ``datetime`` refuses: instants before 0001-01-01
+    return None if us.min() < -62_135_596_800_000_000 else (us, price)
 
 
 def _is_utf8(row: list[str]) -> bool:

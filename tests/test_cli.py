@@ -109,6 +109,15 @@ def test_a_directory_at_an_output_path_ends_in_one_error_line(tmp_path, capsys):
     assert err == f"error: [Errno 21] Is a directory: {str(out / 'prices.csv')!r}\n"
 
 
+def test_an_over_long_csv_field_ends_in_one_error_line(tmp_path, capsys):
+    # before, csv's field limit ended ingest in a traceback and exit 1
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"timestamp,price\r\n2020-01-02T09:40:00," + b"x" * 200_000 + b"\r\n")
+    assert main(["ingest", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: field larger than field limit (131072)\n")
+
+
 def test_synth_refuses_a_negative_seed_in_one_error_line(tmp_path, capsys):
     # before, numpy's "expected non-negative integer" came out without the flag
     out = tmp_path / "synth"

@@ -8,7 +8,7 @@ import json
 import math
 import os
 import signal
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
@@ -343,6 +343,55 @@ def test_ingest_reports_the_first_line_that_is_not_utf8(tmp_path, monkeypatch, c
         path.write_bytes(b"".join(lines))
         with pytest.raises(ParseError, match="^line 3: bad price" if k else message):
             ingest_csv(path, GRID3)
+
+
+@pytest.mark.parametrize("chunk_rows", [3, series_module.INGEST_CHUNK_ROWS])
+def test_ingest_reports_an_over_long_field_as_a_malformed_row(monkeypatch, chunk_rows):
+    """A field past ``csv``'s size limit is reported with its line, on either path."""
+    monkeypatch.setattr(series_module, "INGEST_CHUNK_ROWS", chunk_rows)
+    rows = [f"2020-01-0{d}T{GRID3.bar_time(b).isoformat()},10{b}" for d in (2, 3, 6, 7) for b in range(3)]
+    long = "x" * 200_000
+    for newline in ("\n", "\r\n"):
+        # the header, the first data line, and a line past the first batch
+        for k in (0, 1, 10):
+            lines = ["timestamp,price", *rows]
+            lines[k] = lines[k].split(",")[0] + "," + long
+            with pytest.raises(ParseError, match=rf"^line {k + 1}: field larger than field limit"):
+                ingest_csv(bytes_of("".join(line + newline for line in lines)), GRID3)
+        # a faulty row read before it in the same batch is still reported first
+        lines = ["timestamp,price", *rows]
+        lines[2], lines[3] = rows[1].replace(",101", ",abc"), rows[2].split(",")[0] + "," + long
+        with pytest.raises(ParseError, match="^line 3: bad price 'abc'$"):
+            ingest_csv(bytes_of("".join(line + newline for line in lines)), GRID3)
+
+
+def test_the_strict_decoder_refuses_exactly_what_datetime_refuses():
+    """Every month 00-13 and day 00-32 of years that try the calendar's rules,
+    and each time field just past its range: the strict decoder gives the
+    instant ``datetime`` gives, or None where it raises or the year is 0000."""
+    years = ["0000", "0001", "1600", "1900", "1969", "1970", "2000", "2021", "2024", "2100", "9999"]
+    stamps = [f"{y}-{m:02d}-{d:02d}T09:40:00" for y in years for m in range(14) for d in range(33)]
+    stamps += [f"2024-02-29T{h}:{mi}:{sec}" for h in (23, 24) for mi in (59, 60) for sec in (59, 60)]
+    valid, want = [], []
+    for stamp in stamps:
+        line = f"{stamp},100\n".encode()
+        decoded = series_module._decode_strict([line])
+        try:
+            dt = datetime.fromisoformat(stamp)
+        except ValueError:
+            dt = None
+        if dt is None or stamp.startswith("0000"):
+            assert decoded is None, stamp
+            continue
+        us = (dt - datetime(1970, 1, 1)) // timedelta(microseconds=1)
+        assert decoded is not None, stamp
+        assert decoded[0].tolist() == [us] and decoded[1].tolist() == [100.0], stamp
+        valid.append(line)
+        want.append(us)
+    # 365 days in each of ten years, three of them leap, and one time of day
+    assert len(valid) == 10 * 365 + 3 + 1
+    us, price = series_module._decode_strict(valid)
+    assert us.tolist() == want and (price == 100.0).all()
 
 
 def test_ingest_accepts_one_leading_bom(tmp_path):

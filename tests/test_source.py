@@ -32,6 +32,44 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
+def dead_private_names(paths: list[Path]) -> list[str]:
+    """``file:line name`` for each private module-level constant, function or
+    class that no module of ``paths`` reads: as a name, as an attribute, or
+    by importing it.
+
+    Assigning into a name (``_t[0] = 1``, ``_t.x = 1``) does not read it.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set()
+    for tree in trees.values():
+        assigned_into = {
+            id(node.value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if id(node) not in assigned_into:
+                    read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(n.id, n.lineno) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            dead += [f"{path.name}:{line} {name}" for name, line in defined
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return dead
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
@@ -55,3 +93,34 @@ def test_the_unused_import_check_sees_what_it_should(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["m.py:3 np", "m.py:5 dumps", "m.py:10 math"]
+
+
+def test_no_private_name_of_the_package_goes_unread():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert dead_private_names(modules) == []
+
+
+def test_the_dead_private_name_check_sees_what_it_should(tmp_path):
+    m, n = tmp_path / "m.py", tmp_path / "n.py"
+    m.write_text(
+        "import n\n"
+        "__version__ = '1'\n"
+        "_USED = 1\n"
+        "_TABLE = [0] * 3\n"
+        "_TABLE[1:2] = [5]\n"
+        "_A, _B = 1, 2\n"
+        "_C: int = 3\n"
+        "def _helper():\n"
+        "    return _USED + _A\n"
+        "def _dead():\n"
+        "    _local = 1\n"
+        "    return _local\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper(), n._by_attribute\n",
+        encoding="utf-8",
+    )
+    n.write_text("from m import _C\ndef _by_attribute():\n    pass\n", encoding="utf-8")
+    assert dead_private_names([m, n]) == ["m.py:4 _TABLE", "m.py:6 _B", "m.py:10 _dead", "m.py:13 _Gone"]
