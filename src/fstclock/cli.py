@@ -441,8 +441,9 @@ def _write_gate(path: str, gate) -> list[str]:
     )
     if not gate.violated:
         return []
+    # the gate compares the magnitude, so the warning prints it
     return [
-        f"contiguous correlation {gate.value:.4f} exceeds {gate.threshold:g} "
+        f"|contiguous correlation| {abs(gate.value):.4f} exceeds {gate.threshold:g} "
         f"at {gate.dt_minutes:g} min"
     ]
 

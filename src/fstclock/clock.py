@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timedelta
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,99 +96,58 @@ _SCALAR_SETTLE = 64
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
+def _settle(a: float, b: float, q: float) -> float:
+    """The first float q' > 0 with fl(a/q') <= b, in one-ulp steps from q, an ulp or two off.
+
+    q is 0 where a/b underflowed; numpy reads a / 0 as inf, Python raises, so 0 is stepped over.
+    """
+    while q == 0.0 or a / q > b:
+        q = math.nextafter(q, math.inf)
+    while (below := math.nextafter(q, 0.0)) > 0.0 and a / below <= b:
+        q = below
+    return q
+
+
 def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
     """Largest (or smallest) over pairs a, b > 0 of the first float q with fl(a/q) <= b.
 
     fl(a/q) never rises with q, and a/b is within an ulp or two of each
     answer, so only pairs near the extreme a/b (inf included) can hold it;
-    one-ulp steps settle those, in Python floats (IEEE doubles too) unless
-    ties leave more than ``_SCALAR_SETTLE`` of them, as identical samples do.
-    Below the normal range b's spacing is 2**-1074 whatever its size, so
-    there the answer is a / (b + 2**-1075), not a/b: scaled by 2**54, both
-    terms are exact.  b is monotone along both families of pairs, so its
-    ends tell whether any b is that small.
+    ``_settle`` settles those in Python floats (IEEE doubles too), unless
+    ties leave more than ``_SCALAR_SETTLE`` of them, as identical samples
+    do: numpy's masks settle those.  Below the normal range b's spacing is
+    2**-1074 whatever its size, so there the answer is a / (b + 2**-1075),
+    not a/b: scaled by 2**54, both terms are exact.  b is monotone along
+    both families of pairs, so its ends tell whether any b is that small.
     """
     q = a / b
     if min(b[0], b[-1]) < _TINY:
         sub = b < _TINY
         q[sub] = a[sub] * 2.0**54 / (b[sub] * 2.0**54 + 2.0**-1021)
     near = np.flatnonzero(q >= q.max() * (1 - 1e-14) if largest else q <= q.min() * (1 + 1e-14))
+    if near.size <= _SCALAR_SETTLE:
+        firsts = [_settle(a.item(t), b.item(t), q.item(t)) for t in near.tolist()]
+        return max(firsts) if largest else min(firsts)
     a, b, q = a[near], b[near], q[near]
-    if near.size > _SCALAR_SETTLE:
-        while (up := a / q > b).any():
-            q[up] = np.nextafter(q[up], np.inf)
-        while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
-            q[down] = below[down]
-        return float(q.max() if largest else q.min())
-    firsts = []
-    for a_t, b_t, q_t in zip(a.tolist(), b.tolist(), q.tolist()):
-        while a_t / q_t > b_t:
-            q_t = math.nextafter(q_t, math.inf)
-        while a_t / (below := math.nextafter(q_t, 0.0)) <= b_t:
-            q_t = below
-        firsts.append(q_t)
-    return max(firsts) if largest else min(firsts)
-
-
-class _HalfLines(NamedTuple):
-    """Sorted tables that one family of half-line pairs reads.
-
-    Pair t is (y[iy[t]], x[ix[t]]) for index sequences iy, ix that never
-    fall, so both members ascend along the family.  ``neg_y`` is -y and
-    ``prev_neg_x`` the float before -x toward 0, for the pairs that bound q
-    from above; ``y_neg``, ``y_nonpos`` and ``x_neg`` count the entries of y
-    below 0 and up to 0, and of x below 0.  The x fields are ``_Reference``'s.
-    """
-
-    y: np.ndarray
-    neg_y: np.ndarray
-    y_neg: int
-    y_nonpos: int
-    x: np.ndarray
-    prev_neg_x: np.ndarray
-    x_neg: int
+    while (up := a / q > b).any():
+        q[up] = np.nextafter(q[up], np.inf)
+    while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
+        q[down] = below[down]
+    return float(q.max() if largest else q.min())
 
 
 class _Reference(Sorted):
-    """The reference sorted once per call, with both families' ``_HalfLines`` x fields."""
+    """The reference sorted once per call, with the tables both families of half-lines read.
+
+    ``neg`` is -xs, ``prev`` and ``prev_neg`` the floats before xs and -xs
+    toward 0; ``n_neg`` and ``n_nonpos`` count the xs below 0 and up to 0.
+    """
 
     def __init__(self, sample):
         super().__init__(sample)
-        self.first, self.second = (
-            (x, np.nextafter(-x, 0.0), int(x.searchsorted(0.0))) for x in (self.xs, -self.xs[::-1]))
-
-
-def _pick(a: np.ndarray, idx, start: int, stop: int) -> np.ndarray:
-    # a[idx[start:stop]]; an int idx is the run idx, idx + 1, ..., read as a slice
-    return a[idx + start : idx + stop] if isinstance(idx, int) else a[idx[start:stop]]
-
-
-def _rank(idx, v: int, size: int) -> int:
-    # entries of the index sequence idx, of length size, below v
-    return min(max(v - idx, 0), size) if isinstance(idx, int) else int(idx.searchsorted(v))
-
-
-def _divisor_bounds(h: _HalfLines, iy, ix, lo: float, hi: float) -> tuple[float, float]:
-    """Narrow [lo, hi] to the floats q > 0 with fl(y/q) <= x for every pair of ``h``.
-
-    Each pair is a half-line: q >= a bound if y > 0 (none if x <= 0), q <= a
-    bound if y < 0 and x < 0, else all q or none.  Along the family the
-    pairs with y > 0 form a suffix, those with y < 0 and those with x < 0
-    prefixes, so each test reads the one pair at a slice's edge.  One of
-    ``iy`` and ``ix`` is an index array, the other an int run start.  lo > hi
-    means empty.
-    """
-    size = ix.size if isinstance(iy, int) else iy.size
-    z, p = _rank(iy, h.y_neg, size), _rank(iy, h.y_nonpos, size)
-    if (p < size and _pick(h.x, ix, p, p + 1)[0] <= 0) or (z < p and _pick(h.x, ix, z, z + 1)[0] < 0):
-        return lo, -math.inf
-    if p < size:
-        lo = max(lo, _first_divisor(_pick(h.y, iy, p, size), _pick(h.x, ix, p, size), largest=True))
-    if (w := min(z, _rank(ix, h.x_neg, size))) > 0:
-        # fl(|y|/q) >= |x| up to the float before fl(|y|/q) <= prev(|x|)
-        out = _first_divisor(_pick(h.neg_y, iy, 0, w), _pick(h.prev_neg_x, ix, 0, w), largest=False)
-        hi = min(hi, math.nextafter(out, 0.0))
-    return lo, hi
+        xs = self.xs
+        self.neg, self.prev, self.prev_neg = -xs, np.nextafter(xs, 0.0), np.nextafter(-xs, 0.0)
+        self.n_neg, self.n_nonpos = int(xs.searchsorted(0.0, "left")), int(xs.searchsorted(0.0, "right"))
 
 
 def _optimal_cell(ref, ys, q_min: float, q_max: float) -> tuple[float, float, int, int]:
@@ -213,25 +171,47 @@ def _optimal_cell(ref, ys, q_min: float, q_max: float) -> tuple[float, float, in
     xs = (ref := _Reference.of(ref)).xs
     m, n = xs.size, ys.size
     i_n = np.arange(1, m + 1, dtype=np.int64) * n
-    j_m = np.arange(n, 0, -1, dtype=np.int64) * m
-    # the second family's pairs (-y_(j), -x_(i)) fall with j; reversed, they
-    # rise.  Each family's -y is the other's y read backwards.
-    nys = -ys[::-1]
+    j_m = np.arange(1, n + 1, dtype=np.int64) * m
+    neg_ys = -ys
     y_neg, y_nonpos = int(ys.searchsorted(0.0, "left")), int(ys.searchsorted(0.0, "right"))
-    first = _HalfLines(ys, nys[::-1], y_neg, y_nonpos, *ref.first)
-    second = _HalfLines(nys, ys[::-1], n - y_nonpos, n - y_neg, *ref.second)
 
     def cell(k: int) -> tuple[float, float]:
-        """Divisors in the window whose count is at most k; lo > hi means none."""
+        """Divisors in the window whose count is at most k; lo > hi means none.
+
+        A pair (y, x) of a family is a half-line of q > 0 with fl(y/q) <= x:
+        q >= a bound if y > 0 (none if x <= 0), q <= a bound if y < 0 and
+        x < 0, else all q or none.  Both members of a family's pairs are
+        monotone, so the pairs of each sign form a run at one end, and each
+        test reads the one pair at its edge.
+        """
+        lo, hi = q_min, q_max
         a, b = k // n, k // m  # the half-lines start at x_(a+1) and y_(b+1)
-        # 0-based: ceil((i n_y - k) / n_x) - 1 = (i n_y - k - 1) // n_x for i > a
+        # first family: (y_(j), x_(i)) for i > a, both rising; pair t reads
+        # ys[j[t]] and xs[a + t], 0-based j = (i n_y - k - 1) // n_x
         j = (i_n[a:] - (k + 1)) // m
-        c = _divisor_bounds(first, j, a, q_min, q_max)
-        if c[0] <= c[1]:  # an empty cell stays empty
-            # for j = n_y down to b + 1, where x_(i) sits in the reversed table
-            i = (m - 1) - (j_m[: n - b] - (k + 1)) // n
-            c = _divisor_bounds(second, 0, i, *c)
-        return c
+        z, p = int(j.searchsorted(y_neg)), int(j.searchsorted(y_nonpos))  # pairs with y < 0, y <= 0
+        if (p < j.size and xs[a + p] <= 0) or (z < p and xs[a + z] < 0):
+            return lo, -math.inf
+        if p < j.size:
+            lo = max(lo, _first_divisor(ys[j[p:]], xs[a + p :], largest=True))
+        if (w := min(z, ref.n_neg - a)) > 0:
+            # fl(|y|/q) >= |x| up to the float before fl(|y|/q) <= prev(|x|)
+            out = _first_divisor(neg_ys[j[:w]], ref.prev_neg[a : a + w], largest=False)
+            hi = min(hi, math.nextafter(out, 0.0))
+        if lo > hi:  # an empty cell stays empty
+            return lo, hi
+        # second family: (-y_(j), -x_(i)) for j > b, both falling; pair t
+        # reads -ys[b + t] and -xs[i[t]], 0-based i = (j n_x - k - 1) // n_y
+        i = (j_m[b:] - (k + 1)) // n
+        p, z = max(y_neg - b, 0), max(y_nonpos - b, 0)  # pairs with -y > 0, -y >= 0
+        if (p > 0 and xs[i[p - 1]] >= 0) or (z > p and xs[i[z - 1]] > 0):
+            return lo, -math.inf
+        if p > 0:
+            lo = max(lo, _first_divisor(neg_ys[b : b + p], ref.neg[i[:p]], largest=True))
+        if (w := max(z, int(i.searchsorted(ref.n_nonpos)))) < i.size:
+            out = _first_divisor(ys[b + w :], ref.prev[i[w:]], largest=False)
+            hi = min(hi, math.nextafter(out, 0.0))
+        return lo, hi
 
     # interquartile ranges, as Python floats, whose ratio overflows to inf silently
     spread_x, spread_y = float(xs[3 * m // 4] - xs[m // 4]), float(ys[3 * n // 4] - ys[n // 4])

@@ -441,8 +441,9 @@ def ingest_csv(source: str | Path | IO[bytes], grid: DayGrid) -> PriceSeries:
     bars is retained with NaN holes for ``filter_complete_days`` to judge.
     Malformed rows (a line that is not UTF-8 among them), off-grid
     timestamps, non-positive prices, and within-day timestamp disorder all
-    raise for the first offending row, with its line number (blank rows are
-    skipped but counted).  One leading byte-order mark is ignored.  A text
+    raise for the first offending row, with the number of the line it
+    starts on (blank rows are skipped but counted, and a quoted field that
+    spans lines counts each).  One leading byte-order mark is ignored.  A text
     stream raises ``TypeError`` before anything is read.
 
     Batches of lines in the strict layout ``YYYY-MM-DDTHH:MM:SS,<price>``
@@ -501,14 +502,14 @@ def _ingest(source: IO[bytes], grid: DayGrid, path: str | Path | None) -> PriceS
                 if [h.strip().lower() for h in row[:2]] != ["timestamp", "price"]:
                     got = ",".join(row)
                     raise ParseError(f"expected header 'timestamp,price', got {got!r}", line=1)
-                line = 2
             while True:
+                # the next row's line; a quoted field may span lines, which the reader counts
+                line = first_line + reader.line_num
                 chunk = []  # keeps the rows read before a csv.Error
                 chunk.extend(itertools.islice(reader, INGEST_CHUNK_ROWS))
                 if not chunk:
                     break
                 _place_chunk(chunk, line, grid, days, last_us)
-                line += len(chunk)
         except csv.Error as exc:  # a field over csv's size limit, among others
             if chunk:  # a faulty row before it is reported first
                 _place_chunk(chunk, line, grid, days, last_us)
@@ -738,7 +739,13 @@ def _refuse(rows: list[list[str]], line: int, grid: DayGrid, last_us: dict[int, 
     day (``last_us`` holds those of earlier batches), and on the grid.
     """
     last_us = dict(last_us)
-    for i, row in enumerate(rows, start=line):
+    next_line = line
+    for row in rows:
+        # a row ends one line, and each line end (LF, CR or CRLF) inside its
+        # quoted fields one more, as the reader counts them
+        text = "".join(row)
+        ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+        i, next_line = next_line, next_line + 1 + ends
         if not _is_utf8(row):
             raise ParseError("not valid UTF-8", line=i)
         if len(row) < 2:
@@ -766,7 +773,7 @@ def _refuse(rows: list[list[str]], line: int, grid: DayGrid, last_us: dict[int, 
             grid.bar_index(ts.time())
         except DataError as exc:
             raise DataError(f"line {i}: {exc}") from None
-    raise AssertionError(f"no row of lines {line}..{line + len(rows) - 1} fails a check")
+    raise AssertionError(f"no row of lines {line}..{next_line - 1} fails a check")
 
 
 def _place(

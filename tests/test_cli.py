@@ -77,6 +77,26 @@ def test_synth_same_seed_is_byte_identical(tmp_path):
     assert (a / "truth.json").read_bytes() == (b / "truth.json").read_bytes()
 
 
+def test_synth_multifractal_writes_the_cascade_truth_and_replays(tmp_path):
+    first, second = tmp_path / "mf1", tmp_path / "mf2"
+    argv = ["synth", "--mode", "multifractal", "--points", "9", "--depth", "3", "--bar-minutes", "20"]
+    assert main([*argv, "--out", str(first)]) == 0
+    truth = json.loads((first / "truth.json").read_text())
+    assert (truth["kind"], truth["depth"]) == ("multifractal", 3)
+    orders = (1.0, 2.0, 3.0, 4.0)
+    assert truth["hurst_by_order"] == {str(q): cli.cascade_hurst(q, truth["lambda2"]) for q in orders}
+    assert main(["synth", "--config", str(first / "manifest.json"), "--out", str(second)]) == 0
+    for name in ("prices.csv", "truth.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_synth_flat_profile_gives_every_bar_one_duration(tmp_path):
+    assert main(["synth", "--profile", "flat", "--days", "5", "--out", str(tmp_path)]) == 0
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    assert len(truth["bar_tau"]) == 19 and len(set(truth["bar_tau"])) == 1
+    assert sum(truth["bar_tau"]) + truth["overnight_tau"] == pytest.approx(1.0)
+
+
 def _tree_bytes(root):
     return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
 
@@ -522,6 +542,29 @@ def test_strict_mode_exits_nonzero_on_boundary_warnings(pipeline, tmp_path, caps
     assert "the optimal cell touches the window edge for intraday[0..1]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["calibrate", "analyze"])
+def test_the_gate_warning_prints_the_magnitude_it_compared(pipeline, tmp_path, capsys, command):
+    # the gate flags |value| > threshold; the pipeline's value is negative
+    argv = [command, "--input", str(pipeline / "cache" / "cache.json"), "--cutoff-threshold", "0"]
+    if command == "calibrate":
+        argv.append("--skip-additivity")
+    else:
+        argv += ["--clock", "fst", "--calibration", str(pipeline / "cal" / "calibration.json")]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    gate_file = "cutoff.json" if command == "calibrate" else "contiguous.json"
+    gate = json.loads((tmp_path / "a" / gate_file).read_text())
+    assert gate["value"] < 0 and gate["violated"]
+    want = f"warning: |contiguous correlation| {-gate['value']:.4f} exceeds 0 at 20 min"
+    assert want in capsys.readouterr().out.splitlines()
+    assert main([*argv, "--out", str(tmp_path / "b"), "--strict"]) == 3
+
+
+def test_pairwise_distances_refuse_a_single_class(pipeline, tmp_path, capsys):
+    argv = ["pairwise-d", "--input", str(pipeline / "cache" / "cache.json"), "--out", str(tmp_path)]
+    assert main([*argv, "--classes", "overnight"]) == 2
+    assert capsys.readouterr().err == "error: pairwise distances need at least two classes\n"
+
+
 def test_pairwise_matrix_is_symmetric_with_zero_diagonal(pipeline, tmp_path):
     assert main([
         "pairwise-d", "--input", str(pipeline / "cache" / "cache.json"),
@@ -950,6 +993,7 @@ def test_unreadable_input_file_ends_in_one_error_line(pipeline, tmp_path, capsys
     ("timestamp,price\n2020-01-02T09:40:00,100\n2020-01-02T10:00:00,abc\n", "line 3: bad price 'abc'"),
     ("timestamp,price\n2020-01-02T09:40:00,-1\n", "line 2: non-positive price '-1'"),
     ("timestamp,price\n", "input holds no data rows"),
+    ("", "line 1: empty input"),
 ])
 def test_malformed_csv_input_names_the_file(tmp_path, capsys, command, body, message):
     bad = tmp_path / "t.csv"

@@ -132,11 +132,38 @@ def _oracle_case(family, rng):
     elif family == "gauss":
         x = rng.standard_normal(nx)
         y = rng.standard_normal(ny) * rng.uniform(0.05, 20.0)
-    else:  # narrow window, rounded samples of similar scale
+    elif family == "narrow":  # narrow window, rounded samples of similar scale
         x = np.round(rng.standard_normal(nx), 1)
         y = np.round(rng.standard_normal(ny) * rng.uniform(0.5, 2.0), 1)
         cfg = SearchConfig(delta_tau_min=0.5, delta_tau_max=2.0)
+    else:
+        x, y = _shape_case(family, rng, nx, ny)
     return make_sample(x), make_sample(y), cfg
+
+
+def _shape_case(family, rng, nx, ny):
+    """Unsorted (x, y) of nx and ny values for a shape that stresses the half-line check."""
+    if family == "identical-tied":
+        # a few distinct values, each repeated: the optimal count's pairs tie
+        # at one ratio, past _SCALAR_SETTLE of them
+        x = np.repeat(rng.standard_normal(int(rng.integers(1, 4))), _SCALAR_SETTLE + 2)
+        return x, x.copy()
+    if family == "opposite":  # every x of one sign, every y of the other
+        sign = rng.choice([-1.0, 1.0])
+        return sign * (np.abs(rng.standard_normal(nx)) + 0.1), -sign * np.abs(rng.standard_normal(ny))
+    if family == "one-value":  # a reference that is zero except for one value
+        x = np.zeros(nx)
+        x[int(rng.integers(nx))] = rng.standard_normal()
+        return x, rng.standard_normal(ny)
+    if family == "overflow":  # y / x overflows to inf for the subnormal x
+        x = rng.standard_normal(nx) * 1e-300
+        x[: max(1, nx // 3)] *= 1e-20
+        return x, rng.standard_normal(ny) * 1e300
+    # underflow: y / x underflows to 0 for the subnormal y
+    x = rng.standard_normal(nx) * 1e10
+    y = rng.standard_normal(ny)
+    y[: max(1, ny // 3)] = rng.choice([-1.0, 1.0], size=max(1, ny // 3)) * np.nextafter(0.0, 1.0)
+    return x, y
 
 
 def _brute_force_min_count(x, y, cfg):
@@ -165,9 +192,13 @@ def _brute_force_min_count(x, y, cfg):
     return min(round(rescaled_ks(x, y, float(dt)).raw_sup * scale) for dt in np.unique(candidates))
 
 
-@pytest.mark.parametrize("family", ["ties", "decimal", "signs", "gauss", "narrow"])
+ORACLE_FAMILIES = ["ties", "decimal", "signs", "gauss", "narrow",
+                   "identical-tied", "opposite", "one-value", "overflow", "underflow"]
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
 def test_calibration_matches_brute_force_oracle(family):
-    rng = np.random.default_rng(["ties", "decimal", "signs", "gauss", "narrow"].index(family))
+    rng = np.random.default_rng(ORACLE_FAMILIES.index(family))
     for _ in range(250):
         x, y, cfg = _oracle_case(family, rng)
         r = calibrate_interval(y, x, cfg)
@@ -245,10 +276,11 @@ def _kernel_case(family, rng):
         else:
             y = y[:1]
         return x, y, (0.01, 10.0)
-    # clipped: the optimum lies outside the window, on either side
-    x = rng.standard_normal(nx)
-    scale = rng.choice([0.05, 20.0])
-    return x, np.round(rng.standard_normal(ny) * scale, 2), (0.5, 2.0)
+    if family == "clipped":  # the optimum lies outside the window, on either side
+        x = rng.standard_normal(nx)
+        scale = rng.choice([0.05, 20.0])
+        return x, np.round(rng.standard_normal(ny) * scale, 2), (0.5, 2.0)
+    return (*_shape_case(family, rng, nx, ny), (0.01, 10.0))
 
 
 def _assert_same_cell(xs, ys, q_min, q_max):
@@ -262,9 +294,15 @@ def _assert_same_cell(xs, ys, q_min, q_max):
     return got, want[3]
 
 
-@pytest.mark.parametrize("family", ["ticks", "one-signed", "single", "clipped"])
+# the mask reference settles neither an inf ratio nor a subnormal x exactly,
+# so it takes every kernel family but "overflow"
+KERNEL_FAMILIES = ["ticks", "one-signed", "single", "clipped",
+                   "identical-tied", "opposite", "one-value", "underflow"]
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_kernel_matches_mask_reference_bits(family):
-    rng = np.random.default_rng(["ticks", "one-signed", "single", "clipped"].index(family))
+    rng = np.random.default_rng(KERNEL_FAMILIES.index(family))
     edges, checks, reference_checks = set(), 0, 0
     for _ in range(60):
         x, y, (q_min, q_max) = _kernel_case(family, rng)
@@ -279,11 +317,11 @@ def test_kernel_matches_mask_reference_bits(family):
     assert 2 * checks <= reference_checks
 
 
-@pytest.mark.parametrize("family", ["ticks", "one-signed", "single", "clipped"])
+@pytest.mark.parametrize("family", [*KERNEL_FAMILIES, "overflow"])
 def test_fitted_ks_is_the_distance_measured_at_the_duration(family):
     # the fit reports the count its search certified; measuring the result
     # again at the fitted duration must give the same KsResult
-    rng = np.random.default_rng(20 + ["ticks", "one-signed", "single", "clipped"].index(family))
+    rng = np.random.default_rng(20 + [*KERNEL_FAMILIES, "overflow"].index(family))
     for _ in range(40):
         x, y, (q_min, q_max) = _kernel_case(family, rng)
         x, y = make_sample(x), make_sample(y)
@@ -332,6 +370,29 @@ def test_search_matches_mask_reference_at_its_edges(name):
         assert (got[1] == q_max) == (name == "clipped-hi")
 
 
+# (law, n, reference size, checks, optimal count, duration) of seeded fits:
+# whatever shape the half-line check takes, the search must make these
+# checks and find these bits
+PINNED_FITS = [
+    ("gauss", 120, 120, 3, 1920, "0x1.4effb7a838012p-2"),
+    ("t4", 2500, 2499, 4, 132343, "0x1.a70686efc0055p-2"),
+    ("t4", 5000, 4999, 4, 387606, "0x1.ecfc22f045c84p-2"),
+    ("ticks", 2500, 2499, 5, 300994, "0x1.c71c71c71c71ep-2"),
+    ("t4", 96_000, 3000, 6, 7791000, "0x1.05785413a79e6p-1"),
+]
+
+
+def test_seeded_fits_make_their_recorded_checks():
+    rng = np.random.default_rng(31)
+    for law, n, m, *want in PINNED_FITS:
+        x = rng.standard_normal(m) * np.exp(0.3 * rng.standard_normal(m))
+        y = 0.6 * (rng.standard_normal(n) if law == "gauss" else rng.standard_t(4, size=n))
+        if law == "ticks":
+            x, y = np.round(x, 1), np.round(y, 1)
+        fit = calibrate_interval(make_sample(y), make_sample(x))
+        assert [fit.n_evaluations, round(fit.ks.raw_sup * n * m), fit.delta_tau.hex()] == want
+
+
 def _brute_force_count(xs, ys, q):
     """max over the merged points z of |n_y C_x(z) - n_x C_{y/q}(z)|, by comparison matrices."""
     zs = ys / q
@@ -341,9 +402,9 @@ def _brute_force_count(xs, ys, q):
     return int(np.abs(ys.size * c_x - xs.size * c_z).max())
 
 
-@pytest.mark.parametrize("family", ["ticks", "one-signed", "single", "clipped"])
+@pytest.mark.parametrize("family", [*KERNEL_FAMILIES, "overflow"])
 def test_ks_count_is_exact(family):
-    rng = np.random.default_rng(10 + ["ticks", "one-signed", "single", "clipped"].index(family))
+    rng = np.random.default_rng(10 + [*KERNEL_FAMILIES, "overflow"].index(family))
     for _ in range(40):
         x, y, (q_min, q_max) = _kernel_case(family, rng)
         xs, ys = np.sort(x), np.sort(y)

@@ -155,8 +155,11 @@ def test_ingest_roundtrips_generated_increments(tmp_path):
 
 
 def _reference_ingest(text: str, grid: DayGrid) -> PriceSeries:
-    """Row-at-a-time ingest, the parser ``ingest_csv`` replaced, as an oracle."""
-    reader = csv.reader(io.StringIO(text))
+    """Row-at-a-time ingest, the parser ``ingest_csv`` replaced, as an oracle.
+
+    A row's line is the one it starts on: the lines the reader has read, plus one.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -166,7 +169,9 @@ def _reference_ingest(text: str, grid: DayGrid) -> PriceSeries:
 
     days: dict[date, np.ndarray] = {}
     last_ts: dict[date, datetime] = {}
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num
+    for row in reader:
+        lineno, start = start + 1, reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 2:
@@ -223,8 +228,10 @@ FAULTS = [
     "2020-01-07T09:40.00,100", "2020-01-07T09:40:00;100", "2O20-01-07T09:40:00,100",
 ]
 
-# Accepted layouts other than the strict YYYY-MM-DDTHH:MM:SS,<price>.
-LAYOUTS = ["{d} {t},{p}", "{d}T{t:.5},{p}", '"{d}T{t}","{p}"', "{d}T{t},{p} "]
+# Accepted layouts other than the strict YYYY-MM-DDTHH:MM:SS,<price>; the
+# last two hold a quoted third field that spans two and three lines.
+LAYOUTS = ["{d} {t},{p}", "{d}T{t:.5},{p}", '"{d}T{t}","{p}"', "{d}T{t},{p} ",
+           '{d}T{t},{p},"a\nb"', '{d}T{t},{p},"c\r\nd\re"']
 
 
 def _parity_corpus(rng: np.random.Generator) -> str:
@@ -465,6 +472,21 @@ def test_ingest_blank_rows_count_toward_line_numbers(monkeypatch):
     data += b"2020-01-02T10:20:00,102\n2020-01-02T10:20:00,103\n"
     with pytest.raises(DataError, match="^line 6: timestamps within 2020-01-02 not increasing$"):
         ingest_csv(io.BytesIO(data), GRID3)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("2020-01-02T10:20:00,abc", "^line 5: bad price 'abc'$"),
+    ('2020-01-02T10:20:00,"' + "9" * 131_073 + '"', r"^line 5: field larger than field limit \(131072\)$"),
+], ids=["bad-price", "over-long-field"])
+def test_ingest_numbers_rows_by_the_line_they_start_on(fault, message):
+    # line 2's quoted third field holds an LF, so its row spans lines 2 and 3
+    rows = ["timestamp,price", '2020-01-02T09:40:00,100,"a\nb"', "2020-01-02T10:00:00,101", fault]
+    text = "".join(row + "\r\n" for row in rows)
+    with pytest.raises(ParseError, match=message):
+        ingest_csv(bytes_of(text), GRID3)
+    if "abc" in fault:
+        with pytest.raises(ParseError, match=message):
+            _reference_ingest(text, GRID3)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
