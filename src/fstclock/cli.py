@@ -74,13 +74,9 @@ CSV_BLOCK_ROWS = 4096
 # ---------------------------------------------------------------------------
 # Deterministic file plumbing
 
-def _write_text(path: str, text: str) -> None:
-    with open_new(path) as f:
-        f.write(text)
-
-
 def _write_json(path: str, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    with open_new(path) as f:
+        f.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _str_cells(a: np.ndarray) -> list[str]:
@@ -428,21 +424,18 @@ def _reference(spec: str, partition: PartitionSpec, grid: DayGrid) -> IntervalCl
     return classes[0]
 
 
-def _write_gate(path: str, gate) -> list[str]:
-    """Write the contiguous-correlation gate to ``path``, return its warning."""
-    _write_json(
-        path,
-        {
-            "dt_minutes": gate.dt_minutes,
-            "value": gate.value,
-            "threshold": gate.threshold,
-            "violated": gate.violated,
-        },
-    )
+def _gate(gate) -> tuple[dict, list[str]]:
+    """The contiguous-correlation gate's record and its warning."""
+    record = {
+        "dt_minutes": gate.dt_minutes,
+        "value": gate.value,
+        "threshold": gate.threshold,
+        "violated": gate.violated,
+    }
     if not gate.violated:
-        return []
+        return record, []
     # the gate compares the magnitude, so the warning prints it
-    return [
+    return record, [
         f"|contiguous correlation| {abs(gate.value):.4f} exceeds {gate.threshold:g} "
         f"at {gate.dt_minutes:g} min"
     ]
@@ -457,9 +450,12 @@ def _load_calibration(path: str, partition: PartitionSpec) -> ClockCalibration:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (written files, warning strings)
+# Commands: each computes its outputs and its own warnings and writes nothing.
+# An output is a file name and its content: a dict, written as JSON; a
+# (header, columns) pair, written by ``_write_csv``; or a writer bound to its
+# data, called with the path.
 
-def cmd_synth(cfg: dict) -> tuple[list[str], list[str]]:
+def cmd_synth(cfg: dict) -> tuple[list, list[str]]:
     grid = _grid_from(cfg)
     gen = cli.GeneratorConfig(
         n_days=cfg["days"],
@@ -503,24 +499,19 @@ def cmd_synth(cfg: dict) -> tuple[list[str], list[str]]:
                 str(q): cli.cascade_hurst(q, cfg["lambda2"]) for q in (1.0, 2.0, 3.0, 4.0)
             },
         }
-    prices = os.path.join(cfg["out"], "prices.csv")
-    truth_path = os.path.join(cfg["out"], "truth.json")
-    cli.write_prices_csv(series, prices)
-    _write_json(truth_path, truth_payload)
-    return [prices, truth_path], []
+    return [("prices.csv", functools.partial(cli.write_prices_csv, series)),
+            ("truth.json", truth_payload)], []
 
 
-def cmd_ingest(cfg: dict) -> tuple[list[str], list[str]]:
+def cmd_ingest(cfg: dict) -> tuple[list, list[str]]:
     filtered = _load_filtered(cfg)
-    path = os.path.join(cfg["out"], "cache.json")
-    save_cache(filtered, path)
     warns = []
     if filtered.dropped_dates:
         warns.append(f"dropped {len(filtered.dropped_dates)} incomplete days")
-    return [path], warns
+    return [("cache.json", functools.partial(save_cache, filtered))], warns
 
 
-def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
+def cmd_calibrate(cfg: dict) -> tuple[list, list[str]]:
     series = _load_filtered(cfg)
     grid = series.grid
     partition = _partition_from(cfg, grid)
@@ -528,36 +519,25 @@ def cmd_calibrate(cfg: dict) -> tuple[list[str], list[str]]:
     ref_class = _reference(cfg["reference"], partition, grid)
     cal = cli.calibrate_clock(series, partition, cfg=search, reference=ref_class)
     tmap = cli.assemble_time_map(cal, partition, series)
-    gate = cli.cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
-    rows = None
+    gate, gate_warns = _gate(cli.cutoff_check(series, partition, threshold=cfg["cutoff_threshold"]))
+    outputs = [
+        ("calibration.json", cal.to_json_dict()),
+        ("timemap.csv", (["l", "m", "t_iso", "tau_fst"], [*tmap.anchor_columns(), tmap.anchor_tau])),
+        ("cutoff.json", gate),
+    ]
     if not cfg["skip_additivity"]:
         rows = cli.additivity_report(series, partition, cal, cfg=search, reference=ref_class)
-
-    # every result is in hand, so a refused run has written nothing
-    out = cfg["out"]
-    cal_path = os.path.join(out, "calibration.json")
-    _write_json(cal_path, cal.to_json_dict())
-    map_path = os.path.join(out, "timemap.csv")
-    _write_csv(map_path, ["l", "m", "t_iso", "tau_fst"], [*tmap.anchor_columns(), tmap.anchor_tau])
-    cut_path = os.path.join(out, "cutoff.json")
-    gate_warns = _write_gate(cut_path, gate)
-    files = [cal_path, map_path, cut_path]
-    if rows is not None:
-        add_path = os.path.join(out, "additivity.csv")
-        _write_csv(
-            add_path,
+        outputs.append(("additivity.csv", (
             ["label", "measured", "parts_sum", "ratio"],
             [[r.label for r in rows], [r.measured for r in rows],
              [r.parts_sum for r in rows], [r.ratio for r in rows]],
-        )
-        files.append(add_path)
-
+        )))
     warns = [f"the optimal cell touches the window edge for {c.label}"
              for c in cal.classes if c.boundary_warning]
-    return files, warns + gate_warns
+    return outputs, warns + gate_warns
 
 
-def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
+def cmd_analyze(cfg: dict) -> tuple[list, list[str]]:
     series = _load_filtered(cfg)
     grid = series.grid
     partition = _partition_from(cfg, grid)
@@ -579,109 +559,92 @@ def cmd_analyze(cfg: dict) -> tuple[list[str], list[str]]:
         cfg["profile_bins"] = partition.m_max
 
     lags = _num_list(cfg, "lags", int)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
+    rows = cli.span_union_samples(
+        series,
+        partition,
+        spans=_num_list(cfg, "spans", int),
+        calibration=cal,
+        include_overnight=not cfg["skip_overnight"],
+        multiday=_num_list(cfg, "multiday", int),
+    )
+    duration_of = (lambda r: r.fst_duration) if fst else (lambda r: r.physical_duration)
+    samples = [(duration_of(r), r.sample) for r in rows]
+    table = cli.moment_curve(samples, orders=_num_list(cfg, "orders"), clock_tag=cfg["clock"])
+    lo = cfg["fit_lo"] or float(table.durations.min())
+    hi = cfg["fit_hi"] or float(table.durations.max())
+    cfg["fit_lo"], cfg["fit_hi"] = lo, hi
+    spectrum = cli.hurst_slopes(table, fit_range=(lo, hi))
+    collapse = cli.pdf_collapse_export(
+        samples, hurst=cfg["collapse_hurst"], n_bins=cfg["collapse_bins"]
+    )
+    profile = cli.intraday_volatility_profile(
+        series, partition, time_map=tmap, n_bins=cfg["profile_bins"] if fst else None
+    )
+    curve = cli.volatility_autocorrelation(
+        series,
+        cfg["delta"],
+        lags,
+        time_map=tmap,
+        estimator=cfg["estimator"],
+    )
+    gate, gate_warns = _gate(cli.cutoff_check(series, partition, threshold=cfg["cutoff_threshold"]))
 
-        rows = cli.span_union_samples(
-            series,
-            partition,
-            spans=_num_list(cfg, "spans", int),
-            calibration=cal,
-            include_overnight=not cfg["skip_overnight"],
-            multiday=_num_list(cfg, "multiday", int),
-        )
-        duration_of = (lambda r: r.fst_duration) if fst else (lambda r: r.physical_duration)
-        samples = [(duration_of(r), r.sample) for r in rows]
-        table = cli.moment_curve(samples, orders=_num_list(cfg, "orders"), clock_tag=cfg["clock"])
-        lo = cfg["fit_lo"] or float(table.durations.min())
-        hi = cfg["fit_hi"] or float(table.durations.max())
-        cfg["fit_lo"], cfg["fit_hi"] = lo, hi
-        spectrum = cli.hurst_slopes(table, fit_range=(lo, hi))
-        collapse = cli.pdf_collapse_export(
-            samples, hurst=cfg["collapse_hurst"], n_bins=cfg["collapse_bins"]
-        )
-        profile = cli.intraday_volatility_profile(
-            series, partition, time_map=tmap, n_bins=cfg["profile_bins"] if fst else None
-        )
-        curve = cli.volatility_autocorrelation(
-            series,
-            cfg["delta"],
-            lags,
-            time_map=tmap,
-            estimator=cfg["estimator"],
-        )
-        gate = cli.cutoff_check(series, partition, threshold=cfg["cutoff_threshold"])
-
-    # every result is in hand, so a refused run has written nothing
-    out = cfg["out"]
-    moments_path = os.path.join(out, "moments.csv")
     n_q = table.orders.size
-    _write_csv(
-        moments_path,
-        ["label", "duration", "clock", "q", "moment"],
-        [
-            _repeated_text([r.label for r in rows], n_q),
-            np.repeat(table.durations, n_q),
-            _repeated_text([cfg["clock"]], len(rows) * n_q),
-            np.tile(table.orders, len(rows)),
-            table.moments.ravel(),
-        ],
-    )
-    hurst_path = os.path.join(out, "hurst.csv")
-    _write_csv(
-        hurst_path,
-        ["q", "clock", "hurst", "slope", "intercept", "rms_residual"],
-        [
-            spectrum.orders,
-            _repeated_text([cfg["clock"]], spectrum.orders.size),
-            spectrum.hurst,
-            spectrum.slopes,
-            spectrum.intercepts,
-            spectrum.rms_residuals,
-        ],
-    )
-    collapse_path = os.path.join(out, "collapse.csv")
     bins = [row.density.size for row in collapse]
-    _write_csv(
-        collapse_path,
-        ["label", "duration", "x_rescaled", "density"],
-        [
-            _repeated_text([row.label for row in collapse], bins),
-            np.repeat([row.duration for row in collapse], bins),
-            np.concatenate([row.bin_centers for row in collapse]),
-            np.concatenate([row.density for row in collapse]),
-        ],
-    )
-    profile_path = os.path.join(out, "profile.csv")
-    _write_csv(
-        profile_path,
-        ["position", "clock", "sigma", "n_obs"],
-        [
-            profile.positions,
-            _repeated_text([profile.clock_tag], profile.positions.size),
-            profile.sigma,
-            profile.n_obs,
-        ],
-    )
-    autocorr_path = os.path.join(out, "autocorr.csv")
-    _write_csv(
-        autocorr_path,
-        ["lag", "clock", "corr", "n_pairs"],
-        [
-            curve.lags,
-            _repeated_text([curve.clock_tag], curve.lags.size),
-            curve.values,
-            curve.n_pairs,
-        ],
-    )
-    gate_path = os.path.join(out, "contiguous.json")
-    gate_warns = _write_gate(gate_path, gate)
+    return [
+        ("moments.csv", (
+            ["label", "duration", "clock", "q", "moment"],
+            [
+                _repeated_text([r.label for r in rows], n_q),
+                np.repeat(table.durations, n_q),
+                _repeated_text([cfg["clock"]], len(rows) * n_q),
+                np.tile(table.orders, len(rows)),
+                table.moments.ravel(),
+            ],
+        )),
+        ("hurst.csv", (
+            ["q", "clock", "hurst", "slope", "intercept", "rms_residual"],
+            [
+                spectrum.orders,
+                _repeated_text([cfg["clock"]], spectrum.orders.size),
+                spectrum.hurst,
+                spectrum.slopes,
+                spectrum.intercepts,
+                spectrum.rms_residuals,
+            ],
+        )),
+        ("collapse.csv", (
+            ["label", "duration", "x_rescaled", "density"],
+            [
+                _repeated_text([row.label for row in collapse], bins),
+                np.repeat([row.duration for row in collapse], bins),
+                np.concatenate([row.bin_centers for row in collapse]),
+                np.concatenate([row.density for row in collapse]),
+            ],
+        )),
+        ("profile.csv", (
+            ["position", "clock", "sigma", "n_obs"],
+            [
+                profile.positions,
+                _repeated_text([profile.clock_tag], profile.positions.size),
+                profile.sigma,
+                profile.n_obs,
+            ],
+        )),
+        ("autocorr.csv", (
+            ["lag", "clock", "corr", "n_pairs"],
+            [
+                curve.lags,
+                _repeated_text([curve.clock_tag], curve.lags.size),
+                curve.values,
+                curve.n_pairs,
+            ],
+        )),
+        ("contiguous.json", gate),
+    ], gate_warns
 
-    warns = [str(w.message) for w in rec] + gate_warns
-    return [moments_path, hurst_path, collapse_path, profile_path, autocorr_path, gate_path], warns
 
-
-def cmd_compare_clocks(cfg: dict) -> tuple[list[str], list[str]]:
+def cmd_compare_clocks(cfg: dict) -> tuple[list, list[str]]:
     series = _load_filtered(cfg)
     grid = series.grid
     partition = _partition_from(cfg, grid)
@@ -691,11 +654,7 @@ def cmd_compare_clocks(cfg: dict) -> tuple[list[str], list[str]]:
     specs = parse_class_specs(cfg["classes"], partition, grid)
     x_ref, *samples = class_samples(series, [reference, *specs])
     classes = [(c.label, s) for c, s in zip(specs, samples)]
-
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        comp = cli.compare_clocks(classes, x_ref, orders=orders, cfg=search)
-    warns = [str(w.message) for w in rec]
+    comp = cli.compare_clocks(classes, x_ref, orders=orders, cfg=search)
 
     header = ["class", "fst_dtau", "fst_D"]
     columns = [
@@ -709,12 +668,10 @@ def cmd_compare_clocks(cfg: dict) -> tuple[list[str], list[str]]:
             [row.moments[i].delta_tau for row in comp.rows],
             [row.moments[i].ks.d for row in comp.rows],
         ]
-    path = os.path.join(cfg["out"], "comparison.csv")
-    _write_csv(path, header, columns)
-    return [path], warns
+    return [("comparison.csv", (header, columns))], []
 
 
-def cmd_pairwise_d(cfg: dict) -> tuple[list[str], list[str]]:
+def cmd_pairwise_d(cfg: dict) -> tuple[list, list[str]]:
     series = _load_filtered(cfg)
     grid = series.grid
     partition = _partition_from(cfg, grid)
@@ -730,10 +687,8 @@ def cmd_pairwise_d(cfg: dict) -> tuple[list[str], list[str]]:
         for j in range(i + 1, n):
             d = cli.ks_distance(labeled[i][1], labeled[j][1]).d
             matrix[i, j] = matrix[j, i] = d
-    path = os.path.join(cfg["out"], "pairwise.csv")
     labels = [label for label, _ in labeled]
-    _write_csv(path, ["class"] + labels, [labels, *matrix.T])
-    return [path], []
+    return [("pairwise.csv", (["class"] + labels, [labels, *matrix.T]))], []
 
 
 COMMANDS = {
@@ -748,6 +703,16 @@ COMMANDS = {
 INPUT_KEYS = ("input", "calibration")
 
 
+def _write(path: str, content) -> None:
+    """Write one output of a command (see the commands above) to ``path``."""
+    if isinstance(content, dict):
+        _write_json(path, content)
+    elif callable(content):
+        content(path)
+    else:
+        _write_csv(path, *content)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a named command needs only its own subparser; anything else gets all
@@ -756,30 +721,33 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args, command)
         os.makedirs(cfg["out"], exist_ok=True)
-        files, warns = COMMANDS[command](cfg)
+        # every warning is reported: the library's first, then the command's own
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            outputs, warns = COMMANDS[command](cfg)
+        warns = [str(w.message) for w in rec] + warns
+        # each input hashed as it was read, before any output can replace it
+        inputs = {
+            cfg[k]: _sha256(cfg[k]) for k in INPUT_KEYS if cfg.get(k) and os.path.exists(cfg[k])
+        }
+        manifest = {
+            "tool": "fstclock",
+            "version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "command": command,
+            "config": cfg,
+            "inputs": inputs,
+        }
+        paths = []
+        for name, content in [*outputs, ("resolved_config.json", cfg), ("manifest.json", manifest)]:
+            paths.append(path := os.path.join(cfg["out"], name))
+            _write(path, content)
     except (FstError, ValueError, OSError) as e:  # a refused value, a file not read or written
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    inputs = {
-        cfg[k]: _sha256(cfg[k]) for k in INPUT_KEYS if cfg.get(k) and os.path.exists(cfg[k])
-    }
-    manifest = {
-        "tool": "fstclock",
-        "version": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "command": command,
-        "config": cfg,
-        "inputs": inputs,
-    }
-    resolved_path = os.path.join(cfg["out"], "resolved_config.json")
-    manifest_path = os.path.join(cfg["out"], "manifest.json")
-    _write_json(resolved_path, cfg)
-    _write_json(manifest_path, manifest)
-    files += [resolved_path, manifest_path]
-
-    for path in files:
+    for path in paths:
         print(f"wrote {path}")
     for w in warns:
         print(f"warning: {w}")

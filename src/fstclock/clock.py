@@ -277,7 +277,9 @@ def _fit(ys: np.ndarray, ref: _Reference, cfg: SearchConfig, label: str) -> Clas
         q_min = math.nextafter(q_min, math.inf)
     if q_max * q_max > cfg.delta_tau_max:
         q_max = math.nextafter(q_max, 0.0)
-    lo, hi, k, checks = _optimal_cell(ref, ys, q_min, q_max)
+    # a ratio that overflows, or one over a quotient that underflowed to 0, is inf: a valid bound
+    with np.errstate(over="ignore", divide="ignore"):
+        lo, hi, k, checks = _optimal_cell(ref, ys, q_min, q_max)
     q = math.sqrt(lo * hi)
     ks = KsResult.from_count(k, ref.xs.size, ys.size)
     cell = (cfg.delta_tau_min if lo == q_min else lo * lo, cfg.delta_tau_max if hi == q_max else hi * hi)

@@ -11,6 +11,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -127,6 +128,64 @@ def test_a_directory_at_an_output_path_ends_in_one_error_line(tmp_path, capsys):
     assert main(["synth", "--out", str(out), "--days", "2", "--points", "20"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: [Errno 21] Is a directory: {str(out / 'prices.csv')!r}\n"
+
+
+def test_a_directory_at_the_manifest_path_ends_in_one_error_line(pipeline, tmp_path, capsys):
+    # before, main wrote the manifest outside its error handling: a traceback and exit 1
+    out = tmp_path / "cal"
+    (out / "manifest.json").mkdir(parents=True)
+    argv = ["calibrate", "--input", str(pipeline / "cache" / "cache.json"), "--out", str(out),
+            "--skip-additivity"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: {str(out / 'manifest.json')!r}\n"
+
+
+def _write_repeated_price_csv(path, seed: int) -> None:
+    """A seeded 120-day prices CSV on a 10-minute grid whose 10:30 price is
+    each day's 10:10 price, so the 20-minute returns from 10:10 are all 0."""
+    grid = DayGrid(open_time=dtime(9, 40), bar_minutes=10, n_points=39)
+    profile = cli.ActivityProfile.u_shape(grid.n_bars)
+    series, _ = cli.generate_seasonal(profile, cli.GeneratorConfig(n_days=120, seed=seed), grid)
+    log_prices = np.array(series.log_prices)
+    log_prices[:, 5] = log_prices[:, 3]
+    cli.write_prices_csv(PriceSeries(grid=grid, dates=series.dates, log_prices=log_prices), path)
+
+
+def test_a_library_warning_is_a_warning_line_that_strict_counts(tmp_path, capsys):
+    # before, calibrate let cutoff_check's warning reach stderr raw and exited 0 under --strict
+    prices = tmp_path / "prices.csv"
+    _write_repeated_price_csv(prices, seed=3)
+    argv = ["calibrate", "--input", str(prices), "--out", str(tmp_path / "cal"),
+            "--bar-minutes", "10", "--points", "39", "--strict"]
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == cli.STRICT_EXIT
+    assert "warning: positions with zero variance skipped" in out.splitlines()
+    assert err == "" and escaped == []
+
+
+@pytest.mark.parametrize("command, flags, names", [
+    ("synth", ["--days", "5", "--points", "20"], ["prices.csv", "truth.json"]),
+    ("ingest", ["--input", "synth/prices.csv", "--points", "20"], ["cache.json"]),
+    ("calibrate", ["--input", "cache/cache.json"],
+     ["calibration.json", "timemap.csv", "cutoff.json", "additivity.csv"]),
+    ("analyze", ["--input", "cache/cache.json", "--clock", "fst", "--calibration",
+                 "cal/calibration.json"],
+     ["moments.csv", "hurst.csv", "collapse.csv", "profile.csv", "autocorr.csv",
+      "contiguous.json"]),
+    ("compare-clocks", ["--input", "cache/cache.json"], ["comparison.csv"]),
+    ("pairwise-d", ["--input", "cache/cache.json"], ["pairwise.csv"]),
+])
+def test_a_command_returns_its_outputs_and_writes_nothing(pipeline, tmp_path, command, flags, names):
+    # main writes every output, so a refused run has written nothing
+    flags = [str(pipeline / f) if f.endswith((".csv", ".json")) else f for f in flags]
+    args = build_parser().parse_args([command, *flags, "--out", str(tmp_path)])
+    outputs, _ = cli.COMMANDS[command](resolve_config(args, command))
+    assert os.listdir(tmp_path) == []
+    assert [name for name, _ in outputs] == names
 
 
 def test_an_over_long_csv_field_ends_in_one_error_line(tmp_path, capsys):
