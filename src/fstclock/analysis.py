@@ -63,10 +63,7 @@ def _clock_bin_returns(
     if n_bins >= grid.n_bars + 1:
         raise ClassSpecError(f"{n_bins:.6g} clock bins exceed the {grid.n_bars} bars of the day")
     edges_tau = np.arange(int(n_bins) + 1) * width
-    offsets = [time_map.intraday_offset_minutes(t) for t in edges_tau]
-    pos = np.asarray(offsets, dtype=float) / grid.bar_minutes
-    if (pos < -1e-9).any() or (pos > grid.n_bars + 1e-9).any():
-        raise DataError("offset outside the trading session")
+    pos = time_map.intraday_offset_minutes(edges_tau) / grid.bar_minutes
     idx = np.clip(np.floor(pos).astype(int), 0, grid.n_bars - 1)
     frac = pos - idx
     edge_prices = (1.0 - frac) * z[:, idx] + frac * z[:, idx + 1]
@@ -606,13 +603,15 @@ def linear_correlation_contiguous(series: PriceSeries, dt_minutes: float) -> flo
 
 @dataclass(frozen=True)
 class CutoffReport:
+    """The gate at ``dt_minutes``; ``value`` is None where it was not checked."""
+
     dt_minutes: float
-    value: float
+    value: float | None
     threshold: float
 
     @property
     def violated(self) -> bool:
-        return abs(self.value) > self.threshold
+        return self.value is not None and abs(self.value) > self.threshold
 
 
 def cutoff_check(
@@ -625,8 +624,11 @@ def cutoff_check(
     The additive-clock construction assumes adjacent interval returns are
     effectively uncorrelated; this measures that assumption at the smallest
     interval the partition uses and flags a violation against ``threshold``.
+    Where that interval is longer than half the session, no two of them fit
+    in it: the gate is not checked and the report's value is None.
     """
     partition.check_grid(series.grid)
     dt = min(partition.interval_minutes(m) for m in range(1, partition.m_max + 1))
-    value = linear_correlation_contiguous(series, dt)
+    fits = 2 * series.grid.bars_in(dt) <= series.grid.n_bars
+    value = linear_correlation_contiguous(series, dt) if fits else None
     return CutoffReport(dt_minutes=dt, value=value, threshold=threshold)

@@ -432,6 +432,9 @@ def _gate(gate) -> tuple[dict, list[str]]:
         "threshold": gate.threshold,
         "violated": gate.violated,
     }
+    if gate.value is None:
+        return record, [f"contiguous correlation not checked: two {gate.dt_minutes:g}-min "
+                        "intervals do not fit in the session"]
     if not gate.violated:
         return record, []
     # the gate compares the magnitude, so the warning prints it
@@ -467,20 +470,14 @@ def cmd_synth(cfg: dict) -> tuple[list, list[str]]:
     )
     if cfg["mode"] == "seasonal":
         n_bars = grid.n_bars
-        if cfg["profile"] == "flat":
-            profile = cli.ActivityProfile.flat(n_bars, overnight_mass=cfg["overnight_mass"])
-        elif cfg["profile"] == "u-shape":
-            profile = cli.ActivityProfile.u_shape(
-                n_bars, edge_boost=cfg["edge_boost"], overnight_mass_ratio=cfg["overnight_mass"]
-            )
-        else:
-            steps = cfg["steps"] or n_bars
-            profile = cli.ActivityProfile.u_steps(
-                n_bars,
-                steps,
-                edge_boost=cfg["edge_boost"],
-                overnight_mass_ratio=cfg["overnight_mass"],
-            )
+        # flat is the one-step-per-bar U at edge boost 1, u-shape that U at --edge-boost
+        steps = (cfg["steps"] or n_bars) if cfg["profile"] == "u-steps" else n_bars
+        profile = cli.ActivityProfile.u_steps(
+            n_bars,
+            steps,
+            edge_boost=1.0 if cfg["profile"] == "flat" else cfg["edge_boost"],
+            overnight_mass_ratio=cfg["overnight_mass"],
+        )
         series, truth = cli.generate_seasonal(profile, gen, grid)
         truth_payload = {
             "kind": "seasonal",
@@ -739,16 +736,15 @@ def main(argv: list[str] | None = None) -> int:
             "config": cfg,
             "inputs": inputs,
         }
-        paths = []
+        # each file is named as soon as it is written, so a failed write
+        # leaves no file behind that no line names
         for name, content in [*outputs, ("resolved_config.json", cfg), ("manifest.json", manifest)]:
-            paths.append(path := os.path.join(cfg["out"], name))
-            _write(path, content)
+            _write(path := os.path.join(cfg["out"], name), content)
+            print(f"wrote {path}")
     except (FstError, ValueError, OSError) as e:  # a refused value, a file not read or written
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    for path in paths:
-        print(f"wrote {path}")
     for w in warns:
         print(f"warning: {w}")
     if warns and args.strict:

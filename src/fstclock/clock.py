@@ -503,20 +503,25 @@ class TimeMap:
         self._check_not_dropped(t)
         return t
 
-    def intraday_offset_minutes(self, tau_in_day: float) -> float:
-        """Minutes after the open at which ``tau_in_day`` falls on any day.
+    def intraday_offset_minutes(self, tau_in_day):
+        """Minutes after the open at which ``tau_in_day`` falls on any day
+        (a float, or an array of them for an array).
 
-        Valid for 0 <= tau_in_day <= trading_total; every day shares the
-        same intraday profile, so the offset is day-independent.
+        Valid for 0 <= tau_in_day <= trading_total, past which it admits
+        rounding and the billionth of a clock bin (at most the session) by
+        which ``analysis`` counts a last bin edge; every day shares the same
+        intraday profile, so the offset is day-independent.
         """
-        if not 0 <= tau_in_day <= self.calibration.trading_total + 1e-12:
-            raise MapRangeError(f"tau_in_day={tau_in_day} outside the trading session")
+        tau = np.asarray(tau_in_day, dtype=float)
+        outside = ~((tau >= 0) & (tau <= self.calibration.trading_total * (1 + 2e-9) + 1e-12))
+        if outside.any():
+            raise MapRangeError(f"tau_in_day={tau[outside].flat[0]} outside the trading session")
         # day 0's anchors are the boundaries' running sums of the durations
         bounds_tau = self.anchor_tau[: self.partition.m_max + 1]
         bounds_min = np.asarray(
             [b * self.grid.bar_minutes for b in self.partition.boundaries], dtype=float
         )
-        return float(np.interp(tau_in_day, bounds_tau, bounds_min))
+        return np.interp(tau, bounds_tau, bounds_min)
 
     def anchor_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Day index l, boundary index m and instant of every anchor, in order.

@@ -70,21 +70,9 @@ class ActivityProfile:
 
     @classmethod
     def flat(cls, n_bars: int, overnight_mass: float = 0.4) -> "ActivityProfile":
-        """Uniform activity; overnight mass in units of total intraday mass."""
-        a = np.full(n_bars, 1.0 / n_bars)
-        return cls(intraday_intensity=a, overnight_mass=overnight_mass)
-
-    @classmethod
-    def u_shape(
-        cls,
-        n_bars: int,
-        edge_boost: float = 8.0,
-        overnight_mass_ratio: float = 0.4,
-    ) -> "ActivityProfile":
-        """Smooth U: activity ``edge_boost`` times higher at open/close than midday."""
-        return cls.u_steps(
-            n_bars, n_bars, edge_boost=edge_boost, overnight_mass_ratio=overnight_mass_ratio
-        )
+        """Uniform activity, the one-step-per-bar U at edge boost 1; kept for
+        the benchmark's own checks, which build it."""
+        return cls.u_steps(n_bars, n_bars, edge_boost=1.0, overnight_mass_ratio=overnight_mass)
 
     @classmethod
     def u_steps(
@@ -95,7 +83,9 @@ class ActivityProfile:
         power: float = 2.0,
         overnight_mass_ratio: float = 0.4,
     ) -> "ActivityProfile":
-        """Step U, constant within each of ``n_steps`` equal blocks.
+        """Step U, constant within each of ``n_steps`` equal blocks: activity
+        ``edge_boost`` times higher at open/close than midday.  One step per
+        bar gives the smooth U, and edge boost 1 the flat profile.
 
         With blocks aligned to a partition of the same spacing the linear
         clock interpolation inside each interval is exact, so this is the

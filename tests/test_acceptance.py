@@ -156,7 +156,7 @@ def test_clock_time_flattens_the_volatility_profile(seasonal_world):
 def test_brownian_scaling_exponents_are_flat():
     # exactly 1e6 intraday increments: 2500 days of 400 one-minute bars
     grid = DayGrid(open_time=dtime(9, 40), bar_minutes=1, n_points=401)
-    profile = ActivityProfile.flat(400, overnight_mass=0.3)
+    profile = ActivityProfile.u_steps(400, 400, edge_boost=1.0, overnight_mass_ratio=0.3)
     series, _ = generate_seasonal(profile, GeneratorConfig(n_days=2500, seed=13), grid)
     samples = [(float(k), pooled_bar_sample(series, k)) for k in (1, 2, 4, 8, 16, 32, 64)]
     table = moment_curve(samples, orders=(0.5, 1.0, 2.0, 3.0, 4.0))

@@ -334,7 +334,7 @@ def test_autocorr_bits_do_not_depend_on_the_blas_thread_count():
         "from fstclock import DayGrid, volatility_autocorrelation\n"
         "from fstclock.synthetic import ActivityProfile, GeneratorConfig, generate_seasonal\n"
         "grid = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=19)\n"
-        "series, _ = generate_seasonal(ActivityProfile.flat(18), GeneratorConfig(n_days=1200, seed=7), grid)\n"
+        "series, _ = generate_seasonal(ActivityProfile.u_steps(18, 18, edge_boost=1.0), GeneratorConfig(n_days=1200, seed=7), grid)\n"
         "c = volatility_autocorrelation(series, 20.0, [1, 2, 3])\n"
         "print(min(c.n_pairs), [repr(float(v)) for v in c.values])\n"
     )

@@ -4,6 +4,7 @@ Everything funnels through ``main(argv)`` in-process; the pipeline fixtures
 build one small synthetic universe per session and the later stages feed on
 the earlier stages' files, the same way a user would chain them.
 """
+import decimal
 import json
 import math
 import os
@@ -137,15 +138,19 @@ def test_a_directory_at_the_manifest_path_ends_in_one_error_line(pipeline, tmp_p
     argv = ["calibrate", "--input", str(pipeline / "cache" / "cache.json"), "--out", str(out),
             "--skip-additivity"]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    stdout, err = capsys.readouterr()
     assert err == f"error: [Errno 21] Is a directory: {str(out / 'manifest.json')!r}\n"
+    # every file the failed run left is named, and nothing else
+    written = sorted(f.name for f in out.iterdir() if f.is_file())
+    assert written == ["calibration.json", "cutoff.json", "resolved_config.json", "timemap.csv"]
+    assert sorted(stdout.splitlines()) == [f"wrote {out / name}" for name in written]
 
 
 def _write_repeated_price_csv(path, seed: int) -> None:
     """A seeded 120-day prices CSV on a 10-minute grid whose 10:30 price is
     each day's 10:10 price, so the 20-minute returns from 10:10 are all 0."""
     grid = DayGrid(open_time=dtime(9, 40), bar_minutes=10, n_points=39)
-    profile = cli.ActivityProfile.u_shape(grid.n_bars)
+    profile = cli.ActivityProfile.u_steps(grid.n_bars, grid.n_bars)
     series, _ = cli.generate_seasonal(profile, cli.GeneratorConfig(n_days=120, seed=seed), grid)
     log_prices = np.array(series.log_prices)
     log_prices[:, 5] = log_prices[:, 3]
@@ -1025,6 +1030,33 @@ def test_a_lag_range_far_past_the_sequence_ends_in_one_warning(pipeline, tmp_pat
         past = [line for line in capsys.readouterr().out.splitlines() if "past the" in line]
         assert past == [f"warning: dropped {count} lag(s) past the {slots}-slot sequence, from lag {slots}"]
         assert (tmp_path / last / "autocorr.csv").read_bytes() == (tmp_path / "near" / "autocorr.csv").read_bytes()
+
+
+def test_a_delta_inside_the_bin_count_slack_gives_every_clock_slot(pipeline, tmp_path, capsys):
+    # trading_total / 19 rounded up at its 11th digit: 19 bins reach a hair
+    # past the close, which the bin count admits; before, the map refused it
+    cal = pipeline / "cal" / "calibration.json"
+    total = float(np.sum(json.loads(cal.read_text())["delta_tau_intraday"]))
+    delta = float(decimal.Context(prec=11, rounding=decimal.ROUND_CEILING).create_decimal(total / 19))
+    assert 19 * delta > total
+    code = main(["analyze", "--input", str(pipeline / "cache" / "cache.json"), "--out", str(tmp_path),
+                 "--clock", "fst", "--calibration", str(cal), "--delta", repr(delta), "--lags", "0:3000"])
+    assert code == 0
+    past = [line for line in capsys.readouterr().out.splitlines() if "past the" in line]
+    assert past == [f"warning: dropped 601 lag(s) past the {120 * 20}-slot sequence, from lag 2400"]
+
+
+def test_a_one_interval_partition_records_the_gate_as_not_checked(pipeline, tmp_path, capsys):
+    # before, two 380-min intervals not fitting in the session was an error
+    argv = ["calibrate", "--input", str(pipeline / "cache" / "cache.json"), "--out", str(tmp_path),
+            "--interval-minutes", "380", "--skip-additivity"]
+    assert main(argv) == 0
+    warns = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+    assert warns == ["warning: contiguous correlation not checked: "
+                     "two 380-min intervals do not fit in the session"]
+    gate = json.loads((tmp_path / "cutoff.json").read_text())
+    assert gate == {"dt_minutes": 380.0, "value": None, "threshold": 0.05, "violated": False}
+    assert main([*argv, "--strict"]) == cli.STRICT_EXIT
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated"])

@@ -177,7 +177,7 @@ def _brute_force_min_count(x, y, cfg):
     scored with ``rescaled_ks``.
     """
     lo, hi = cfg.delta_tau_min, cfg.delta_tau_max
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = np.divide.outer(y.values, x.values).ravel()
     q = q[np.isfinite(q) & (q > 0)]
     below, above = np.nextafter(q, 0.0), np.nextafter(q, np.inf)
@@ -217,10 +217,11 @@ def _mask_first_divisor(a, b, largest):
     edge = q.max() if largest else q.min()
     near = np.abs(q - edge) <= 1e-14 * edge
     a, b, q = a[near], b[near], q[near]
-    while (up := a / q > b).any():
-        q[up] = np.nextafter(q[up], np.inf)
-    while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
-        q[down] = below[down]
+    with np.errstate(divide="ignore"):  # a / 0 is inf, above every b
+        while (up := a / q > b).any():
+            q[up] = np.nextafter(q[up], np.inf)
+        while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
+            q[down] = below[down]
     return float(q.max() if largest else q.min())
 
 
@@ -409,7 +410,7 @@ def test_ks_count_is_exact(family):
         x, y, (q_min, q_max) = _kernel_case(family, rng)
         xs, ys = np.sort(x), np.sort(y)
         # a random divisor, and divisors y_(j) / x_(i) at which a y / q meets an x
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ties = np.divide.outer(ys, xs).ravel()
         ties = ties[np.isfinite(ties) & (ties > 0)]
         qs = [math.exp(rng.uniform(math.log(q_min), math.log(q_max)))]
@@ -740,6 +741,8 @@ def test_map_range_errors():
         tm.map_tau(2.0 + 1e-9)
     with pytest.raises(MapRangeError):
         tm.intraday_offset_minutes(0.7)
+    with pytest.raises(MapRangeError, match="tau_in_day=0.7 "):
+        tm.intraday_offset_minutes(np.array([0.1, 0.7]))
 
 
 def test_map_intraday_offsets():
@@ -748,6 +751,10 @@ def test_map_intraday_offsets():
     assert tm.intraday_offset_minutes(0.25) == 40.0
     assert tm.intraday_offset_minutes(0.625) == 120.0
     assert tm.intraday_offset_minutes(0.125) == 20.0  # linear inside the interval
+    assert tm.intraday_offset_minutes(np.array([0.0, 0.125, 0.25])).tolist() == [0.0, 20.0, 40.0]
+    # a last clock-bin edge a billionth of a bin past the close reads as the close
+    total = tm.calibration.trading_total
+    assert tm.intraday_offset_minutes(total * (1 + 1e-9)) == tm.intraday_offset_minutes(total)
 
 
 def test_map_rows_enumerate_anchors():

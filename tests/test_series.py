@@ -143,7 +143,7 @@ def test_ingest_bad_header():
 
 
 def test_ingest_roundtrips_generated_increments(tmp_path):
-    profile = ActivityProfile.flat(n_bars=19, overnight_mass=0.3)
+    profile = ActivityProfile.u_steps(19, 19, edge_boost=1.0, overnight_mass_ratio=0.3)
     grid = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20)
     series, _ = generate_seasonal(profile, GeneratorConfig(n_days=6, seed=42), grid)
     path = tmp_path / "prices.csv"
@@ -684,7 +684,8 @@ def test_a_failed_helper_leaves_the_output_of_one_process(tmp_path, monkeypatch,
         def run():
             return ingest_csv(path, s.grid).log_prices.tobytes()
     else:
-        series, _ = generate_seasonal(ActivityProfile.flat(19), GeneratorConfig(n_days=13, seed=4),
+        series, _ = generate_seasonal(ActivityProfile.u_steps(19, 19, edge_boost=1.0),
+                                      GeneratorConfig(n_days=13, seed=4),
                                       DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20))
         path = tmp_path / "prices.csv"
         write_prices_csv(series, path)  # below PRICES_SPLIT_BARS: one process
@@ -1253,7 +1254,7 @@ def test_cache_roundtrip_exact(tmp_path, default_grid):
 def _holed_series(tmp_path, n_days: int) -> PriceSeries:
     """A CSV-ingested series with NaN holes kept by ``max_missing_bars > 0``."""
     grid = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20)
-    profile = ActivityProfile.flat(n_bars=19, overnight_mass=0.3)
+    profile = ActivityProfile.u_steps(19, 19, edge_boost=1.0, overnight_mass_ratio=0.3)
     series, _ = generate_seasonal(profile, GeneratorConfig(n_days=n_days, seed=5), grid)
     lp = np.array(series.log_prices)
     lp[1, 4] = lp[3, 0] = lp[3, 19] = lp[n_days - 1, 7] = np.nan

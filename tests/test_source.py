@@ -9,27 +9,50 @@ import fstclock
 PACKAGE = Path(fstclock.__file__).parent
 
 
-def unused_imports(path: Path) -> list[str]:
-    """``file:line name`` for each name a module imports and never reads.
-
-    ``from __future__`` imports and names on a line marked ``noqa: F401`` are
-    exempt; ``import a.b`` binds ``a``.
-    """
+def imported_names(path: Path) -> list[tuple[int, str, bool]]:
+    """``(line, name, kept)`` for each name a module imports, ``from
+    __future__`` aside; ``kept`` when its line is marked ``noqa: F401``.
+    ``import a.b`` binds ``a``."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
-    tree = ast.parse(text)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = []
-    for node in ast.walk(tree):
+    names = []
+    for node in ast.walk(ast.parse(text)):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
-            if name not in read and "noqa: F401" not in lines[alias.lineno - 1]:
-                unused.append(f"{path.name}:{alias.lineno} {name}")
-    return unused
+            names.append((alias.lineno, name, "noqa: F401" in lines[alias.lineno - 1]))
+    return names
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``file:line name`` for each name a module imports and never reads,
+    kept names (see ``imported_names``) exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for line, name, kept in imported_names(path)
+            if name not in read and not kept]
+
+
+def tracer_targets(path: Path) -> set[tuple[str, str]]:
+    """The ``(module, name)`` pairs of ``TARGETS`` in the benchmark tracer's
+    source: its literal pairs, and those it makes of a module and each name
+    of a literal tuple (``(module, name) for name in NAMES``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    values = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    pairs = set()
+    for node in ast.walk(values["TARGETS"]):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2 and all(
+                isinstance(e, ast.Constant) for e in node.elts):
+            pairs.add((node.elts[0].value, node.elts[1].value))
+        elif isinstance(node, ast.GeneratorExp):
+            module = node.elt.elts[0].value
+            names = ast.literal_eval(values[node.generators[0].iter.id])
+            pairs.update((module, name) for name in names)
+    return pairs
 
 
 def dead_private_names(paths: list[Path]) -> list[str]:
@@ -93,6 +116,27 @@ def test_the_unused_import_check_sees_what_it_should(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["m.py:3 np", "m.py:5 dumps", "m.py:10 math"]
+
+
+def test_every_kept_import_is_a_name_the_benchmark_tracer_wraps():
+    # a name imported only so that the tracer can wrap it goes with its target
+    targets = tracer_targets(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    kept = [(f"fstclock.{path.stem}", name) for path in sorted(PACKAGE.glob("*.py"))
+            for _, name, is_kept in imported_names(path) if is_kept]
+    assert [pair for pair in kept if pair not in targets] == []
+
+
+def test_the_tracer_target_reader_sees_what_it_should(tmp_path):
+    tracer = tmp_path / "tracing.py"
+    tracer.write_text(
+        "NAMES = ('f', 'g')\n"
+        "TARGETS = tuple(('p.cli', name) for name in NAMES) + (\n"
+        "    ('p.clock', 'h'),\n"
+        ")\n"
+        "OTHER = (('p.ks', 'k'),)\n",
+        encoding="utf-8",
+    )
+    assert tracer_targets(tracer) == {("p.cli", "f"), ("p.cli", "g"), ("p.clock", "h")}
 
 
 def test_no_private_name_of_the_package_goes_unread():

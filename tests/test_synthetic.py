@@ -31,13 +31,14 @@ GRID20 = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=20)
 # --- profiles ---------------------------------------------------------------
 
 def test_flat_profile_normalised():
-    p = ActivityProfile.flat(19, overnight_mass=0.3)
+    p = ActivityProfile.u_steps(19, 19, edge_boost=1.0, overnight_mass_ratio=0.3)
+    assert (p.intraday_intensity == p.intraday_intensity[0]).all()
     assert p.intraday_intensity.sum() == pytest.approx(1.0)
     assert p.n_bars == 19
 
 
 def test_u_shape_edges_dominate():
-    p = ActivityProfile.u_shape(19, edge_boost=8.0)
+    p = ActivityProfile.u_steps(19, 19, edge_boost=8.0)
     a = p.intraday_intensity
     assert a[0] > 5.0 * a[9]
     assert a[-1] == pytest.approx(a[0])
@@ -62,14 +63,15 @@ def test_profile_validation():
 # --- ground-truth clock -----------------------------------------------------
 
 def test_ground_truth_day_is_exactly_one():
-    for p in (ActivityProfile.flat(19), ActivityProfile.u_shape(19), ActivityProfile.u_steps(18, 6)):
+    for n_bars, n_steps, edge_boost in ((19, 19, 1.0), (19, 19, 8.0), (18, 6, 8.0)):
+        p = ActivityProfile.u_steps(n_bars, n_steps, edge_boost=edge_boost)
         gt = GroundTruthClock.from_profile(p)
         assert gt.day_total == 1.0
         assert gt.overnight_tau > 0
 
 
 def test_ground_truth_interval_sums(default_grid):
-    gt = GroundTruthClock.from_profile(ActivityProfile.u_shape(19))
+    gt = GroundTruthClock.from_profile(ActivityProfile.u_steps(19, 19))
     part = PartitionSpec.equal_spacing(default_grid, interval_minutes=20)
     dur = gt.interval_durations(part)
     assert dur.shape == (19,)
@@ -91,7 +93,7 @@ def test_ground_truth_coarser_partition():
 # --- seasonal generator -----------------------------------------------------
 
 def test_seasonal_is_deterministic():
-    p = ActivityProfile.u_shape(19)
+    p = ActivityProfile.u_steps(19, 19)
     cfg = GeneratorConfig(n_days=20, seed=7)
     a, _ = generate_seasonal(p, cfg, GRID20)
     b, _ = generate_seasonal(p, cfg, GRID20)
@@ -102,14 +104,14 @@ def test_seasonal_is_deterministic():
 
 def test_seasonal_prefix_property():
     # day streams key off the day index alone, so a longer run starts the same
-    p = ActivityProfile.flat(19)
+    p = ActivityProfile.u_steps(19, 19, edge_boost=1.0)
     short, _ = generate_seasonal(p, GeneratorConfig(n_days=3, seed=9), GRID20)
     long, _ = generate_seasonal(p, GeneratorConfig(n_days=8, seed=9), GRID20)
     assert (long.log_prices[:3] == short.log_prices).all()
 
 
 def test_seasonal_variances_track_profile():
-    p = ActivityProfile.u_shape(19, edge_boost=8.0, overnight_mass_ratio=0.5)
+    p = ActivityProfile.u_steps(19, 19, edge_boost=8.0, overnight_mass_ratio=0.5)
     series, _ = generate_seasonal(p, GeneratorConfig(n_days=4000, seed=10), GRID20)
     z = series.log_prices
     bar_var = np.diff(z, axis=1).var(axis=0)
@@ -120,7 +122,7 @@ def test_seasonal_variances_track_profile():
 
 
 def test_seasonal_student_t_keeps_variances():
-    p = ActivityProfile.flat(19)
+    p = ActivityProfile.u_steps(19, 19, edge_boost=1.0)
     cfg = GeneratorConfig(n_days=4000, seed=13, innovation="student-t", nu=6.0)
     series, _ = generate_seasonal(p, cfg, GRID20)
     bar_var = np.diff(series.log_prices, axis=1).var(axis=0)
@@ -133,7 +135,8 @@ def test_seasonal_student_t_keeps_variances():
 
 def test_seasonal_profile_grid_mismatch():
     with pytest.raises(DataError):
-        generate_seasonal(ActivityProfile.flat(10), GeneratorConfig(n_days=2, seed=0), GRID20)
+        generate_seasonal(ActivityProfile.u_steps(10, 10, edge_boost=1.0),
+                          GeneratorConfig(n_days=2, seed=0), GRID20)
 
 
 def test_generator_config_validation():
@@ -173,7 +176,7 @@ def test_generator_config_refuses_values_that_give_garbage_or_fail_late(field, k
 
 def test_generator_config_takes_numpy_and_huge_seeds():
     grid = DayGrid(open_time=time(9, 40), bar_minutes=20, n_points=5)
-    p = ActivityProfile.flat(4)
+    p = ActivityProfile.u_steps(4, 4, edge_boost=1.0)
     a, _ = generate_seasonal(p, GeneratorConfig(n_days=3, seed=np.uint64(9)), grid)
     b, _ = generate_seasonal(p, GeneratorConfig(n_days=3, seed=9), grid)
     assert a.log_prices.tobytes() == b.log_prices.tobytes()
@@ -304,7 +307,7 @@ def _oracle_multifractal(cfg, grid, overnight_mass_ratio):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_seasonal_matches_the_per_day_oracle(family):
-    p = ActivityProfile.u_shape(19, overnight_mass_ratio=0.4)
+    p = ActivityProfile.u_steps(19, 19, overnight_mass_ratio=0.4)
     for n in DAY_COUNTS:
         cfg = GeneratorConfig(n_days=n, seed=2**64 + n, **family)
         series, _ = generate_seasonal(p, cfg, GRID20)
@@ -413,7 +416,7 @@ def _holed(n_days: int):
     and the last bar missing, a day with no bar (from 3 days on), and prices
     that ``repr`` writes in exponent notation."""
     series, _ = generate_seasonal(
-        ActivityProfile.u_shape(19), GeneratorConfig(n_days=n_days, seed=3), GRID20
+        ActivityProfile.u_steps(19, 19), GeneratorConfig(n_days=n_days, seed=3), GRID20
     )
     lp = np.array(series.log_prices)
     lp[0, 0] = lp[-1, -1] = np.nan
@@ -561,7 +564,8 @@ def test_write_prices_csv_of_criterion_11_size_runs_in_one_process(tmp_path, for
 
 @pytest.mark.parametrize("z", [math.inf, -math.inf, -800.0, 800.0, -746.0])
 def test_write_prices_csv_refuses_a_price_that_is_not_a_positive_double(tmp_path, z):
-    series, _ = generate_seasonal(ActivityProfile.flat(19), GeneratorConfig(n_days=2, seed=1), GRID20)
+    series, _ = generate_seasonal(ActivityProfile.u_steps(19, 19, edge_boost=1.0),
+                                  GeneratorConfig(n_days=2, seed=1), GRID20)
     lp = np.array(series.log_prices)
     lp[0, 3] = np.nan
     lp[1, 3] = z
