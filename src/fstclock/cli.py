@@ -382,7 +382,12 @@ def _grid_from(cfg: dict) -> DayGrid:
 
 
 def _load_filtered(cfg: dict):
-    series = load_series(cfg["input"], grid=_grid_from(cfg))
+    """The input's complete days; a cache's own grid replaces the grid options in ``cfg``."""
+    series = load_series(cfg["input"], grid=(grid := _grid_from(cfg)))
+    if (g := series.grid) != grid:
+        cfg.update(bar_minutes=g.bar_minutes, points=g.n_points)
+        if g.open_time != grid.open_time:
+            cfg["open"] = g.open_time.isoformat(timespec="minutes")
     return filter_complete_days(series, max_missing_bars=cfg["max_missing"])
 
 
@@ -723,6 +728,10 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always")
             outputs, warns = COMMANDS[command](cfg)
         warns = [str(w.message) for w in rec] + warns
+        for o in GRID_OPTS:  # a grid flag must name the grid the run used, a cache's included
+            if (typed := getattr(args, o.name, None)) is not None and typed != cfg[o.name]:
+                raise ClassSpecError(f"{_flag(o.name)} {typed} differs from the grid of {cfg['input']}, "
+                                     f"which has {_flag(o.name)} {cfg[o.name]}")
         # each input hashed as it was read, before any output can replace it
         inputs = {
             cfg[k]: _sha256(cfg[k]) for k in INPUT_KEYS if cfg.get(k) and os.path.exists(cfg[k])

@@ -11,6 +11,7 @@ day and stacking whole days.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timedelta
 
@@ -36,14 +37,6 @@ from .series import (
 # Naive-datetime epoch for the time map, so the mapping never touches the
 # process timezone and stays deterministic across machines.
 _EPOCH = datetime(1970, 1, 1)
-
-
-def _to_seconds(t: datetime) -> float:
-    return (t - _EPOCH).total_seconds()
-
-
-def _from_seconds(s: float) -> datetime:
-    return _EPOCH + timedelta(seconds=round(s, 6))
 
 
 @dataclass(frozen=True)
@@ -90,9 +83,6 @@ class ClassFit:
     n_evaluations: int = field(default=0, compare=False)
 
 
-# Near pairs up to which a Python loop settles faster than numpy's masks
-# (about 64 on a 2-vCPU VM; a fit has one to three, identical samples thousands).
-_SCALAR_SETTLE = 64
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
@@ -112,28 +102,20 @@ def _first_divisor(a: np.ndarray, b: np.ndarray, largest: bool) -> float:
     """Largest (or smallest) over pairs a, b > 0 of the first float q with fl(a/q) <= b.
 
     fl(a/q) never rises with q, and a/b is within an ulp or two of each
-    answer, so only pairs near the extreme a/b (inf included) can hold it;
-    ``_settle`` settles those in Python floats (IEEE doubles too), unless
-    ties leave more than ``_SCALAR_SETTLE`` of them, as identical samples
-    do: numpy's masks settle those.  Below the normal range b's spacing is
-    2**-1074 whatever its size, so there the answer is a / (b + 2**-1075),
-    not a/b: scaled by 2**54, both terms are exact.  b is monotone along
-    both families of pairs, so its ends tell whether any b is that small.
+    answer, so only pairs near the extreme a/b (inf included) can hold it:
+    ``_settle`` settles each in Python floats (IEEE doubles too), one to a
+    few per bound in a fit, thousands for identical samples.  Below the
+    normal range b's spacing is 2**-1074 whatever its size, so there the
+    answer is a / (b + 2**-1075), not a/b: scaled by 2**54, both terms are
+    exact.  b is monotone along both families of pairs, so its ends tell
+    whether any b is that small.
     """
     q = a / b
     if min(b[0], b[-1]) < _TINY:
         sub = b < _TINY
         q[sub] = a[sub] * 2.0**54 / (b[sub] * 2.0**54 + 2.0**-1021)
     near = np.flatnonzero(q >= q.max() * (1 - 1e-14) if largest else q <= q.min() * (1 + 1e-14))
-    if near.size <= _SCALAR_SETTLE:
-        firsts = [_settle(a.item(t), b.item(t), q.item(t)) for t in near.tolist()]
-        return max(firsts) if largest else min(firsts)
-    a, b, q = a[near], b[near], q[near]
-    while (up := a / q > b).any():
-        q[up] = np.nextafter(q[up], np.inf)
-    while (down := a / (below := np.nextafter(q, 0.0)) <= b).any():
-        q[down] = below[down]
-    return float(q.max() if largest else q.min())
+    return (max if largest else min)(_settle(a.item(t), b.item(t), q.item(t)) for t in near.tolist())
 
 
 class _Reference(Sorted):
@@ -150,8 +132,8 @@ class _Reference(Sorted):
         self.n_neg, self.n_nonpos = int(xs.searchsorted(0.0, "left")), int(xs.searchsorted(0.0, "right"))
 
 
-def _optimal_cell(ref, ys, q_min: float, q_max: float) -> tuple[float, float, int, int]:
-    """Smallest KS count of ``ref`` (a ``_Reference`` or sorted values) against sorted ys / q.
+def _optimal_cell(ref: _Reference, ys, q_min: float, q_max: float) -> tuple[float, float, int, int]:
+    """Smallest KS count of ``ref`` against sorted ys / q.
 
     Returns the divisor cell (lo, hi), the count k_hi and the checks made.
 
@@ -168,8 +150,7 @@ def _optimal_cell(ref, ys, q_min: float, q_max: float) -> tuple[float, float, in
     counts, so the search ends at the same smallest count as that
     bisection, and its cell comes from the same check.
     """
-    xs = (ref := _Reference.of(ref)).xs
-    m, n = xs.size, ys.size
+    xs, m, n = ref.xs, ref.xs.size, ys.size
     i_n = np.arange(1, m + 1, dtype=np.int64) * n
     j_m = np.arange(1, n + 1, dtype=np.int64) * m
     neg_ys = -ys
@@ -386,20 +367,20 @@ class ClockCalibration:
             if not isinstance(label, str):
                 raise TypeError(f"expected a class label, got {type(label).__name__}")
             entry = "boundary_warnings"
-            warnings = payload.get("boundary_warnings", [])
-            if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+            flagged = payload.get("boundary_warnings", [])
+            if not isinstance(flagged, list) or not all(isinstance(w, str) for w in flagged):
                 raise TypeError("expected a list of class labels")
-            if unknown := set(warnings) - {c.label for c in classes}:
+            if unknown := set(flagged) - {c.label for c in classes}:
                 raise ValueError(f"{sorted(unknown)[0]!r} names no class")
-            if warnings != [c.label for c in classes if c.label in warnings]:
-                raise ValueError(f"{warnings} does not name each class once, in class order")
+            if flagged != [c.label for c in classes if c.label in flagged]:
+                raise ValueError(f"{flagged} does not name each class once, in class order")
             entry = "delta_tau_cells"
             cells = [(float(lo), float(hi)) for lo, hi in payload.get("delta_tau_cells", [])]
             if len(cells) not in (0, len(classes)):
                 raise ValueError(f"{len(cells)} cells for {partition.m_max} intervals and the night")
             rows = zip(classes, [*durations.tolist(), night], d_values.tolist(),
                        cells or [None] * len(classes))
-            fits = (ClassFit(c.label, t, d, cell, c.label in warnings) for c, t, d, cell in rows)
+            fits = (ClassFit(c.label, t, d, cell, c.label in flagged) for c, t, d, cell in rows)
             return cls(tuple(fits), label, search)
         except KeyError as exc:
             raise DataError(f"the calibration has no {exc.args[0]!r} entry") from None
@@ -489,7 +470,7 @@ class TimeMap:
 
     def map_time(self, t: datetime) -> float:
         """Clock value of a physical instant inside the mapped span."""
-        s = _to_seconds(t)
+        s = (t - _EPOCH).total_seconds()
         if s < self.anchor_seconds[0] or s > self.anchor_seconds[-1]:
             raise MapRangeError(f"{t.isoformat()} outside the mapped span")
         self._check_not_dropped(t)
@@ -499,7 +480,7 @@ class TimeMap:
         """Physical instant of a clock value; inverse of ``map_time``."""
         if tau < self.anchor_tau[0] or tau > self.anchor_tau[-1]:
             raise MapRangeError(f"tau={tau} outside the mapped span")
-        t = _from_seconds(float(np.interp(tau, self.anchor_tau, self.anchor_seconds)))
+        t = _EPOCH + timedelta(seconds=round(float(np.interp(tau, self.anchor_tau, self.anchor_seconds)), 6))
         self._check_not_dropped(t)
         return t
 
@@ -634,16 +615,18 @@ def additivity_report(
     scratch and compares with the sum the assembled clock assigns to its
     parts (``class_duration``); a ratio above one means the union carries
     more spread than its pieces, the signature of positive dependence
-    between them.
+    between them.  A partition of one interval has no afternoon, so its
+    report leaves out the morning/afternoon row, with a warning.
     """
     cfg = cfg or calibration.search
-    unions = [parse_class_spec(u, partition, series.grid)[0] for _, u, _ in ADDITIVITY_UNIONS]
-    ref_sample, *union_samples = class_samples(
-        series, [reference or IntervalClass.multiday(1), *unions]
-    )
+    kept = [row for row in ADDITIVITY_UNIONS if partition.m_max > 1 or "afternoon" not in row[2]]
+    for label, _, _ in set(ADDITIVITY_UNIONS) - set(kept):
+        warnings.warn(f"additivity row {label!r} left out: a one-interval partition has no afternoon")
+    unions = [parse_class_spec(u, partition, series.grid)[0] for _, u, _ in kept]
+    ref_sample, *union_samples = class_samples(series, [reference or IntervalClass.multiday(1), *unions])
     x_ref = _Reference(ref_sample)
     rows = []
-    for (label, _, parts), sample in zip(ADDITIVITY_UNIONS, union_samples):
+    for (label, _, parts), sample in zip(kept, union_samples):
         parts_sum = sum(
             class_duration(p, calibration, partition)
             for p in parse_class_specs(parts, partition, series.grid)

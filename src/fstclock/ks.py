@@ -106,10 +106,10 @@ def _limits(ys, ux, lo, hi, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return right, m * c_y - n * lo
 
 
-def ks_count(x, ys: np.ndarray) -> int:
+def ks_count(x: Sorted, ys: np.ndarray) -> int:
     """The KS count sup_z |n_y C_x(z) - n_x C_y(z)| of non-empty x and sorted ys.
 
-    x is a ``Sorted``, whose runs are found once, or sorted values.  C
+    x's runs are found once, for every count it is the x of.  C
     counts the points <= z.  f = n_y C_x - n_x C_y rises only at the x's,
     by n_y per x, and is 0 beyond both ends, so its largest value is a right
     limit at a distinct x and its smallest a left limit at one; the left
@@ -122,7 +122,7 @@ def ks_count(x, ys: np.ndarray) -> int:
     blocks whose bound exceeds k can hold the sup, and only their runs are
     searched.  All in integers.
     """
-    runs = x.runs if isinstance(x, Sorted) else _Runs(np.asarray(x))
+    runs = x.runs
     m, n = runs.m, ys.size
     if not runs.sampled:
         right, left = _limits(ys, runs.ux, runs.lo, runs.hi, m, n)

@@ -1059,6 +1059,65 @@ def test_a_one_interval_partition_records_the_gate_as_not_checked(pipeline, tmp_
     assert main([*argv, "--strict"]) == cli.STRICT_EXIT
 
 
+def test_a_one_interval_partition_leaves_out_the_afternoon_row(pipeline, tmp_path, capsys):
+    # before, its empty afternoon ended calibrate in an error that named no option
+    argv = ["calibrate", "--input", str(pipeline / "cache" / "cache.json"), "--out", str(tmp_path),
+            "--interval-minutes", "380"]
+    assert main(argv) == 0
+    warns = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+    assert warns[0] == ("warning: additivity row '1-day vs morning+afternoon+night' left out: "
+                        "a one-interval partition has no afternoon")
+    rows = (tmp_path / "additivity.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["label", "trading-day vs intraday sum",
+                                                   "2-day vs 2x1-day"]
+    assert main([*argv, "--strict"]) == cli.STRICT_EXIT
+
+
+@pytest.fixture(scope="module")
+def minute_cache(tmp_path_factory):
+    """A 30-day cache on the 1-minute, 381-point grid, off every grid default."""
+    root = tmp_path_factory.mktemp("minute")
+    assert main(["synth", "--out", str(root), "--days", "30", "--seed", "2",
+                 "--bar-minutes", "1", "--points", "381"]) == 0
+    assert main(["ingest", "--input", str(root / "prices.csv"), "--out", str(root),
+                 "--bar-minutes", "1", "--points", "381"]) == 0
+    return root / "cache.json"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("calibrate", ["--skip-additivity"]),
+    ("analyze", []),
+    ("compare-clocks", []),
+    ("pairwise-d", []),
+])
+def test_a_cache_input_records_the_grid_of_the_cache(minute_cache, tmp_path, capsys, command, flags):
+    # before, the run recorded the grid options, here the defaults 20 and 20,
+    # and took a grid flag that differed from the cache without a word
+    out = tmp_path / "out"
+    argv = [command, "--input", str(minute_cache), "--out", str(out), *flags]
+    assert main(argv) == 0
+    grid = {"open": "09:40", "bar_minutes": 1, "points": 381}
+    manifest = json.loads((out / "manifest.json").read_text())
+    for config in (json.loads((out / "resolved_config.json").read_text()), manifest["config"]):
+        assert {k: config[k] for k in grid} == grid
+    first = _tree_bytes(out)
+    # the manifest replays byte for byte, and so does one that records the defaults
+    assert main([command, "--config", str(out / "manifest.json")]) == 0
+    assert _tree_bytes(out) == first
+    manifest["config"].update(bar_minutes=20, points=20)
+    (tmp_path / "old.json").write_text(json.dumps(manifest))
+    assert main([command, "--config", str(tmp_path / "old.json")]) == 0
+    assert _tree_bytes(out) == first
+    # a grid flag must name the cache's grid
+    assert main([*argv, "--open", "9:40", "--bar-minutes", "1", "--points", "381"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--bar-minutes", "5", "--points", "77"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --bar-minutes 5 differs from the grid of {minute_cache}, which has --bar-minutes 1\n")
+    assert main([*argv, "--open", "10:00"]) == 2
+    assert capsys.readouterr().err.startswith("error: --open 10:00 differs from the grid of")
+
+
 @pytest.mark.parametrize("damage", ["missing", "truncated"])
 @pytest.mark.parametrize("flag", ["--input", "--calibration", "--config"])
 def test_unreadable_input_file_ends_in_one_error_line(pipeline, tmp_path, capsys, flag, damage):

@@ -34,11 +34,11 @@ from fstclock import (
 )
 import fstclock.clock
 from fstclock.clock import (
-    _SCALAR_SETTLE, ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, calibrated_classes,
+    ADDITIVITY_UNIONS, _first_divisor, _optimal_cell, _Reference, calibrated_classes,
     class_duration,
 )
 from fstclock.series import day_numbers, next_weekday, parse_class_spec, parse_class_specs, synthetic_dates
-from fstclock.ks import ks_count
+from fstclock.ks import Sorted, ks_count
 
 from conftest import brownian_series, calibration_from, child_env, make_sample, shared_path_world
 
@@ -145,8 +145,8 @@ def _shape_case(family, rng, nx, ny):
     """Unsorted (x, y) of nx and ny values for a shape that stresses the half-line check."""
     if family == "identical-tied":
         # a few distinct values, each repeated: the optimal count's pairs tie
-        # at one ratio, past _SCALAR_SETTLE of them
-        x = np.repeat(rng.standard_normal(int(rng.integers(1, 4))), _SCALAR_SETTLE + 2)
+        # at one ratio, dozens of them
+        x = np.repeat(rng.standard_normal(int(rng.integers(1, 4))), 66)
         return x, x.copy()
     if family == "opposite":  # every x of one sign, every y of the other
         sign = rng.choice([-1.0, 1.0])
@@ -286,7 +286,7 @@ def _kernel_case(family, rng):
 
 def _assert_same_cell(xs, ys, q_min, q_max):
     """The search's cell and count equal the reference's bit for bit; the check counts of both."""
-    got = _optimal_cell(xs, ys, q_min, q_max)
+    got = _optimal_cell(_Reference(xs), ys, q_min, q_max)
     want = _mask_optimal_cell(xs, ys, q_min, q_max)
     assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
     # the guided phase stops at bit_length checks, then bisection and one
@@ -417,7 +417,7 @@ def test_ks_count_is_exact(family):
         qs += list(rng.choice(ties, size=min(3, ties.size), replace=False))
         for q in map(float, qs):
             want = _brute_force_count(xs, ys, q)
-            assert ks_count(xs, ys / q) == want
+            assert ks_count(Sorted(xs), ys / q) == want
             assert round(rescaled_ks(xs, ys, q * q).raw_sup * xs.size * ys.size) == want
 
 
@@ -450,8 +450,8 @@ def test_first_divisor_refines_every_near_tied_pair(a, b, largest, want):
 
 def test_first_divisor_matches_scalar_refinement_on_near_ties():
     rng = np.random.default_rng(3)
-    # near sets settled in Python floats and, past _SCALAR_SETTLE, by numpy masks
-    for size in (_SCALAR_SETTLE // 2, 3 * _SCALAR_SETTLE):
+    # near sets of a few dozen pairs and of a few hundred
+    for size in (32, 192):
         for _ in range(500):
             # a = q0 * b rounds differently per pair: every a/b is within an ulp
             # or two of q0
@@ -477,6 +477,28 @@ def test_first_divisor_matches_scalar_refinement_on_near_ties():
                         assert math.isinf(want) == (largest or overflowing == size)
 
 
+def test_a_day_fitted_against_itself_settles_every_tied_pair(monkeypatch):
+    # identical samples tie about half their pairs at the extreme ratio 1:
+    # every near pair is settled, and the fit is exact
+    series = brownian_series(n_days=2500, n_bars=19, seed=5, night_sigma=1.0)
+    day = class_sample(series, IntervalClass.multiday(1))
+    near_sets, settle = [], fstclock.clock._settle
+
+    def counted(a, b, q):
+        near_sets[-1] += 1
+        return settle(a, b, q)
+
+    def first_divisor(a, b, largest):
+        near_sets.append(0)
+        return _first_divisor(a, b, largest)
+
+    monkeypatch.setattr(fstclock.clock, "_settle", counted)
+    monkeypatch.setattr(fstclock.clock, "_first_divisor", first_divisor)
+    fit = calibrate_interval(day, day)
+    assert max(near_sets) > 1000
+    assert (fit.delta_tau, fit.d) == (1.0, 0.0)
+
+
 # Below the normal range one ulp of q moves fl(a/q) by far less than b's
 # spacing, so one-ulp steps from fl(a/b) would take up to about 2**52 of
 # them.  Each case's first divisor q must pass and nextafter(q, 0) fail: for
@@ -487,7 +509,7 @@ def test_first_divisor_matches_scalar_refinement_on_near_ties():
 _SUBNORMAL_CHECKS = """
 import numpy as np
 from fstclock import IntervalClass, ReturnSample, calibrate_interval, rescaled_ks
-from fstclock.clock import _SCALAR_SETTLE, _first_divisor
+from fstclock.clock import _first_divisor
 
 def check(a, b):
     order = np.argsort(b, kind="stable")
@@ -498,7 +520,7 @@ def check(a, b):
             assert (passes.all() and not below.all()) if largest else (passes.any() and not below.any())
 
 tiny = np.nextafter(0.0, 1.0)
-reps = _SCALAR_SETTLE + 6  # tied pairs past _SCALAR_SETTLE settle in the numpy loop
+reps = 70  # a near set of 70 tied pairs
 check(np.array([1e-17]), np.array([3 * tiny]))
 check(np.full(reps, 1e-17), np.full(reps, 3 * tiny))
 # the subnormal pair has the largest a/b, the normal pair the largest first divisor
@@ -870,6 +892,18 @@ def test_additivity_near_one_for_independent_increments(
     assert 0.9 < rows[0].ratio < 1.1
     assert 0.9 < rows[1].ratio < 1.1
     assert 0.75 < rows[2].ratio < 1.25
+
+
+def test_additivity_leaves_out_the_afternoon_of_a_one_interval_partition(noisy_series):
+    # before, the empty afternoon raised ClassSpecError
+    whole = PartitionSpec(boundaries=(0, 19), bar_minutes=20)
+    cal = calibrate_clock(noisy_series, whole)
+    with pytest.warns(UserWarning, match="^additivity row '1-day vs morning\\+afternoon\\+night' "
+                      "left out: a one-interval partition has no afternoon$") as rec:
+        rows = additivity_report(noisy_series, whole, cal)
+    assert len(rec) == 1
+    assert [r.label for r in rows] == ["trading-day vs intraday sum", "2-day vs 2x1-day"]
+    assert rows[0].parts_sum == cal.trading_total
 
 
 def test_additivity_flags_dependent_increments():
