@@ -13,7 +13,7 @@ import importlib
 
 _EXPORTS = {
     "analysis": """CorrelationCurve CutoffReport HurstSpectrum MomentRow MomentTable
-        VolatilityProfile cutoff_check hurst_slopes intraday_volatility_profile
+        VolatilityProfile clock_returns cutoff_check hurst_slopes intraday_volatility_profile
         linear_correlation_contiguous moment_curve pdf_collapse_export
         pooled_bar_sample span_union_samples volatility_autocorrelation""",
     "clock": """AdditivityRow ClassFit ClockCalibration SearchConfig TimeMap

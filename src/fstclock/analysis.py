@@ -3,6 +3,8 @@ profiles, volatility memory, and the contiguous-return correlation gate.
 
 Most estimators exist in two flavours, one on the physical axis and one on a
 calibrated clock, so the effect of the time change can be read off directly.
+Every clock flavour reads its returns from ``clock_returns``, the one builder
+of returns on equal clock time: the day's clock bins and each night.
 Seasonal means are always removed per ensemble (same intraday anchors, same
 day offset) before anything is averaged.
 """
@@ -18,7 +20,6 @@ import numpy as np
 from .clock import ClockCalibration, TimeMap, class_duration
 from .errors import ClassSpecError, DataError
 from .series import (
-    DayGrid,
     IntervalClass,
     PartitionSpec,
     PriceSeries,
@@ -44,30 +45,40 @@ def _complete_matrix(series: PriceSeries, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Clock-bin returns and pooled samples
+# Returns on the calibrated clock, and pooled samples
 
-def _clock_bin_returns(
-    z: np.ndarray, grid: DayGrid, time_map: TimeMap, n_bins: float, width: float
-) -> np.ndarray:
-    """Returns over ``n_bins`` clock bins of ``width`` from the open, detrended per bin.
+def clock_returns(series: PriceSeries, time_map: TimeMap, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each day's returns over equal ``delta`` clock bins, and each night's return.
 
+    ``bins`` is days x int(trading_total / delta + 1e-9) from the open: a
+    fraction of a bin is dropped, and a billionth of one forgives rounding.
     Bin edges are pulled back to intraday instants through the map, and
     log-prices at the edges come from linear interpolation between bars.
-    A fraction of a bin in ``n_bins`` is dropped.  A width that is not
-    positive, or more bins than bars, is refused before anything is built.
+    ``nights`` holds the raw return from each day's close to the next
+    retained open; it lasts the closure's clock duration, not ``delta``, and
+    is NaN where a filter-dropped session lies between the two days and on
+    the last day.  Each bin and the nights are detrended as ensembles.  A
+    ``delta`` that is not positive or longer than the trading day, or more
+    bins than bars, is refused before anything is built.
     """
-    if not width > 0:
-        raise ClassSpecError(f"a clock bin must last a positive duration, not {width!r}")
-    if n_bins < 1:
+    z = _complete_matrix(series, "clock_returns")
+    grid = series.grid
+    if not delta > 0:
+        raise ClassSpecError(f"a clock bin must last a positive duration, not {delta!r}")
+    count = time_map.calibration.trading_total / delta + 1e-9
+    if count < 1:
         raise ClassSpecError("delta exceeds the trading day on the clock")
-    if n_bins >= grid.n_bars + 1:
-        raise ClassSpecError(f"{n_bins:.6g} clock bins exceed the {grid.n_bars} bars of the day")
-    edges_tau = np.arange(int(n_bins) + 1) * width
-    pos = time_map.intraday_offset_minutes(edges_tau) / grid.bar_minutes
+    if count >= grid.n_bars + 1:
+        raise ClassSpecError(f"{count:.6g} clock bins exceed the {grid.n_bars} bars of the day")
+    pos = time_map.intraday_offset_minutes(np.arange(int(count) + 1) * delta) / grid.bar_minutes
     idx = np.clip(np.floor(pos).astype(int), 0, grid.n_bars - 1)
     frac = pos - idx
-    edge_prices = (1.0 - frac) * z[:, idx] + frac * z[:, idx + 1]
-    return demean(np.diff(edge_prices, axis=1))
+    bins = demean(np.diff((1.0 - frac) * z[:, idx] + frac * z[:, idx + 1], axis=1))
+
+    starts = np.flatnonzero(dropped_between(series) == 0)
+    nights = np.full(series.n_days, np.nan)
+    nights[starts] = demean(z[starts + 1, 0] - z[starts, grid.close_index])
+    return bins, nights
 
 
 def pooled_bar_sample(
@@ -387,11 +398,10 @@ def intraday_volatility_profile(
 
     Physical flavour: one point per partition interval, sigma as the
     ensemble mean |r| over days, positioned at the interval midpoint in
-    minutes after the open.  Clock flavour (``time_map`` given): the day is
-    cut into equal clock bins, bin edges are pulled back to physical
-    instants through the map, log-prices at the edges come from linear
-    interpolation between bars, and the same ensemble statistic follows.
-    Flat clock-bin profiles are the stationarity the calibration aims at.
+    minutes after the open.  Clock flavour (``time_map`` given): the same
+    statistic over the ``n_bins`` equal bins of ``clock_returns`` (one per
+    interval by default), positioned at their clock midpoints.  Flat
+    clock-bin profiles are the stationarity the calibration aims at.
     """
     partition.check_grid(series.grid)
     if time_map is None:
@@ -408,8 +418,7 @@ def intraday_volatility_profile(
 
     bins = n_bins or partition.m_max
     width = time_map.calibration.trading_total / bins
-    z = _complete_matrix(series, "volatility profile")
-    returns = _clock_bin_returns(z, series.grid, time_map, bins, width)
+    returns, _ = clock_returns(series, time_map, width)
     return VolatilityProfile(
         positions=np.arange(bins) * width + 0.5 * width,
         sigma=np.abs(returns).mean(axis=0),
@@ -446,41 +455,6 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((xm * ym).sum()) / den
 
 
-def _magnitude_matrix(
-    series: PriceSeries,
-    delta: float,
-    time_map: TimeMap | None,
-) -> np.ndarray:
-    """|return| per (day, slot); clock flavour appends a normalised night slot.
-
-    Physical slots are the ``delta``-minute intervals tiling the session.
-    Clock slots are equal-``delta`` clock bins, plus one closure slot whose
-    magnitude is shrunk by sqrt(delta / overnight duration) so that, under
-    diffusive scaling on the calibrated clock, it is exchangeable with the
-    intraday slots.  Nights straddling a filter-dropped day are NaN and the
-    pair machinery skips them.
-    """
-    grid = series.grid
-    if time_map is None:
-        return np.abs(pooled_bar_sample(series, grid.bars_in(delta)).values).reshape(series.n_days, -1)
-
-    z = _complete_matrix(series, "volatility autocorrelation")
-    cal = time_map.calibration
-    bins = cal.trading_total / delta + 1e-9 if delta > 0 else 0.0
-    intraday = _clock_bin_returns(z, grid, time_map, bins, delta)
-    n_bins = intraday.shape[1]
-
-    starts = np.flatnonzero(dropped_between(series) == 0)
-    nights = np.full(series.n_days, np.nan)
-    nights[starts] = demean(z[starts + 1, 0] - z[starts, grid.close_index])
-    nights *= math.sqrt(delta / cal.classes[-1].delta_tau)
-
-    out = np.empty((series.n_days, n_bins + 1))
-    out[:, :n_bins] = np.abs(intraday)
-    out[:, n_bins] = np.abs(nights)
-    return out
-
-
 def volatility_autocorrelation(
     series: PriceSeries,
     delta: float,
@@ -496,10 +470,21 @@ def volatility_autocorrelation(
     per-slot coefficients.  Lag 0 is exactly 1.  Lags with fewer than
     ``MIN_PAIRS`` admissible pairs are dropped with a warning each; lags
     that reach past the sequence, with one warning for all of them.
+
+    Physical slots are the ``delta``-minute intervals tiling the session.
+    Clock slots are the bins of ``clock_returns`` plus the night, shrunk by
+    sqrt(delta / overnight duration) so that, under diffusive scaling on the
+    calibrated clock, it is exchangeable with them; a NaN night pairs with
+    nothing.
     """
     if estimator not in ("sliding", "ciclostationary"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    mat = _magnitude_matrix(series, delta, time_map)
+    if time_map is None:
+        mat = np.abs(pooled_bar_sample(series, series.grid.bars_in(delta)).values).reshape(series.n_days, -1)
+    else:
+        bins, nights = clock_returns(series, time_map, delta)
+        nights *= math.sqrt(delta / time_map.calibration.overnight_duration)
+        mat = np.abs(np.column_stack([bins, nights]))
     n_days, n_slots = mat.shape
     flat = mat.ravel()
     valid = ~np.isnan(flat)

@@ -20,6 +20,7 @@ import sys
 import warnings
 from collections.abc import Callable, Sequence
 from datetime import time as dtime
+from pathlib import Path
 
 import numpy as np
 
@@ -374,20 +375,23 @@ def _parse_open(text: str) -> dtime:
 
 
 def _grid_from(cfg: dict) -> DayGrid:
-    return DayGrid(
-        open_time=_parse_open(cfg["open"]),
-        bar_minutes=cfg["bar_minutes"],
-        n_points=cfg["points"],
-    )
+    open_time = _parse_open(cfg["open"])
+    try:
+        return DayGrid(open_time=open_time, bar_minutes=cfg["bar_minutes"], n_points=cfg["points"])
+    except ValueError as exc:  # the options, then DayGrid's reason
+        flags = " ".join(f"{_flag(o.name)} {cfg[o.name]}" for o in GRID_OPTS)
+        raise ClassSpecError(f"{flags} make no grid: {exc}") from None
 
 
 def _load_filtered(cfg: dict):
-    """The input's complete days; a cache's own grid replaces the grid options in ``cfg``."""
-    series = load_series(cfg["input"], grid=(grid := _grid_from(cfg)))
-    if (g := series.grid) != grid:
-        cfg.update(bar_minutes=g.bar_minutes, points=g.n_points)
-        if g.open_time != grid.open_time:
-            cfg["open"] = g.open_time.isoformat(timespec="minutes")
+    """The input's complete days.  A cache's own grid replaces the grid options
+    in ``cfg``, which build no grid then; a CSV is read on the grid they make."""
+    cache = Path(cfg["input"]).suffix.lower() == ".json"
+    series = load_series(cfg["input"], grid=None if cache else _grid_from(cfg))
+    g = series.grid
+    cfg.update(bar_minutes=g.bar_minutes, points=g.n_points)
+    if _parse_open(cfg["open"]) != g.open_time:
+        cfg["open"] = g.open_time.isoformat(timespec="minutes")
     return filter_complete_days(series, max_missing_bars=cfg["max_missing"])
 
 

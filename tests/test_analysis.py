@@ -14,10 +14,14 @@ from fstclock import (
     ClassSpecError,
     DataError,
     DayGrid,
+    IntervalClass,
     MomentTable,
     PartitionSpec,
     assemble_time_map,
+    class_sample,
+    clock_returns,
     cutoff_check,
+    filter_complete_days,
     hurst_slopes,
     intraday_volatility_profile,
     linear_correlation_contiguous,
@@ -29,6 +33,7 @@ from fstclock import (
 )
 import fstclock.analysis as analysis_module
 from fstclock.analysis import CorrelationCurve
+from fstclock.series import demean, dropped_between
 from fstclock.synthetic import ActivityProfile, GeneratorConfig, generate_seasonal
 
 from conftest import (
@@ -239,6 +244,59 @@ def test_collapse_validation():
         pdf_collapse_export([])
     with pytest.raises(ValueError):
         pdf_collapse_export([(1.0, make_sample([1.0, 2.0]))], n_bins=2)
+
+
+# --- returns on the calibrated clock ---------------------------------------
+
+@pytest.fixture(scope="module")
+def gappy_clock():
+    """80 days with four filter-dropped sessions, two of them adjacent, on an uneven clock."""
+    m = brownian_series(n_days=80, n_bars=18, seed=52, night_sigma=1.0).log_prices.copy()
+    m[[10, 30, 31, 55], 4] = np.nan
+    series = filter_complete_days(series_from_matrix(m, grid=GRID18))
+    cal = calibration_from([0.05, 0.02, 0.01, 0.015, 0.03, 0.06, 0.4])
+    return series, assemble_time_map(cal, PART60, series)
+
+
+def test_clock_return_nights_are_the_overnight_class(gappy_clock):
+    series, tmap = gappy_clock
+    _, nights = clock_returns(series, tmap, 0.025)
+    gaps = np.flatnonzero(np.append(dropped_between(series) > 0, True))
+    assert gaps.tolist() == [9, 28, 51, series.n_days - 1]
+    assert np.flatnonzero(np.isnan(nights)).tolist() == gaps.tolist()
+    kept = nights[~np.isnan(nights)]
+    assert kept.tolist() == class_sample(series, IntervalClass.overnight()).values.tolist()
+
+
+@pytest.mark.parametrize("n_bins", [1, 6, 7.5, 18])
+def test_clock_return_bins_match_a_per_day_interpolation(gappy_clock, n_bins):
+    series, tmap = gappy_clock
+    cal = tmap.calibration
+    delta = cal.trading_total / n_bins
+    bins, _ = clock_returns(series, tmap, delta)
+    # the map is linear in each interval: clock edges to bar positions
+    bounds_tau = np.concatenate([[0.0], np.cumsum(cal.intraday_durations)])
+    bounds_bar = np.asarray(PART60.boundaries, dtype=float)
+    edges = np.interp(np.arange(int(n_bins) + 1) * delta, bounds_tau, bounds_bar)
+    bars = np.arange(series.grid.n_points)
+    want = np.asarray([np.diff(np.interp(edges, bars, day)) for day in series.log_prices])
+    assert bins.shape == (series.n_days, int(n_bins))
+    # a return near zero keeps the absolute rounding of the mean it lost
+    np.testing.assert_allclose(bins, demean(want), rtol=1e-12, atol=1e-14)
+
+
+def test_clock_slots_are_the_bins_and_the_shrunk_night(gappy_clock):
+    series, tmap = gappy_clock
+    delta = tmap.calibration.trading_total / 6
+    bins, nights = clock_returns(series, tmap, delta)
+    nights *= math.sqrt(delta / 0.4)
+    flat = np.abs(np.column_stack([bins, nights])).ravel()
+    curve = volatility_autocorrelation(series, delta, [1, 2, 7], time_map=tmap)
+    for h, value, n_pairs in zip(curve.lags, curve.values, curve.n_pairs):
+        a, b = flat[:-h], flat[h:]
+        ok = ~(np.isnan(a) | np.isnan(b))
+        assert n_pairs == ok.sum()
+        assert value == pytest.approx(np.corrcoef(a[ok], b[ok])[0, 1], rel=1e-12)
 
 
 # --- intraday profile -------------------------------------------------------

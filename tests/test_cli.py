@@ -795,6 +795,8 @@ def test_a_negative_span_is_refused_for_its_sign(pipeline, tmp_path, capsys, com
     ("analyze", ["--collapse-bins", "2"], "--collapse-bins must be at least 3, not 2"),
     ("synth", ["--open", "25:00"], "cannot parse session open '25:00'"),
     ("ingest", ["--open", "9:60"], "cannot parse session open '9:60'"),
+    *[(command, ["--points", "100"], "--open 09:40 --bar-minutes 20 --points 100 make no grid: "
+       "session must close within the calendar day") for command in ("synth", "ingest", "calibrate")],
 ])
 def test_refused_values_end_in_one_error_line(pipeline, tmp_path, capsys, command, flags, message):
     source = [] if command == "synth" else ["--input", str(pipeline / "synth" / "prices.csv")]
@@ -1104,16 +1106,21 @@ def test_a_cache_input_records_the_grid_of_the_cache(minute_cache, tmp_path, cap
     # the manifest replays byte for byte, and so does one that records the defaults
     assert main([command, "--config", str(out / "manifest.json")]) == 0
     assert _tree_bytes(out) == first
-    manifest["config"].update(bar_minutes=20, points=20)
-    (tmp_path / "old.json").write_text(json.dumps(manifest))
-    assert main([command, "--config", str(tmp_path / "old.json")]) == 0
-    assert _tree_bytes(out) == first
+    # grid values the cache replaces build no grid, not even one that cannot be built
+    for points in (20, 100):
+        manifest["config"].update(bar_minutes=20, points=points)
+        (tmp_path / "old.json").write_text(json.dumps(manifest))
+        assert main([command, "--config", str(tmp_path / "old.json")]) == 0
+        assert _tree_bytes(out) == first
     # a grid flag must name the cache's grid
     assert main([*argv, "--open", "9:40", "--bar-minutes", "1", "--points", "381"]) == 0
     capsys.readouterr()
     assert main([*argv, "--bar-minutes", "5", "--points", "77"]) == 2
     assert capsys.readouterr().err == (
         f"error: --bar-minutes 5 differs from the grid of {minute_cache}, which has --bar-minutes 1\n")
+    assert main([*argv, "--points", "100"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --points 100 differs from the grid of {minute_cache}, which has --points 381\n")
     assert main([*argv, "--open", "10:00"]) == 2
     assert capsys.readouterr().err.startswith("error: --open 10:00 differs from the grid of")
 

@@ -35,7 +35,7 @@ from fstclock import (
 import fstclock.cli as cli
 import fstclock.series as series_module
 import fstclock.synthetic as synthetic_module
-from fstclock.analysis import _magnitude_matrix
+from fstclock.analysis import clock_returns
 from fstclock.series import day_numbers, demean, dropped_between, next_weekday, synthetic_dates
 from fstclock.synthetic import ActivityProfile, generate_seasonal, write_prices_csv
 
@@ -908,14 +908,12 @@ def test_gap_rule_matches_pairwise_scan(default_grid, default_partition, seed):
 
     cal = calibration_from([0.03125] * default_partition.m_max + [0.40625])
     tmap = assemble_time_map(cal, default_partition, s)
-    night = _magnitude_matrix(s, 0.0625, tmap)[:, -1]
+    _, night = clock_returns(s, tmap, 0.0625)
     starts = scan_windows(s, 1, 1)
     assert np.flatnonzero(~np.isnan(night)).tolist() == starts
     kept = np.asarray([lp[i + 1, 0] - lp[i, close] for i in starts])
     kept -= kept.mean()
-    np.testing.assert_allclose(
-        night[starts], np.abs(kept) * math.sqrt(0.0625 / 0.40625), rtol=1e-12
-    )
+    np.testing.assert_allclose(night[starts], kept, rtol=1e-12)
 
 
 def loop_anchors(cal, partition, grid, s):
