@@ -81,18 +81,14 @@ def clock_returns(series: PriceSeries, time_map: TimeMap, delta: float) -> tuple
     return bins, nights
 
 
-def pooled_bar_sample(
-    series: PriceSeries,
-    k_bars: int,
-    label: str | None = None,
-) -> ReturnSample:
+def pooled_bar_sample(series: PriceSeries, k_bars: int) -> ReturnSample:
     """The sample of the pooled class of k-bar returns (``IntervalClass.pooled``).
 
     Windows start at multiples of k from the open, so they are disjoint.
     Each start position is its own ensemble for mean removal, then positions
     are pooled day by day into one sample.
     """
-    name = label or f"pooled[{k_bars * series.grid.bar_minutes}min]"
+    name = f"pooled[{k_bars * series.grid.bar_minutes}min]"
     return class_samples(series, [IntervalClass.pooled(k_bars, name)])[0]
 
 

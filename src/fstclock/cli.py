@@ -1,10 +1,11 @@
 """Command-line front end: reproducible, config-driven, machine-first.
 
-Every run materializes its full configuration, hashes its inputs, and writes
-a manifest next to the outputs; running again from the same manifest must
-reproduce every file byte for byte.  Floats are printed with ``repr`` so the
-round-trip through text is lossless.  Human-readable summary lines on stdout
-are derived from the written files, never the other way around.
+Every run materializes its full configuration, loads its series once, hashes
+its inputs as loaded, computes its outputs from the config and the series,
+and writes them with a manifest next to them; running again from the same
+manifest must reproduce every file byte for byte.  Floats are printed with
+``repr`` so the round-trip through text is lossless.  Human-readable summary
+lines on stdout are derived from the written files, never the other way around.
 """
 from __future__ import annotations
 
@@ -383,15 +384,21 @@ def _grid_from(cfg: dict) -> DayGrid:
         raise ClassSpecError(f"{flags} make no grid: {exc}") from None
 
 
-def _load_filtered(cfg: dict):
-    """The input's complete days.  A cache's own grid replaces the grid options
-    in ``cfg``, which build no grid then; a CSV is read on the grid they make."""
+def _load_filtered(cfg: dict, args: argparse.Namespace):
+    """The input's complete days, loaded once per run by ``main``.  A CSV is
+    read on the grid the grid options make.  A cache's own grid replaces them
+    in ``cfg``, a config's or manifest's silently, but a grid flag in ``args``
+    that differs from it is refused before any day is filtered."""
     cache = Path(cfg["input"]).suffix.lower() == ".json"
     series = load_series(cfg["input"], grid=None if cache else _grid_from(cfg))
     g = series.grid
     cfg.update(bar_minutes=g.bar_minutes, points=g.n_points)
     if _parse_open(cfg["open"]) != g.open_time:
         cfg["open"] = g.open_time.isoformat(timespec="minutes")
+    for o in GRID_OPTS:  # a grid flag must name the grid the run uses, a cache's included
+        if (typed := getattr(args, o.name)) is not None and typed != cfg[o.name]:
+            raise ClassSpecError(f"{_flag(o.name)} {typed} differs from the grid of {cfg['input']}, "
+                                 f"which has {_flag(o.name)} {cfg[o.name]}")
     return filter_complete_days(series, max_missing_bars=cfg["max_missing"])
 
 
@@ -462,12 +469,13 @@ def _load_calibration(path: str, partition: PartitionSpec) -> ClockCalibration:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each computes its outputs and its own warnings and writes nothing.
+# Commands: each computes its outputs and its own warnings from the resolved
+# config and the series ``main`` loaded (None for synth), and writes nothing.
 # An output is a file name and its content: a dict, written as JSON; a
 # (header, columns) pair, written by ``_write_csv``; or a writer bound to its
 # data, called with the path.
 
-def cmd_synth(cfg: dict) -> tuple[list, list[str]]:
+def cmd_synth(cfg: dict, series: None) -> tuple[list, list[str]]:
     grid = _grid_from(cfg)
     gen = cli.GeneratorConfig(
         n_days=cfg["days"],
@@ -509,16 +517,14 @@ def cmd_synth(cfg: dict) -> tuple[list, list[str]]:
             ("truth.json", truth_payload)], []
 
 
-def cmd_ingest(cfg: dict) -> tuple[list, list[str]]:
-    filtered = _load_filtered(cfg)
+def cmd_ingest(cfg: dict, series: PriceSeries) -> tuple[list, list[str]]:
     warns = []
-    if filtered.dropped_dates:
-        warns.append(f"dropped {len(filtered.dropped_dates)} incomplete days")
-    return [("cache.json", functools.partial(save_cache, filtered))], warns
+    if series.dropped_dates:
+        warns.append(f"dropped {len(series.dropped_dates)} incomplete days")
+    return [("cache.json", functools.partial(save_cache, series))], warns
 
 
-def cmd_calibrate(cfg: dict) -> tuple[list, list[str]]:
-    series = _load_filtered(cfg)
+def cmd_calibrate(cfg: dict, series: PriceSeries) -> tuple[list, list[str]]:
     grid = series.grid
     partition = _partition_from(cfg, grid)
     search = _search_from(cfg)
@@ -543,8 +549,7 @@ def cmd_calibrate(cfg: dict) -> tuple[list, list[str]]:
     return outputs, warns + gate_warns
 
 
-def cmd_analyze(cfg: dict) -> tuple[list, list[str]]:
-    series = _load_filtered(cfg)
+def cmd_analyze(cfg: dict, series: PriceSeries) -> tuple[list, list[str]]:
     grid = series.grid
     partition = _partition_from(cfg, grid)
     fst = cfg["clock"] == "fst"
@@ -650,8 +655,7 @@ def cmd_analyze(cfg: dict) -> tuple[list, list[str]]:
     ], gate_warns
 
 
-def cmd_compare_clocks(cfg: dict) -> tuple[list, list[str]]:
-    series = _load_filtered(cfg)
+def cmd_compare_clocks(cfg: dict, series: PriceSeries) -> tuple[list, list[str]]:
     grid = series.grid
     partition = _partition_from(cfg, grid)
     search = _search_from(cfg)
@@ -677,8 +681,7 @@ def cmd_compare_clocks(cfg: dict) -> tuple[list, list[str]]:
     return [("comparison.csv", (header, columns))], []
 
 
-def cmd_pairwise_d(cfg: dict) -> tuple[list, list[str]]:
-    series = _load_filtered(cfg)
+def cmd_pairwise_d(cfg: dict, series: PriceSeries) -> tuple[list, list[str]]:
     grid = series.grid
     partition = _partition_from(cfg, grid)
     specs = parse_class_specs(cfg["classes"], partition, grid)
@@ -720,6 +723,9 @@ def _write(path: str, content) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: resolve its config, load its series (the one place a
+    run's series is loaded), hash its inputs, call the command with the config
+    and the series, and write every output, the resolved config and the manifest."""
     argv = sys.argv[1:] if argv is None else argv
     # a named command needs only its own subparser; anything else gets all
     args = _parser(argv[0] if argv and argv[0] in OPTIONS else None).parse_args(argv)
@@ -730,16 +736,13 @@ def main(argv: list[str] | None = None) -> int:
         # every warning is reported: the library's first, then the command's own
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            outputs, warns = COMMANDS[command](cfg)
+            series = _load_filtered(cfg, args) if "input" in cfg else None
+            # each input hashed as loaded, before the command computes or any output replaces it
+            inputs = {
+                cfg[k]: _sha256(cfg[k]) for k in INPUT_KEYS if cfg.get(k) and os.path.exists(cfg[k])
+            }
+            outputs, warns = COMMANDS[command](cfg, series)
         warns = [str(w.message) for w in rec] + warns
-        for o in GRID_OPTS:  # a grid flag must name the grid the run used, a cache's included
-            if (typed := getattr(args, o.name, None)) is not None and typed != cfg[o.name]:
-                raise ClassSpecError(f"{_flag(o.name)} {typed} differs from the grid of {cfg['input']}, "
-                                     f"which has {_flag(o.name)} {cfg[o.name]}")
-        # each input hashed as it was read, before any output can replace it
-        inputs = {
-            cfg[k]: _sha256(cfg[k]) for k in INPUT_KEYS if cfg.get(k) and os.path.exists(cfg[k])
-        }
         manifest = {
             "tool": "fstclock",
             "version": __version__,

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ClassSpecError, DataError, MapRangeError
 from .ks import KsResult, Sorted, ks_count
 from .series import (
+    _EPOCH,
     DayGrid,
     IntervalClass,
     PartitionSpec,
@@ -33,10 +34,6 @@ from .series import (
     parse_class_spec,
     parse_class_specs,
 )
-
-# Naive-datetime epoch for the time map, so the mapping never touches the
-# process timezone and stays deterministic across machines.
-_EPOCH = datetime(1970, 1, 1)
 
 
 @dataclass(frozen=True)

@@ -275,18 +275,17 @@ class IntervalClass:
         )
 
     @classmethod
-    def overnight(cls, nights: int | None = None, label: str | None = None) -> "IntervalClass":
+    def overnight(cls, nights: int | None = None) -> "IntervalClass":
         if nights is not None and nights < 1:
             raise ClassSpecError("nights must be >= 1 when given")
-        if label is None:
-            label = "overnight" if nights is None else f"overnight[{nights}n]"
+        label = "overnight" if nights is None else f"overnight[{nights}n]"
         return cls(kind="overnight", label=label, nights=nights)
 
     @classmethod
-    def multiday(cls, n_days: int, label: str | None = None) -> "IntervalClass":
+    def multiday(cls, n_days: int) -> "IntervalClass":
         if n_days < 1:
             raise ClassSpecError("multiday span must be >= 1 day")
-        return cls(kind="multiday", label=label or f"{n_days}-day", n_days=n_days)
+        return cls(kind="multiday", label=f"{n_days}-day", n_days=n_days)
 
     @classmethod
     def sample(cls, label: str) -> "IntervalClass":
@@ -415,6 +414,7 @@ INGEST_CHUNK_ROWS = 8192
 # Below about 1 MiB the fork costs about what the helper saves.
 INGEST_SPLIT_BYTES = 2 << 20
 
+# the naive epoch of every instant, here and in the time map: no process timezone is read
 _EPOCH = datetime(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH.toordinal()
 _US = timedelta(microseconds=1)

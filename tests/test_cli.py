@@ -5,6 +5,7 @@ build one small synthetic universe per session and the later stages feed on
 the earlier stages' files, the same way a user would chain them.
 """
 import decimal
+import hashlib
 import json
 import math
 import os
@@ -188,7 +189,9 @@ def test_a_command_returns_its_outputs_and_writes_nothing(pipeline, tmp_path, co
     # main writes every output, so a refused run has written nothing
     flags = [str(pipeline / f) if f.endswith((".csv", ".json")) else f for f in flags]
     args = build_parser().parse_args([command, *flags, "--out", str(tmp_path)])
-    outputs, _ = cli.COMMANDS[command](resolve_config(args, command))
+    cfg = resolve_config(args, command)
+    series = cli._load_filtered(cfg, args) if "input" in cfg else None
+    outputs, _ = cli.COMMANDS[command](cfg, series)
     assert os.listdir(tmp_path) == []
     assert [name for name, _ in outputs] == names
 
@@ -1123,6 +1126,67 @@ def test_a_cache_input_records_the_grid_of_the_cache(minute_cache, tmp_path, cap
         f"error: --points 100 differs from the grid of {minute_cache}, which has --points 381\n")
     assert main([*argv, "--open", "10:00"]) == 2
     assert capsys.readouterr().err.startswith("error: --open 10:00 differs from the grid of")
+
+
+@pytest.fixture(scope="module")
+def minute_calibration(minute_cache, tmp_path_factory):
+    out = tmp_path_factory.mktemp("minute_cal")
+    assert main(["calibrate", "--input", str(minute_cache), "--out", str(out), "--skip-additivity"]) == 0
+    return out / "calibration.json"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("calibrate", []),
+    ("analyze", ["--clock", "fst", "--calibration", "CAL"]),
+    ("compare-clocks", []),
+    ("pairwise-d", []),
+])
+def test_a_grid_flag_that_contradicts_the_cache_is_refused_before_any_work(
+        minute_cache, minute_calibration, tmp_path, capsys, monkeypatch, command, flags):
+    # before, the command computed every output and main refused the flag afterwards
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("calibrate_clock", "span_union_samples", "compare_clocks", "ks_distance"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    out = tmp_path / "out"
+    flags = [str(minute_calibration) if f == "CAL" else f for f in flags]
+    assert main([command, "--input", str(minute_cache), "--out", str(out), *flags, "--points", "100"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --points 100 differs from the grid of {minute_cache}, which has --points 381\n")
+    assert calls == [] and os.listdir(out) == []
+
+
+def test_a_contradicting_grid_flag_is_reported_before_a_bad_reference(minute_cache, tmp_path, capsys):
+    # before, the command refused the reference first, since main checked the grid flags after it
+    argv = ["calibrate", "--input", str(minute_cache), "--out", str(tmp_path),
+            "--reference", "no-such-class", "--points", "100"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --points 100 differs from the grid of {minute_cache}, which has --points 381\n")
+
+
+def test_the_input_is_hashed_as_loaded(minute_cache, tmp_path, monkeypatch):
+    # before, main hashed the inputs after the command had computed
+    cache = tmp_path / "cache.json"
+    cache.write_bytes(minute_cache.read_bytes())
+    want = "sha256:" + hashlib.sha256(cache.read_bytes()).hexdigest()
+    calibrate_clock = cli.calibrate_clock
+
+    def appending(*args, **kwargs):
+        with open(cache, "ab") as f:
+            f.write(b" ")
+        return calibrate_clock(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "calibrate_clock", appending)
+    out = tmp_path / "out"
+    assert main(["calibrate", "--input", str(cache), "--out", str(out), "--skip-additivity"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["inputs"] == {str(cache): want}
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated"])

@@ -93,6 +93,56 @@ def dead_private_names(paths: list[Path]) -> list[str]:
     return dead
 
 
+def names_by_function(path: Path) -> dict[str, set[str]]:
+    """The names each module-level function of a module reads, as a name or
+    as an attribute, called or not, nested functions included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.name: {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def dict_value_names(path: Path, name: str) -> list[str]:
+    """The names that are the values of the module-level dict literal ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
+    return [v.id for v in value.values]
+
+
+def test_main_alone_loads_a_run_s_series():
+    # the one load in cli.main is where every command's series is read, so a
+    # change to what the commands see (an in-memory hand-off, dithered ticks) is made once
+    cli_py = PACKAGE / "cli.py"
+    names = names_by_function(cli_py)
+    assert [f for f, read in names.items() if "_load_filtered" in read] == ["main"]
+    loaders = {"_load_filtered", "load_series", "load_cache", "ingest_csv"}
+    commands = dict_value_names(cli_py, "COMMANDS")
+    assert len(commands) == 6
+    assert {f: sorted(names[f] & loaders) for f in commands} == {f: [] for f in commands}
+
+
+def test_the_function_name_reader_sees_what_it_should(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import io\n"
+        "X = 1\n"
+        "def f(a):\n"
+        "    g = lambda: io.load(a)\n"
+        "    return _load(X), g\n"
+        "def h(b):\n"
+        "    b.loaded = 1\n"
+        "    return functools.partial(save, b)\n"
+        "TABLE = {'f': f, 'h': h}\n",
+        encoding="utf-8",
+    )
+    assert names_by_function(module) == {"f": {"io", "load", "a", "_load", "X", "g"},
+                                         "h": {"b", "functools", "partial", "save"}}
+    assert dict_value_names(module, "TABLE") == ["f", "h"]
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
