@@ -529,7 +529,8 @@ def test_every_exported_name_resolves():
         cli.nothing  # noqa: B018
 
 
-def test_commands_call_what_is_set_on_the_module(pipeline, tmp_path, monkeypatch):
+def _spy_on(monkeypatch, names) -> list[str]:
+    """Wrap each of ``names`` on ``cli``; the list returned names each call, in order."""
     calls = []
 
     def spy(name, real):
@@ -538,8 +539,13 @@ def test_commands_call_what_is_set_on_the_module(pipeline, tmp_path, monkeypatch
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("calibrate_clock", "cutoff_check", "compare_clocks"):
+    for name in names:
         monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    return calls
+
+
+def test_commands_call_what_is_set_on_the_module(pipeline, tmp_path, monkeypatch):
+    calls = _spy_on(monkeypatch, ("calibrate_clock", "cutoff_check", "compare_clocks"))
     cache = str(pipeline / "cache" / "cache.json")
     assert main(["calibrate", "--input", cache, "--out", str(tmp_path / "cal"),
                  "--skip-additivity"]) == 0
@@ -1144,16 +1150,7 @@ def minute_calibration(minute_cache, tmp_path_factory):
 def test_a_grid_flag_that_contradicts_the_cache_is_refused_before_any_work(
         minute_cache, minute_calibration, tmp_path, capsys, monkeypatch, command, flags):
     # before, the command computed every output and main refused the flag afterwards
-    calls = []
-
-    def spy(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("calibrate_clock", "span_union_samples", "compare_clocks", "ks_distance"):
-        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    calls = _spy_on(monkeypatch, ("calibrate_clock", "span_union_samples", "compare_clocks", "ks_distance"))
     out = tmp_path / "out"
     flags = [str(minute_calibration) if f == "CAL" else f for f in flags]
     assert main([command, "--input", str(minute_cache), "--out", str(out), *flags, "--points", "100"]) == 2
